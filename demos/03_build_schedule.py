@@ -14,7 +14,6 @@ import numpy as np
 
 from climd import (
     ClassDistribution,
-    DifficultyRecord,
     DifficultyTable,
     build_schedule,
     epoch_rank_counts,
@@ -33,19 +32,16 @@ print(f"row sums: {counts.sum(axis=1).tolist()}  (= 100*t, full data at T)")
 
 # The same machinery on a small dataset with real difficulty scores:
 # class 0 has four samples scored 0.9 > 0.7 > 0.4 > 0.1, so epochs take
-# prefixes of [a, b, c, d]; class 1 similarly.
-records = [
-    DifficultyRecord("a", 0, [0.45, 0.45], 0.45, 0.9),
-    DifficultyRecord("b", 0, [0.35, 0.35], 0.35, 0.7),
-    DifficultyRecord("c", 0, [0.20, 0.20], 0.20, 0.4),
-    DifficultyRecord("d", 0, [0.05, 0.05], 0.05, 0.1),
-    DifficultyRecord("e", 1, [0.40, 0.40], 0.40, 0.8),
-    DifficultyRecord("f", 1, [0.10, 0.10], 0.10, 0.2),
-]
-table = DifficultyTable(records=records)
-small = ClassDistribution.from_labels([r.label for r in records], gamma=0.3)
+# prefixes of [a, b, c, d]; class 1 similarly. Plans hold row indices
+# into the table, so its ids name the samples.
+r = np.array([0.9, 0.7, 0.4, 0.1, 0.8, 0.2])
+table = DifficultyTable(ids=["a", "b", "c", "d", "e", "f"],
+                        labels=np.array([0, 0, 0, 0, 1, 1]),
+                        psi=np.column_stack([r / 2, r / 2]), phi=r / 2, r=r)
+small = ClassDistribution.from_labels(table.labels, gamma=0.3)
 plan = build_schedule(table, small, total_epochs=3)
 
 print("\nsix samples, two classes, three epochs (easy prefixes grow):")
 for p in plan.plans:
-    print(f"  epoch {p.t}: {p.sample_ids}  counts {p.counts}")
+    counts = dict(zip(plan.classes, p.counts.tolist()))
+    print(f"  epoch {p.t}: {[table.ids[i] for i in p.indices]}  counts {counts}")

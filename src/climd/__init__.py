@@ -30,6 +30,7 @@ from .measurer import (
     DifficultyTable,
     ModalityOutput,
     SampleTrace,
+    TraceBatch,
     complementarity,
     intra_modal_confidence,
     pairwise_similarity,
@@ -44,7 +45,6 @@ from .metrics import (
     weighted_f1,
 )
 from .scheduler import (
-    ClassQueue,
     EpochPlan,
     Schedule,
     ScheduleConfig,

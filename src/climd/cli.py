@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from . import fileformats as ff
 from .distribution import ClassDistribution
-from .errors import InfeasibleScheduleError, ValidationError
+from .errors import ClimdError, InfeasibleScheduleError, ValidationError
 from .measurer import score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import ScheduleConfig, build_schedule, synthetic_powerlaw_schedule
@@ -64,8 +64,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
-    traces = ff.read_traces(args.traces)
-    table = score_dataset(traces)
+    table = score_dataset(ff.read_traces(args.traces))
     out = _outdir(args)
     ff.write_difficulty(out / "difficulty.csv", table)
     _write_manifest(out, "score", {"traces": str(args.traces)},
@@ -80,7 +79,7 @@ def cmd_schedule(args) -> int:
     config = ScheduleConfig(difficulty_order=args.order)
     schedule = build_schedule(table, dist, args.epochs, config)
     out = _outdir(args)
-    ff.write_schedule(out / "schedule.csv", schedule, dist)
+    ff.write_schedule(out / "schedule.csv", schedule, dist, table.ids)
     ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule, dist)
     _write_manifest(out, "schedule",
                     {"epochs": args.epochs, "order": args.order,
@@ -196,22 +195,22 @@ def cmd_pipeline(args) -> int:
     def stage(name, fn):
         try:
             return fn()
-        except Exception as exc:
-            raise type(exc)(f"stage '{name}': {exc}") from exc
+        except (ClimdError, OSError) as exc:
+            exc.stage = name  # main() prefixes the error line with it
+            raise
 
     traces_path = Path(args.dataset_dir) / "traces.jsonl" if args.dataset_dir \
         else Path(args.traces)
     traces = stage("read-traces", lambda: ff.read_traces(traces_path))
     table = stage("score", lambda: score_dataset(traces))
-    dist = stage("fit", lambda: ClassDistribution.from_labels(
-        [t.label for t in traces], args.gamma))
+    dist = stage("fit", lambda: ClassDistribution.from_labels(traces.labels, args.gamma))
     config = ScheduleConfig(difficulty_order=args.order)
     schedule = stage("schedule", lambda: build_schedule(table, dist, args.epochs, config))
 
     out = _outdir(args)
     ff.write_difficulty(out / "difficulty.csv", table)
     ff.write_distribution(out / "distribution.csv", dist)
-    ff.write_schedule(out / "schedule.csv", schedule, dist)
+    ff.write_schedule(out / "schedule.csv", schedule, dist, table.ids)
     ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule, dist)
     _write_manifest(out, "pipeline",
                     {"epochs": args.epochs, "gamma": args.gamma, "order": args.order,
@@ -295,20 +294,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    stage = getattr(exc, "stage", None)
+    where = f"stage '{stage}': " if stage else ""
+    print(f"error: {where}{exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except InfeasibleScheduleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
 
 
 if __name__ == "__main__":

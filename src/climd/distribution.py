@@ -96,12 +96,6 @@ class ClassDistribution:
     def n_min(self) -> int:
         return min(self.counts.values())
 
-    def class_of_rank(self, rank: int) -> int:
-        for cid, r in self.rank_of_class.items():
-            if r == rank:
-                return cid
-        raise ValidationError(f"no class with rank {rank}")
-
     def classes_by_rank(self) -> list[int]:
         return sorted(self.counts, key=lambda c: self.rank_of_class[c])
 
@@ -115,7 +109,6 @@ class AlphaFit:
 
     alpha_hat: float
     degenerate: bool
-    log_denominator: float
 
 
 @dataclass
@@ -162,12 +155,8 @@ def fit_alpha(counts, gamma: float = DEFAULT_GAMMA) -> AlphaFit:
     n_min = counts.min()
     denom = float(np.log(counts).sum() - c * math.log(n_min))
     if denom == 0.0:
-        return AlphaFit(alpha_hat=1.0 + 1.0 / gamma, degenerate=True, log_denominator=0.0)
-    return AlphaFit(
-        alpha_hat=(1.0 / gamma) * (1.0 + c / denom),
-        degenerate=False,
-        log_denominator=denom,
-    )
+        return AlphaFit(alpha_hat=1.0 + 1.0 / gamma, degenerate=True)
+    return AlphaFit(alpha_hat=(1.0 / gamma) * (1.0 + c / denom), degenerate=False)
 
 
 def alpha_schedule(t: int, total_epochs: int, alpha_cap: float) -> float:

@@ -1,7 +1,12 @@
 """Text-based interchange formats.
 
 Every artifact is line-delimited text so pipeline stages stay diffable
-and independently inspectable:
+and independently inspectable. Readers return the columnar types the
+pipeline works on: :func:`read_traces` a validated
+:class:`~climd.measurer.TraceBatch`, parsed a chunk of lines at a time
+into arrays, and :func:`read_difficulty` a
+:class:`~climd.measurer.DifficultyTable`. Every rejected line is named
+by its number.
 
 * traces: one JSON object per line with ``sample_id``, ``label`` and a
   ``modalities`` array of ``{"probs": [...], "embedding": [...]}``;
@@ -24,14 +29,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .distribution import ClassDistribution
 from .errors import ValidationError
-from .measurer import DifficultyRecord, DifficultyTable, ModalityOutput, SampleTrace
+from .measurer import DifficultyTable, TraceBatch
 from .scheduler import Schedule, epoch_rank_counts
 
 
@@ -43,41 +50,76 @@ def _fmt(x: float) -> str:
 # traces (JSON lines)
 # ---------------------------------------------------------------------------
 
-def write_traces(path, traces: list[SampleTrace]):
+# Lines parsed into Python lists before they are packed into arrays.
+TRACE_CHUNK = 1024
+
+
+def write_traces(path, batch: TraceBatch):
     lines = []
-    for t in traces:
+    for sid, label, probs, emb in zip(batch.ids, batch.labels.tolist(), batch.probs, batch.emb):
         lines.append(json.dumps({
-            "sample_id": t.sample_id,
-            "label": t.label,
-            "modalities": [
-                {"probs": [float(p) for p in m.probs],
-                 "embedding": [float(e) for e in m.embedding]}
-                for m in t.modalities
-            ],
+            "sample_id": sid,
+            "label": label,
+            "modalities": [{"probs": p, "embedding": e}
+                           for p, e in zip(probs.tolist(), emb.tolist())],
         }, separators=(",", ":")))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_traces(path) -> list[SampleTrace]:
-    traces = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                traces.append(SampleTrace(
-                    sample_id=str(obj["sample_id"]),
-                    label=int(obj["label"]),
-                    modalities=[
-                        ModalityOutput(probs=m["probs"], embedding=m["embedding"])
-                        for m in obj["modalities"]
-                    ],
-                ))
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}: corrupt trace at line {lineno}: {exc}") from exc
-    return traces
+def _pack(path, rows: list, linenos: list[int], shape: tuple) -> np.ndarray:
+    """Stack one chunk of per-line nested lists into a float array whose
+    rows have ``shape``, naming the first line that does not fit."""
+    try:
+        arr = np.array(rows, dtype=float)
+        if arr.shape[1:] == shape:
+            return arr
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for lineno, row in zip(linenos, rows):
+        try:
+            if np.array(row, dtype=float).shape != shape:
+                break
+        except (TypeError, ValueError, OverflowError):
+            break
+    raise ValidationError(f"{path}: corrupt trace at line {lineno}: expected numbers "
+                          f"in shape {shape} (modalities, values), as on the first line")
+
+
+def read_traces(path) -> TraceBatch:
+    ids, labels, probs, emb = [], [], [], []
+    shapes = None  # (probs, embeddings) shape of the first trace
+    try:
+        with open(path, encoding="utf-8") as fh:
+            numbered = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
+            while chunk := list(islice(numbered, TRACE_CHUNK)):
+                chunk_p, chunk_e = [], []
+                for lineno, line in chunk:
+                    try:
+                        obj = json.loads(line)
+                        if type(obj["label"]) is not int:
+                            raise ValidationError(
+                                f"label must be a JSON integer, got {obj['label']!r}")
+                        chunk_p.append([mod["probs"] for mod in obj["modalities"]])
+                        chunk_e.append([mod["embedding"] for mod in obj["modalities"]])
+                        shapes = shapes or (np.shape(chunk_p[0]), np.shape(chunk_e[0]))
+                        ids.append(str(obj["sample_id"]))
+                        labels.append(obj["label"])
+                    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                        raise ValidationError(
+                            f"{path}: corrupt trace at line {lineno}: {exc}") from exc
+                linenos = [lineno for lineno, _ in chunk]
+                probs.append(_pack(path, chunk_p, linenos, shapes[0]))
+                emb.append(_pack(path, chunk_e, linenos, shapes[1]))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        return TraceBatch(
+            ids=ids, labels=np.array(labels, dtype=np.int64),
+            probs=np.concatenate(probs) if probs else np.zeros((0, 0, 0)),
+            emb=np.concatenate(emb) if emb else np.zeros((0, 0, 0)),
+        )
+    except (ValidationError, OverflowError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -85,31 +127,22 @@ def read_traces(path) -> list[SampleTrace]:
 # ---------------------------------------------------------------------------
 
 def write_difficulty(path, table: DifficultyTable):
-    if len(table) == 0:
-        Path(path).write_text("sample_id,label,phi,r\n")
-        return
-    m_counts = {len(rec.psi_per_modality) for rec in table}
-    if len(m_counts) != 1:
-        raise ValidationError(
-            f"cannot write a table with mixed modality counts {sorted(m_counts)}"
-        )
-    m = m_counts.pop()
-    header = "sample_id,label,phi," + ",".join(f"psi_{i}" for i in range(1, m + 1)) + ",r"
-    lines = [header]
-    for rec in table:
-        psis = ",".join(_fmt(p) for p in rec.psi_per_modality)
-        lines.append(f"{rec.sample_id},{rec.label},{_fmt(rec.phi)},{psis},{_fmt(rec.r)}")
+    m = table.psi.shape[1]
+    lines = [",".join(["sample_id", "label", "phi",
+                       *(f"psi_{i}" for i in range(1, m + 1)), "r"])]
+    scores = np.column_stack([table.phi, table.psi, table.r]).tolist()
+    for sid, label, row in zip(table.ids, table.labels.tolist(), scores):
+        lines.append(f"{sid},{label}," + ",".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_difficulty(path) -> DifficultyTable:
-    records = []
+    ids, labels, scores = [], [], []
     with open(path) as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         if cols[:3] != ["sample_id", "label", "phi"] or cols[-1] != "r":
             raise ValidationError(f"{path}: unrecognized difficulty header {header!r}")
-        n_psi = len(cols) - 4
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -120,16 +153,18 @@ def read_difficulty(path) -> DifficultyTable:
                     f"{path}: line {lineno}: expected {len(cols)} fields, got {len(parts)}"
                 )
             try:
-                records.append(DifficultyRecord(
-                    sample_id=parts[0],
-                    label=int(parts[1]),
-                    phi=float(parts[2]),
-                    psi_per_modality=[float(p) for p in parts[3:3 + n_psi]],
-                    r=float(parts[-1]),
-                ))
-            except ValueError as exc:
+                label = np.int64(int(parts[1]))
+                row = [float(v) for v in parts[2:]]
+            except (ValueError, OverflowError) as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-    return DifficultyTable(records=records)
+            if not all(map(math.isfinite, row)):
+                raise ValidationError(f"{path}: line {lineno}: non-finite score in {line!r}")
+            ids.append(parts[0])
+            labels.append(label)
+            scores.extend(row)
+    scores = np.array(scores, dtype=float).reshape(len(ids), len(cols) - 2)
+    return DifficultyTable(ids=ids, labels=np.array(labels, dtype=int), psi=scores[:, 1:-1],
+                           phi=scores[:, 0], r=scores[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +251,16 @@ def read_distribution(path) -> ClassDistribution:
 # schedule artifacts
 # ---------------------------------------------------------------------------
 
-def write_schedule(path, schedule: Schedule, dist: ClassDistribution):
+def write_schedule(path, schedule: Schedule, dist: ClassDistribution, ids):
+    """One line per (epoch, class); ``ids`` are the sample ids of the rows
+    the schedule indexes."""
+    ids = np.asarray(ids, dtype=object)
+    ranks = [dist.rank_of_class[cid] for cid in schedule.classes]
     lines = []
     for plan in schedule.plans:
-        cursor = 0
-        for cid in dist.classes_by_rank():
-            k = plan.counts.get(cid, 0)
-            ids = plan.sample_ids[cursor:cursor + k]
-            cursor += k
-            fields = [str(plan.t), str(cid), str(dist.rank_of_class[cid]), str(k), *ids]
-            lines.append(",".join(fields))
+        chunks = np.split(ids[plan.indices], np.cumsum(plan.counts)[:-1])
+        for cid, rank, k, chunk in zip(schedule.classes, ranks, plan.counts, chunks):
+            lines.append(",".join([str(plan.t), str(cid), str(rank), str(k), *chunk]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -308,6 +343,3 @@ def manifest_data_fields(manifest: dict) -> dict:
     """Everything that must be identical across reruns (drops the timestamp)."""
     return {k: v for k, v in manifest.items() if k != "timestamp"}
 
-
-def array_csv(values: np.ndarray) -> str:
-    return ",".join(_fmt(v) for v in np.asarray(values, dtype=float))

@@ -1,4 +1,4 @@
-"""Per-sample training-difficulty scoring for multimodal classifiers.
+"""Training-difficulty scoring for multimodal classifiers.
 
 Each sample is scored from two signals computed on model outputs:
 
@@ -12,14 +12,22 @@ The combined score is ``r = complementarity + mean(confidences)``.
 Whether a large ``r`` counts as easy or hard is decided downstream by the
 scheduler's ``difficulty_order`` setting; this module only computes scores.
 
-All functions are pure and stateless: scoring different samples in
-parallel yields the same table as sequential scoring.
+The production path is columnar: a :class:`TraceBatch` holds the model
+outputs of N samples as arrays and is validated once when built, and
+:func:`score_dataset` turns it into a columnar :class:`DifficultyTable`
+in one vectorized pass. Each row is scored independently, so scoring a
+batch in chunks gives bit-identical rows. The per-sample functions
+(:func:`score_sample` and the helpers it calls) state the same formulas
+one sample at a time and serve as the reference the batch path is
+tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -32,33 +40,15 @@ PROB_EPS = 1e-12
 PROB_SUM_TOL = 1e-6
 
 
+# Per-sample reference types. score_sample and the functions it calls
+# check their inputs and state the formulas one sample at a time.
+
 @dataclass
 class ModalityOutput:
     """One modality's class-probability vector and feature embedding."""
 
     probs: np.ndarray
     embedding: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        self.embedding = np.asarray(self.embedding, dtype=float)
-        if self.probs.ndim != 1 or self.probs.size < 2:
-            raise ValidationError(
-                f"probs must be a vector over >= 2 classes, got shape {self.probs.shape}"
-            )
-        if np.any(self.probs < 0):
-            raise ValidationError("probs has negative entries")
-        total = float(self.probs.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probs sums to {total!r}, expected 1 within {PROB_SUM_TOL}")
-        if self.embedding.ndim != 1 or self.embedding.size < 1:
-            raise ValidationError("embedding must be a non-empty vector")
-        if float(np.linalg.norm(self.embedding)) == 0.0:
-            raise ValidationError("embedding has zero norm")
-
-    @property
-    def n_classes(self) -> int:
-        return self.probs.size
 
 
 @dataclass
@@ -68,30 +58,6 @@ class SampleTrace:
     sample_id: str
     label: int
     modalities: list[ModalityOutput]
-
-    def __post_init__(self):
-        if len(self.modalities) < 2:
-            raise ValidationError(
-                f"sample {self.sample_id!r}: need >= 2 modalities, got {len(self.modalities)}"
-            )
-        cs = {m.n_classes for m in self.modalities}
-        if len(cs) != 1:
-            raise ValidationError(
-                f"sample {self.sample_id!r}: modalities disagree on class count {sorted(cs)}"
-            )
-        c = cs.pop()
-        if not 0 <= self.label < c:
-            raise ValidationError(
-                f"sample {self.sample_id!r}: label {self.label} outside [0, {c})"
-            )
-
-    @property
-    def n_classes(self) -> int:
-        return self.modalities[0].n_classes
-
-    @property
-    def n_modalities(self) -> int:
-        return len(self.modalities)
 
 
 @dataclass
@@ -105,20 +71,93 @@ class DifficultyRecord:
     r: float
 
 
-@dataclass
-class DifficultyTable:
-    """Ordered collection of difficulty records (row order = input order)."""
+@dataclass(eq=False)
+class TraceBatch:
+    """Model outputs for N samples with M modalities and C classes.
 
-    records: list[DifficultyRecord] = field(default_factory=list)
+    ``ids`` (N sample ids), ``labels`` (N,), ``probs`` (N, M, C) class
+    probabilities and ``emb`` (N, M, D) embeddings. The whole batch is
+    validated once, when it is built; a rejected batch names up to five
+    offending sample ids.
+    """
+
+    ids: list[str]
+    labels: np.ndarray
+    probs: np.ndarray
+    emb: np.ndarray
+
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels)
+        self.probs = np.asarray(self.probs, dtype=float)
+        self.emb = np.asarray(self.emb, dtype=float)
+        n = len(self.ids)
+        if (self.labels.shape != (n,) or self.probs.ndim != 3 or self.emb.ndim != 3
+                or self.probs.shape[0] != n or self.emb.shape[:2] != self.probs.shape[:2]):
+            raise ValidationError(
+                f"inconsistent batch: {n} ids, labels {self.labels.shape}, "
+                f"probs {self.probs.shape}, embeddings {self.emb.shape}"
+            )
+        if n == 0:
+            return
+        if self.labels.dtype.kind not in "iu":
+            raise ValidationError(f"labels must be integers, got dtype {self.labels.dtype}")
+        _, m, c = self.probs.shape
+        if m < 2 or c < 2:
+            raise ValidationError(f"need >= 2 modalities and >= 2 classes, got {m} and {c}")
+        self._reject((self.labels < 0) | (self.labels >= c), f"label outside [0, {c})")
+        self._reject(~np.isfinite(self.probs).all(axis=(1, 2)), "probs contain NaN or inf")
+        self._reject((self.probs < 0).any(axis=(1, 2)), "probs have negative entries")
+        self._reject((np.abs(self.probs.sum(axis=2) - 1.0) > PROB_SUM_TOL).any(axis=1),
+                     f"probs do not sum to 1 within {PROB_SUM_TOL}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(self.emb, axis=2)
+        self._reject(~((norms > 0) & np.isfinite(norms)).all(axis=1),
+                     "an embedding norm is zero, NaN or inf")
+        if len(set(self.ids)) != n:
+            dupes = sorted(sid for sid, k in Counter(self.ids).items() if k > 1)
+            raise ValidationError(f"duplicate sample ids: {dupes[:5]}")
+
+    def _reject(self, bad: np.ndarray, reason: str):
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            names = [self.ids[i] for i in rows[:5]]
+            raise ValidationError(f"{reason} in {rows.size} of {len(self)} samples, "
+                                  f"first {names}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.records)
 
-    def by_id(self) -> dict[str, DifficultyRecord]:
-        return {rec.sample_id: rec for rec in self.records}
+@dataclass(eq=False)
+class DifficultyTable:
+    """Columnar difficulty scores, one row per sample in input order:
+    ``ids``, ``labels`` (N,), per-modality ``psi`` (N, M), ``phi`` (N,)
+    and the combined ``r`` (N,)."""
+
+    ids: list[str]
+    labels: np.ndarray
+    psi: np.ndarray
+    phi: np.ndarray
+    r: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.ids)
+        try:
+            self.psi = np.asarray(self.psi, dtype=float)
+        except ValueError as exc:
+            raise ValidationError(f"psi must be one (N, M) array: {exc}") from exc
+        self.labels = np.asarray(self.labels)
+        self.phi = np.asarray(self.phi, dtype=float)
+        self.r = np.asarray(self.r, dtype=float)
+        if (self.labels.shape != (n,) or self.phi.shape != (n,) or self.r.shape != (n,)
+                or self.psi.shape[:1] != (n,) or self.psi.ndim != 2):
+            raise ValidationError(
+                f"inconsistent difficulty table: {n} ids, labels {self.labels.shape}, "
+                f"psi {self.psi.shape}, phi {self.phi.shape}, r {self.r.shape}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def intra_modal_confidence(probs, label: int, n_classes: int | None = None) -> float:
@@ -179,10 +218,8 @@ def complementarity(embeddings: list) -> float:
 
 def score_sample(trace: SampleTrace) -> DifficultyRecord:
     """Combined difficulty of one sample: r = phi + mean(psi)."""
-    psis = [
-        intra_modal_confidence(mod.probs, trace.label, trace.n_classes)
-        for mod in trace.modalities
-    ]
+    c = len(trace.modalities[0].probs)
+    psis = [intra_modal_confidence(mod.probs, trace.label, c) for mod in trace.modalities]
     phi = complementarity([mod.embedding for mod in trace.modalities])
     r = phi + sum(psis) / len(psis)
     return DifficultyRecord(
@@ -194,25 +231,20 @@ def score_sample(trace: SampleTrace) -> DifficultyRecord:
     )
 
 
-def score_dataset(traces: list[SampleTrace]) -> DifficultyTable:
-    """Score every trace; order-preserving and deterministic.
+def score_dataset(batch: TraceBatch) -> DifficultyTable:
+    """Score every sample of a validated batch in one vectorized pass.
 
-    Rejects duplicate sample ids and traces with mismatched class counts,
-    naming the offenders.
+    Row order is kept, and every row depends on that sample alone.
     """
-    seen: set[str] = set()
-    dupes = []
-    for trace in traces:
-        if trace.sample_id in seen:
-            dupes.append(trace.sample_id)
-        seen.add(trace.sample_id)
-    if dupes:
-        raise ValidationError(f"duplicate sample ids: {sorted(set(dupes))}")
-    if traces:
-        c0 = traces[0].n_classes
-        bad = [t.sample_id for t in traces if t.n_classes != c0]
-        if bad:
-            raise ValidationError(
-                f"traces disagree on class count (first sample has C={c0}); offenders: {bad}"
-            )
-    return DifficultyTable(records=[score_sample(t) for t in traces])
+    n, m, c = batch.probs.shape
+    if n == 0:
+        return DifficultyTable(batch.ids, batch.labels, np.zeros((0, m)), np.zeros(0), np.zeros(0))
+    p_true = np.take_along_axis(batch.probs, batch.labels.reshape(n, 1, 1), axis=2)[..., 0]
+    e = np.exp(np.log(np.maximum(p_true, PROB_EPS)) / c)
+    psi = e / (1.0 + e)
+    unit = batch.emb / np.linalg.norm(batch.emb, axis=2, keepdims=True)
+    total = sum(np.clip((unit[:, i] * unit[:, j]).sum(axis=1), -1.0, 1.0)
+                for i, j in combinations(range(m), 2))
+    phi = 1.0 - 2.0 * total / (m * (m - 1))
+    return DifficultyTable(ids=batch.ids, labels=batch.labels, psi=psi, phi=phi,
+                           r=phi + psi.sum(axis=1) / m)

@@ -8,6 +8,11 @@ apportionment of the epoch target, clamped to class availability. The
 final epoch is overridden to the complete dataset so that every sample
 participates at least once.
 
+Schedules are integer-indexed: every :class:`EpochPlan` holds an index
+array into the rows of the table or dataset it was built from (so into
+that table's ``ids``), plus its per-class counts in the schedule's class
+order, which is rank order for a curriculum.
+
 Everything here is deterministic: ties are broken by sample id
 (lexicographic), largest-remainder ties by rank order, and schedules are
 immutable once built, so they can be shared across parallel consumers.
@@ -24,7 +29,7 @@ import numpy as np
 
 from .distribution import ClassDistribution, epoch_target
 from .errors import InfeasibleScheduleError, ValidationError
-from .measurer import DifficultyRecord, DifficultyTable
+from .measurer import DifficultyTable
 
 EASY_HIGH_R = "high_r_easy"
 EASY_LOW_R = "low_r_easy"
@@ -47,35 +52,33 @@ class ScheduleConfig:
             )
 
 
-@dataclass
-class ClassQueue:
-    """All samples of one class, ordered easy to hard."""
-
-    class_id: int
-    rank: int
-    ordered_samples: list[str]
-
-    @property
-    def size(self) -> int:
-        return len(self.ordered_samples)
-
-
-@dataclass
+@dataclass(eq=False)
 class EpochPlan:
-    """Concrete subset for one epoch; samples listed in rank then queue order."""
+    """Concrete subset for one epoch.
+
+    ``indices`` are rows of the scored table or dataset, listed in rank
+    then queue order for a curriculum; ``counts[j]`` is the number taken
+    from class ``Schedule.classes[j]``.
+    """
 
     t: int
-    counts: dict[int, int]  # class id -> number of samples taken
-    sample_ids: list[str]
+    counts: np.ndarray
+    indices: np.ndarray
 
     @property
     def total(self) -> int:
-        return len(self.sample_ids)
+        return int(self.indices.size)
+
+    def __eq__(self, other):
+        return (isinstance(other, EpochPlan) and self.t == other.t
+                and np.array_equal(self.counts, other.counts)
+                and np.array_equal(self.indices, other.indices))
 
 
 @dataclass
 class Schedule:
     plans: list[EpochPlan]
+    classes: tuple[int, ...]  # class id of each column of every plan's counts
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -86,12 +89,6 @@ class Schedule:
     def total_visits(self) -> int:
         return sum(p.total for p in self.plans)
 
-    def all_sample_ids(self) -> set[str]:
-        out: set[str] = set()
-        for plan in self.plans:
-            out.update(plan.sample_ids)
-        return out
-
 
 def config_digest(payload: dict) -> str:
     return hashlib.sha256(
@@ -100,34 +97,31 @@ def config_digest(payload: dict) -> str:
 
 
 def build_queues(table: DifficultyTable, dist: ClassDistribution,
-                 difficulty_order: str = EASY_HIGH_R) -> list[ClassQueue]:
-    """One easy-to-hard queue per class, in rank order.
+                 difficulty_order: str = EASY_HIGH_R) -> tuple[np.ndarray, np.ndarray]:
+    """Easy-to-hard queues of every class, in rank order.
 
-    Ordering is by combined score (descending when a high score means
-    easy), ties by sample id.
+    Returns ``(order, sizes)``: ``order`` lists all table rows, grouped
+    by class rank and sorted within a class by combined score (descending
+    when a high score means easy), ties by sample id compared as ``str``;
+    ``sizes[k]`` is the length of the queue of the class at rank k + 1.
     """
     ScheduleConfig(difficulty_order=difficulty_order)  # validates the flag
-    per_class: dict[int, list] = {cid: [] for cid in dist.counts}
-    for rec in table:
-        if rec.label not in per_class:
-            raise ValidationError(
-                f"sample {rec.sample_id!r} has class {rec.label} not present "
-                f"in the class distribution"
-            )
-        per_class[rec.label].append(rec)
-    queues = []
-    for cid in dist.classes_by_rank():
-        recs = per_class[cid]
-        if difficulty_order == EASY_HIGH_R:
-            recs.sort(key=lambda rec: (-rec.r, rec.sample_id))
-        else:
-            recs.sort(key=lambda rec: (rec.r, rec.sample_id))
-        queues.append(ClassQueue(
-            class_id=cid,
-            rank=dist.rank_of_class[cid],
-            ordered_samples=[rec.sample_id for rec in recs],
-        ))
-    return queues
+    classes = np.array(dist.classes_by_rank())
+    by_id = np.argsort(classes)
+    pos = by_id[np.minimum(np.searchsorted(classes, table.labels, sorter=by_id),
+                           classes.size - 1)]
+    unknown = np.flatnonzero(classes[pos] != table.labels)
+    if unknown.size:
+        i = unknown[0]
+        raise ValidationError(
+            f"sample {table.ids[i]!r} has class {table.labels[i]} not present "
+            f"in the class distribution"
+        )
+    id_rank = np.empty(len(table), dtype=int)
+    id_rank[sorted(range(len(table)), key=table.ids.__getitem__)] = np.arange(len(table))
+    r_key = -table.r if difficulty_order == EASY_HIGH_R else table.r
+    order = np.lexsort((id_rank, r_key, pos))
+    return order, np.bincount(pos, minlength=classes.size)
 
 
 def largest_remainder(targets, total: int) -> np.ndarray:
@@ -213,15 +207,15 @@ def build_schedule(table: DifficultyTable, dist: ClassDistribution,
     if len(table) == 0:
         raise ValidationError("cannot schedule an empty dataset")
     config = config or ScheduleConfig()
-    queues = build_queues(table, dist, config.difficulty_order)
-    for queue in queues:
-        expected = dist.counts[queue.class_id]
-        if queue.size != expected:
+    order, caps = build_queues(table, dist, config.difficulty_order)
+    classes = dist.classes_by_rank()
+    for cid, size, expected in zip(classes, caps, dist.counts_by_rank()):
+        if size != expected:
             raise ValidationError(
-                f"class {queue.class_id}: difficulty table has {queue.size} samples "
+                f"class {cid}: difficulty table has {size} samples "
                 f"but the distribution says {expected}"
             )
-    caps = np.array([queue.size for queue in queues], dtype=int)
+    starts = np.cumsum(caps) - caps
     n_total = int(caps.sum())
 
     plans = []
@@ -231,14 +225,8 @@ def build_schedule(table: DifficultyTable, dist: ClassDistribution,
         else:
             target = epoch_target(t, total_epochs, n_total, dist)
             counts = apportion(target.q, target.subset_size, caps)
-        sample_ids: list[str] = []
-        for queue, k in zip(queues, counts):
-            sample_ids.extend(queue.ordered_samples[: int(k)])
-        plans.append(EpochPlan(
-            t=t,
-            counts={queue.class_id: int(k) for queue, k in zip(queues, counts)},
-            sample_ids=sample_ids,
-        ))
+        indices = np.concatenate([order[s:s + k] for s, k in zip(starts, counts)])
+        plans.append(EpochPlan(t=t, counts=counts, indices=indices))
 
     digest = config_digest({
         "kind": "curriculum",
@@ -247,7 +235,7 @@ def build_schedule(table: DifficultyTable, dist: ClassDistribution,
         "alpha_hat": dist.alpha_hat,
         "total_epochs": total_epochs,
     })
-    return Schedule(plans=plans, provenance={
+    return Schedule(plans=plans, classes=tuple(classes), provenance={
         "kind": "curriculum",
         "seed": None,
         "config_digest": digest,
@@ -257,33 +245,24 @@ def build_schedule(table: DifficultyTable, dist: ClassDistribution,
     })
 
 
-def random_baseline_schedule(labels_by_id: dict[str, int], total_epochs: int,
-                             seed: int) -> Schedule:
-    """Control schedule: every epoch is an independent shuffle of the full
-    dataset. Deterministic given the seed."""
+def random_baseline_schedule(labels, total_epochs: int, seed: int) -> Schedule:
+    """Control schedule over the rows of ``labels``: every epoch is an
+    independent shuffle of the full dataset. Deterministic given the seed."""
     if total_epochs < 1:
         raise ValidationError(f"total_epochs must be >= 1, got {total_epochs}")
-    if not labels_by_id:
+    labels = np.asarray(labels)
+    if labels.size == 0:
         raise ValidationError("cannot schedule an empty dataset")
-    ids = sorted(labels_by_id)
-    full_counts: dict[int, int] = {}
-    for label in labels_by_id.values():
-        full_counts[label] = full_counts.get(label, 0) + 1
+    classes, counts = np.unique(labels, return_counts=True)
     rng = _stream(seed, "baseline-shuffle")
-    plans = []
-    for t in range(1, total_epochs + 1):
-        perm = list(rng.permutation(len(ids)))
-        plans.append(EpochPlan(
-            t=t,
-            counts=dict(full_counts),
-            sample_ids=[ids[i] for i in perm],
-        ))
+    plans = [EpochPlan(t=t, counts=counts, indices=rng.permutation(labels.size))
+             for t in range(1, total_epochs + 1)]
     digest = config_digest({
         "kind": "random-baseline",
         "seed": seed,
         "total_epochs": total_epochs,
     })
-    return Schedule(plans=plans, provenance={
+    return Schedule(plans=plans, classes=tuple(classes.tolist()), provenance={
         "kind": "random-baseline",
         "seed": seed,
         "config_digest": digest,
@@ -293,13 +272,13 @@ def random_baseline_schedule(labels_by_id: dict[str, int], total_epochs: int,
     })
 
 
-def truncate_schedule(schedule: Schedule, labels_by_id: dict[str, int],
-                      budget: int) -> Schedule:
+def truncate_schedule(schedule: Schedule, labels, budget: int) -> Schedule:
     """Trim a schedule to exactly ``budget`` total sample visits.
 
     Whole epochs are kept while they fit; the first epoch that would
-    overshoot is cut to a prefix and the rest are dropped. Used to give
-    the random baseline the same visit budget as a curriculum run.
+    overshoot is cut to a prefix and the rest are dropped. ``labels``
+    gives the class of every row the schedule indexes. Used to give the
+    random baseline the same visit budget as a curriculum run.
     """
     if budget < 0 or budget > schedule.total_visits:
         raise ValidationError(
@@ -315,27 +294,22 @@ def truncate_schedule(schedule: Schedule, labels_by_id: dict[str, int],
             plans.append(plan)
             used += plan.total
             continue
-        prefix = plan.sample_ids[:room]
-        counts: dict[int, int] = {}
-        for sid in prefix:
-            label = labels_by_id[sid]
-            counts[label] = counts.get(label, 0) + 1
-        plans.append(EpochPlan(t=plan.t, counts=counts, sample_ids=prefix))
+        prefix = plan.indices[:room]
+        taken = np.asarray(labels)[prefix]
+        counts = np.array([np.count_nonzero(taken == cid) for cid in schedule.classes])
+        plans.append(EpochPlan(t=plan.t, counts=counts, indices=prefix))
         used = budget
         break
     provenance = dict(schedule.provenance)
     provenance["truncated_to"] = budget
-    return Schedule(plans=plans, provenance=provenance)
+    return Schedule(plans=plans, classes=schedule.classes, provenance=provenance)
 
 
 def epoch_rank_counts(schedule: Schedule, dist: ClassDistribution) -> np.ndarray:
     """(T, C) matrix of per-epoch counts ordered by class rank."""
-    classes = dist.classes_by_rank()
-    out = np.zeros((len(schedule.plans), len(classes)), dtype=int)
-    for i, plan in enumerate(schedule.plans):
-        for j, cid in enumerate(classes):
-            out[i, j] = plan.counts.get(cid, 0)
-    return out
+    if list(schedule.classes) != dist.classes_by_rank():
+        raise ValidationError("schedule classes are not the distribution's rank order")
+    return np.array([p.counts for p in schedule.plans], dtype=int)
 
 
 def synthetic_powerlaw_schedule(n_samples: int = 1000, total_epochs: int = 10,
@@ -355,16 +329,10 @@ def synthetic_powerlaw_schedule(n_samples: int = 1000, total_epochs: int = 10,
     counts = {cid: int(sizes[cid]) for cid in range(n_classes)}
     dist = ClassDistribution.from_counts(counts, gamma=gamma, alpha=alpha_cap)
 
+    labels = np.repeat(np.arange(n_classes), sizes)
     width = len(str(n_samples))
-    records = []
-    for cid in range(n_classes):
-        for i in range(counts[cid]):
-            records.append(DifficultyRecord(
-                sample_id=f"c{cid}_s{i:0{width}d}",
-                label=cid,
-                psi_per_modality=[0.5, 0.5],
-                phi=0.0,
-                r=0.5,
-            ))
-    table = DifficultyTable(records=records)
+    ids = [f"c{cid}_s{i:0{width}d}" for cid in range(n_classes) for i in range(counts[cid])]
+    n = len(ids)
+    table = DifficultyTable(ids=ids, labels=labels, psi=np.full((n, 2), 0.5),
+                            phi=np.zeros(n), r=np.full(n, 0.5))
     return build_schedule(table, dist, total_epochs), dist

@@ -17,7 +17,6 @@ independent seeds can execute in parallel without affecting results.
 from __future__ import annotations
 
 import math
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -25,11 +24,12 @@ import numpy as np
 
 from .distribution import ClassDistribution, subset_size
 from .errors import ValidationError
-from .measurer import ModalityOutput, SampleTrace, score_dataset
+from .measurer import TraceBatch, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import (
     EpochPlan,
     Schedule,
+    _stream,
     apportion,
     build_schedule,
     config_digest,
@@ -37,10 +37,6 @@ from .scheduler import (
     random_baseline_schedule,
     truncate_schedule,
 )
-
-
-def _stream(seed: int, purpose: str) -> np.random.Generator:
-    return np.random.default_rng([int(seed), zlib.crc32(purpose.encode())])
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +98,6 @@ class SyntheticDataset:
     @property
     def n_samples(self) -> int:
         return len(self.sample_ids)
-
-    def labels_by_id(self) -> dict[str, int]:
-        return {sid: int(label) for sid, label in zip(self.sample_ids, self.labels)}
-
-    def index_of(self) -> dict[str, int]:
-        return {sid: i for i, sid in enumerate(self.sample_ids)}
 
     def modality_rows(self, indices) -> list[np.ndarray]:
         return [feat[indices] for feat in self.features]
@@ -257,15 +247,6 @@ class FusionModel:
         aux = [_softmax(zi @ w.T + b) for zi, w, b in zip(z, self.aux_w, self.aux_b)]
         return fused, aux, z
 
-    def loss(self, xs: list[np.ndarray], y: np.ndarray) -> float:
-        """Fused cross-entropy plus the mean of the auxiliary cross-entropies."""
-        fused, aux, _ = self.forward_batch(xs)
-        b = np.arange(y.size)
-        out = float(-np.log(np.maximum(fused[b, y], 1e-300)).mean())
-        for pa in aux:
-            out += float(-np.log(np.maximum(pa[b, y], 1e-300)).mean()) / len(aux)
-        return out
-
 
 def forward(model: FusionModel, sample_xs: list) -> tuple:
     """Single-sample forward pass: (fused probs, per-modality probs, embeddings)."""
@@ -279,10 +260,8 @@ def loss_and_grads(model: FusionModel, xs: list[np.ndarray], y: np.ndarray):
     m = model.n_modalities
     h = model.hidden
     n = y.size
-    z = [x @ w.T + b for x, w, b in zip(xs, model.enc_w, model.enc_b)]
+    fused, aux, z = model.forward_batch(xs)
     zcat = np.concatenate(z, axis=-1)
-    fused = _softmax(zcat @ model.head_w.T + model.head_b)
-    aux = [_softmax(zi @ w.T + b) for zi, w, b in zip(z, model.aux_w, model.aux_b)]
 
     rows = np.arange(n)
     onehot = np.zeros_like(fused)
@@ -357,7 +336,7 @@ class EpochStats:
 @dataclass
 class TrainHistory:
     epochs: list[EpochStats] = field(default_factory=list)
-    visited: list[list[str]] | None = None  # per-epoch visit order when recorded
+    visited: list[np.ndarray] | None = None  # per-epoch row visit order when recorded
 
     @property
     def total_visits(self) -> int:
@@ -375,17 +354,21 @@ def evaluate(model: FusionModel, xs: list[np.ndarray], y: np.ndarray):
 def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
           eval_set=None, init_model: FusionModel | None = None,
           arm: str = "train", record_visits: bool = False):
-    """SGD over the schedule: epoch t visits exactly the samples of plan t,
+    """SGD over the schedule: epoch t visits exactly the rows of plan t,
     shuffled by a seeded generator. Returns (model, history).
 
     ``eval_set`` is an optional (xs, y) pair evaluated after every epoch.
     ``init_model``, when given, is copied, so callers can hand the same
     initialization to several arms.
     """
-    index = dataset.index_of()
-    unknown = [sid for sid in schedule.all_sample_ids() if sid not in index]
-    if unknown:
-        raise ValidationError(f"schedule references unknown sample ids: {sorted(unknown)[:5]}")
+    n = dataset.n_samples
+    for plan in schedule.plans:
+        outside = plan.indices[(plan.indices < 0) | (plan.indices >= n)]
+        if outside.size:
+            raise ValidationError(
+                f"epoch {plan.t} references rows outside the dataset's {n} samples: "
+                f"{outside[:5].tolist()}"
+            )
 
     if init_model is None:
         model = FusionModel.init(dataset.spec.dims, config.hidden,
@@ -396,11 +379,9 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
     rng = _stream(config.seed, f"shuffle-{arm}")
     history = TrainHistory(visited=[] if record_visits else None)
     for plan in schedule.plans:
-        idx = np.array([index[sid] for sid in plan.sample_ids], dtype=int)
-        order = rng.permutation(idx.size)
-        idx = idx[order]
+        idx = plan.indices[rng.permutation(plan.total)]
         if record_visits:
-            history.visited.append([dataset.sample_ids[i] for i in idx])
+            history.visited.append(idx)
         losses = []
         for start in range(0, idx.size, config.batch_size):
             batch = idx[start:start + config.batch_size]
@@ -420,25 +401,12 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
     return model, history
 
 
-def collect_traces(model: FusionModel, dataset: SyntheticDataset,
-                   indices=None) -> list[SampleTrace]:
-    """One trace per sample: auxiliary-head probabilities plus the encoder
-    activations as embeddings. Deterministic."""
-    if indices is None:
-        indices = np.arange(dataset.n_samples)
-    indices = np.asarray(indices, dtype=int)
-    xs = dataset.modality_rows(indices)
-    _, aux, z = model.forward_batch(xs)
-    traces = []
-    for row, i in enumerate(indices):
-        mods = [ModalityOutput(probs=aux[mi][row], embedding=z[mi][row])
-                for mi in range(model.n_modalities)]
-        traces.append(SampleTrace(
-            sample_id=dataset.sample_ids[i],
-            label=int(dataset.labels[i]),
-            modalities=mods,
-        ))
-    return traces
+def collect_traces(model: FusionModel, dataset: SyntheticDataset) -> TraceBatch:
+    """Traces of every sample: auxiliary-head probabilities plus the
+    encoder activations as embeddings. Deterministic."""
+    _, aux, z = model.forward_batch(dataset.features)
+    return TraceBatch(ids=dataset.sample_ids, labels=dataset.labels,
+                      probs=np.stack(aux, axis=1), emb=np.stack(z, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -493,29 +461,23 @@ def split_balanced_test(dataset: SyntheticDataset, test_fraction: float,
     return np.flatnonzero(mask), test_idx
 
 
-def uniform_warmup_schedule(labels_by_id: dict[str, int], n_epochs: int,
-                            epoch_size: int, seed: int) -> Schedule:
-    """Class-balanced warm-up: each epoch draws an (approximately) equal
-    number of samples per class, fresh random picks per epoch."""
-    per_class: dict[int, list[str]] = {}
-    for sid in sorted(labels_by_id):
-        per_class.setdefault(labels_by_id[sid], []).append(sid)
-    class_ids = sorted(per_class)
-    caps = np.array([len(per_class[c]) for c in class_ids], dtype=int)
-    q = np.full(len(class_ids), 1.0 / len(class_ids))
+def uniform_warmup_schedule(labels, n_epochs: int, epoch_size: int,
+                            seed: int) -> Schedule:
+    """Class-balanced warm-up over the rows of ``labels``: each epoch draws
+    an (approximately) equal number of samples per class, fresh random
+    picks per epoch."""
+    labels = np.asarray(labels)
+    class_ids, caps = np.unique(labels, return_counts=True)
+    members = [np.flatnonzero(labels == cid) for cid in class_ids]
+    q = np.full(class_ids.size, 1.0 / class_ids.size)
     rng = _stream(seed, "warmup-order")
     plans = []
     counts = apportion(q, min(epoch_size, int(caps.sum())), caps)
     for t in range(1, n_epochs + 1):
-        chosen: list[str] = []
-        plan_counts = {}
-        for cid, k in zip(class_ids, counts):
-            members = per_class[cid]
-            picked = rng.choice(len(members), size=int(k), replace=False)
-            chosen.extend(members[i] for i in np.sort(picked))
-            plan_counts[cid] = int(k)
-        plans.append(EpochPlan(t=t, counts=plan_counts, sample_ids=chosen))
-    return Schedule(plans=plans, provenance={
+        chosen = [rows[np.sort(rng.choice(rows.size, size=int(k), replace=False))]
+                  for rows, k in zip(members, counts)]
+        plans.append(EpochPlan(t=t, counts=counts, indices=np.concatenate(chosen)))
+    return Schedule(plans=plans, classes=tuple(class_ids.tolist()), provenance={
         "kind": "warmup-uniform",
         "seed": seed,
         "config_digest": config_digest({"kind": "warmup-uniform", "seed": seed,
@@ -553,7 +515,7 @@ def _train_curriculum_arm(trainset: SyntheticDataset, dist: ClassDistribution,
     while start <= cfg.epochs:
         end = min(start + cfg.refresh_every - 1, cfg.epochs)
         part = Schedule(plans=schedule.plans[start - 1:end],
-                        provenance=schedule.provenance)
+                        classes=schedule.classes, provenance=schedule.provenance)
         model, _ = train(trainset, part, cfg, init_model=model,
                          arm=f"climd-r{chunk}")
         start, chunk = end + 1, chunk + 1
@@ -574,16 +536,14 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmR
     trainset = _train_subset_view(dataset, train_idx)
     test_xs = dataset.modality_rows(test_idx)
     test_y = dataset.labels[test_idx]
-    labels_by_id = trainset.labels_by_id()
     n_train = trainset.n_samples
 
     # Warm-up pass: trains a throwaway model just to produce traces.
     warm_epoch_size = subset_size(1, cfg.epochs, n_train)
-    warm_schedule = uniform_warmup_schedule(labels_by_id, cfg.resolved_warmup,
+    warm_schedule = uniform_warmup_schedule(trainset.labels, cfg.resolved_warmup,
                                             warm_epoch_size, cfg.seed)
     warm_model, _ = train(trainset, warm_schedule, cfg, arm="warmup")
-    traces = collect_traces(warm_model, trainset)
-    table = score_dataset(traces)
+    table = score_dataset(collect_traces(warm_model, trainset))
     dist = ClassDistribution.from_labels(trainset.labels, cfg.gamma)
 
     init = FusionModel.init(dspec.dims, cfg.hidden, dspec.n_classes,
@@ -592,8 +552,8 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmR
 
     base_epochs = math.ceil(budget / n_train)
     baseline = truncate_schedule(
-        random_baseline_schedule(labels_by_id, base_epochs, cfg.seed),
-        labels_by_id, budget,
+        random_baseline_schedule(trainset.labels, base_epochs, cfg.seed),
+        trainset.labels, budget,
     )
     base_model, _ = train(trainset, baseline, cfg, init_model=init, arm="baseline")
 

@@ -13,7 +13,6 @@ from climd import fileformats as ff
 from climd.cli import main
 from climd.distribution import ClassDistribution, epoch_target, fit_alpha, subset_size
 from climd.measurer import (
-    DifficultyRecord,
     DifficultyTable,
     complementarity,
     intra_modal_confidence,
@@ -159,36 +158,35 @@ def test_criterion_4_scheduler_properties():
             total_epochs = int(max(2, math.ceil(n / (c * n_min)) + 1)
                                + rng.integers(0, 8))
 
-            records = []
-            sid = 0
-            for cid, k in enumerate(counts):
-                for _ in range(int(k)):
-                    r = float(rng.random())
-                    records.append(DifficultyRecord(
-                        sample_id=f"s{sid:05d}", label=cid,
-                        psi_per_modality=[r / 2, r / 2], phi=r / 2, r=r))
-                    sid += 1
-            table = DifficultyTable(records=records)
-            dist = ClassDistribution.from_labels([x.label for x in records], 0.3)
+            labels = np.repeat(np.arange(c), counts)
+            r = rng.random(n)
+            ids = [f"s{i:05d}" for i in range(n)]
+            table = DifficultyTable(ids=ids, labels=labels, psi=np.column_stack([r / 2, r / 2]),
+                                    phi=r / 2, r=r)
+            dist = ClassDistribution.from_labels(labels, 0.3)
             schedule = build_schedule(table, dist, total_epochs)
-            queues = {q.class_id: q.ordered_samples for q in build_queues(table, dist)}
+            rows, sizes = build_queues(table, dist)
+            queues = dict(zip(dist.classes_by_rank(), np.split(rows, np.cumsum(sizes)[:-1])))
+            # the oracle queue: (-r, sample id) within each class
+            for cid, queue in queues.items():
+                members = np.flatnonzero(labels == cid)
+                expect = sorted(members, key=lambda i: (-r[i], ids[i]))
+                assert queue.tolist() == expect
 
             for plan in schedule.plans:
                 expected = (n if plan.t == total_epochs
                             else subset_size(plan.t, total_epochs, n))
-                assert sum(plan.counts.values()) == plan.total == expected
+                assert sum(plan.counts) == plan.total == expected
                 cursor = 0
-                for cid in dist.classes_by_rank():
-                    k = plan.counts[cid]
-                    chosen = plan.sample_ids[cursor:cursor + k]
+                for cid, k in zip(dist.classes_by_rank(), plan.counts):
+                    chosen = plan.indices[cursor:cursor + k]
                     cursor += k
                     assert k <= dist.counts[cid]  # cap respect
-                    assert chosen == queues[cid][:k]  # prefix property
-            first = schedule.plans[0].counts.values()
+                    assert np.array_equal(chosen, queues[cid][:k])  # prefix property
+            first = schedule.plans[0].counts
             assert max(first) - min(first) <= 1  # epoch-1 balance
             last = schedule.plans[-1]
-            assert len(last.sample_ids) == n  # full coverage, exactly once
-            assert set(last.sample_ids) == {x.sample_id for x in records}
+            assert sorted(last.indices) == list(range(n))  # full coverage, exactly once
 
 
 def test_criterion_5_gradient_correctness():
@@ -212,9 +210,9 @@ def test_criterion_5_gradient_correctness():
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + step
-                    hi = model.loss(xs, y)
+                    hi = loss_and_grads(model, xs, y)[0]
                     flat[i] = orig - step
-                    lo = model.loss(xs, y)
+                    lo = loss_and_grads(model, xs, y)[0]
                     flat[i] = orig
                     nflat[i] = (hi - lo) / (2.0 * step)
                 denom = max(np.linalg.norm(ga), np.linalg.norm(gn), 1e-8)

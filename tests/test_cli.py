@@ -69,7 +69,7 @@ class TestScoreAndSchedule:
         assert len(table) == 200
 
         labels = tmp_path / "labels.csv"
-        ff.write_labels(labels, [(r.sample_id, r.label) for r in table])
+        ff.write_labels(labels, zip(table.ids, table.labels))
         fit_out = tmp_path / "fitted"
         assert main(["fit", "--labels", str(labels), "--out", str(fit_out)]) == 0
 
@@ -142,6 +142,41 @@ class TestPipeline:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 3" in err and "read-traces" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("probs", float("nan")), ("probs", float("inf")),
+        ("embedding", float("nan")), ("embedding", float("-inf")),
+        ("embedding", None),  # drops a value: embedding dims differ across modalities
+        ("label", True), ("label", 1.7),
+    ])
+    def test_bad_trace_values_exit_1(self, tmp_path, capsys, field, value):
+        traces = tmp_path / "traces.jsonl"
+        make_traces_file(traces, n=30)
+        lines = traces.read_text().splitlines()
+        obj = json.loads(lines[4])
+        if field == "label":
+            obj["label"] = value
+        elif value is None:
+            obj["modalities"][1]["embedding"].pop()
+        else:
+            obj["modalities"][1][field][0] = value
+        lines[4] = json.dumps(obj)
+        traces.write_text("\n".join(lines) + "\n")
+        code = main(["pipeline", "--traces", str(traces), "--epochs", "3",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'read-traces': ") and "Traceback" not in err
+        assert "s00004" in err or "line 5" in err
+
+    def test_non_utf8_traces_exit_1(self, tmp_path, capsys):
+        traces = tmp_path / "traces.jsonl"
+        make_traces_file(traces, n=30)
+        traces.write_bytes(traces.read_bytes().replace(b'"s00003"', b'"s\xff0003"'))
+        code = main(["pipeline", "--traces", str(traces), "--epochs", "3",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_missing_traces_leave_no_output(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -4,7 +4,7 @@ import pytest
 from climd import fileformats as ff
 from climd.distribution import ClassDistribution
 from climd.errors import ValidationError
-from climd.measurer import DifficultyRecord, DifficultyTable, score_dataset
+from climd.measurer import DifficultyTable, TraceBatch, score_dataset
 from climd.scheduler import synthetic_powerlaw_schedule
 from climd.simlab import FusionModel, SyntheticSpec, collect_traces, generate_dataset
 
@@ -24,11 +24,10 @@ class TestTraceFormat:
         ff.write_traces(path, traces)
         back = ff.read_traces(path)
         assert len(back) == len(traces)
-        for a, b in zip(traces, back):
-            assert a.sample_id == b.sample_id and a.label == b.label
-            for ma, mb in zip(a.modalities, b.modalities):
-                assert np.max(np.abs(ma.probs - mb.probs)) <= 1e-9
-                assert np.max(np.abs(ma.embedding - mb.embedding)) <= 1e-9
+        assert back.ids == traces.ids
+        assert np.array_equal(back.labels, traces.labels)
+        assert np.array_equal(back.probs, traces.probs)
+        assert np.array_equal(back.emb, traces.emb)
 
     def test_corrupt_line_names_its_number(self, traces, tmp_path):
         path = tmp_path / "traces.jsonl"
@@ -41,8 +40,10 @@ class TestTraceFormat:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        ff.write_traces(path, [])
-        assert ff.read_traces(path) == []
+        ff.write_traces(path, TraceBatch(ids=[], labels=np.zeros(0, dtype=int),
+                                         probs=np.zeros((0, 2, 3)), emb=np.zeros((0, 2, 4))))
+        assert path.read_text() == ""
+        assert len(ff.read_traces(path)) == 0
 
 
 class TestDifficultyFormat:
@@ -51,11 +52,11 @@ class TestDifficultyFormat:
         path = tmp_path / "difficulty.csv"
         ff.write_difficulty(path, table)
         back = ff.read_difficulty(path)
-        assert [r.sample_id for r in back] == [r.sample_id for r in table]
-        for a, b in zip(table, back):
-            assert a.label == b.label
-            assert b.phi == a.phi and b.r == a.r  # repr round-trips exactly
-            assert b.psi_per_modality == pytest.approx(a.psi_per_modality, abs=0)
+        assert back.ids == table.ids
+        assert np.array_equal(back.labels, table.labels)
+        # repr round-trips exactly
+        for col in ("phi", "psi", "r"):
+            assert np.array_equal(getattr(back, col), getattr(table, col))
 
     def test_header_names_modalities(self, traces, tmp_path):
         path = tmp_path / "difficulty.csv"
@@ -63,17 +64,21 @@ class TestDifficultyFormat:
         header = path.read_text().splitlines()[0]
         assert header == "sample_id,label,phi,psi_1,psi_2,r"
 
-    def test_mixed_modality_counts_rejected(self, tmp_path):
-        table = DifficultyTable(records=[
-            DifficultyRecord("a", 0, [0.5, 0.5], 0.0, 0.5),
-            DifficultyRecord("b", 0, [0.5, 0.5, 0.5], 0.0, 0.5),
-        ])
+    def test_mixed_modality_counts_rejected(self):
         with pytest.raises(ValidationError):
-            ff.write_difficulty(tmp_path / "difficulty.csv", table)
+            DifficultyTable(ids=["a", "b"], labels=[0, 0], psi=[[0.5, 0.5], [0.5, 0.5, 0.5]],
+                            phi=[0.0, 0.0], r=[0.5, 0.5])
 
     def test_bad_row_named(self, tmp_path):
         path = tmp_path / "difficulty.csv"
         path.write_text("sample_id,label,phi,psi_1,r\na,0,0.1,0.4\n")
+        with pytest.raises(ValidationError, match="line 2"):
+            ff.read_difficulty(path)
+        for bad in ("nan", "inf", "-inf"):
+            path.write_text(f"sample_id,label,phi,psi_1,r\na,0,0.1,0.2,0.3\nb,0,0.1,0.2,{bad}\n")
+            with pytest.raises(ValidationError, match="line 3"):
+                ff.read_difficulty(path)
+        path.write_text("sample_id,label,phi,psi_1,r\na,0,0.1,nan,0.3\n")
         with pytest.raises(ValidationError, match="line 2"):
             ff.read_difficulty(path)
 
@@ -123,7 +128,7 @@ class TestScheduleFormat:
         schedule, dist = synthetic_powerlaw_schedule(n_samples=60, total_epochs=3,
                                                      n_classes=4)
         path = tmp_path / "schedule.csv"
-        ff.write_schedule(path, schedule, dist)
+        ff.write_schedule(path, schedule, dist, [f"x{i}" for i in range(60)])
         lines = path.read_text().splitlines()
         assert len(lines) == 3 * 4
         epoch, cid, rank, count, *ids = lines[0].split(",")

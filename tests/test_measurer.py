@@ -3,10 +3,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from climd import fileformats as ff
 from climd.errors import ValidationError
 from climd.measurer import (
     ModalityOutput,
     SampleTrace,
+    TraceBatch,
     complementarity,
     intra_modal_confidence,
     pairwise_similarity,
@@ -173,46 +175,110 @@ class TestScoreSample:
                 rec.phi + sum(rec.psi_per_modality) / m, abs=1e-9)
 
 
-class TestScoreDataset:
-    def _random_traces(self, n, seed=0, c=3):
-        rng = np.random.default_rng(seed)
-        return [
-            make_trace(f"s{i:03d}", int(rng.integers(c)),
-                       [rng.dirichlet(np.ones(c)) for _ in range(2)],
-                       [rng.standard_normal(3) for _ in range(2)])
-            for i in range(n)
-        ]
+def random_batch(n, seed=0, c=3, m=2, d=3):
+    rng = np.random.default_rng(seed)
+    return TraceBatch(ids=[f"s{i:03d}" for i in range(n)], labels=rng.integers(c, size=n),
+                      probs=rng.dirichlet(np.ones(c), size=(n, m)),
+                      emb=rng.standard_normal((n, m, d)))
 
+
+def row_trace(batch, i):
+    """Row i of a batch as the per-sample reference type."""
+    return make_trace(batch.ids[i], int(batch.labels[i]), batch.probs[i], batch.emb[i])
+
+
+class TestTraceBatch:
+    @pytest.mark.parametrize("column,row,value,match", [
+        ("probs", (1, 0, 0), np.nan, "NaN or inf"),
+        ("probs", (1, 0, 0), np.inf, "NaN or inf"),
+        ("probs", (1, 0, 0), -0.1, "negative"),
+        ("probs", (1, 0, 0), 0.9, "sum to 1"),
+        ("emb", (1, 1, 2), np.nan, "norm is zero, NaN or inf"),
+        ("emb", (1, 1, 2), -np.inf, "norm is zero, NaN or inf"),
+        ("emb", (1, 1), 0.0, "norm is zero"),
+        ("emb", (1, 1), 1e200, "norm is zero, NaN or inf"),
+        ("labels", 1, 3, "outside"),
+    ])
+    def test_bad_rows_named(self, column, row, value, match):
+        batch = random_batch(4)
+        arrays = {k: getattr(batch, k).copy() for k in ("labels", "probs", "emb")}
+        arrays[column][row] = value
+        with pytest.raises(ValidationError, match=f"{match}.*s001"):
+            TraceBatch(ids=batch.ids, **arrays)
+
+    def test_shapes_and_dtypes(self):
+        batch = random_batch(3, m=2)
+        with pytest.raises(ValidationError, match="integers"):
+            TraceBatch(batch.ids, batch.labels + 0.5, batch.probs, batch.emb)
+        with pytest.raises(ValidationError, match="inconsistent"):
+            TraceBatch(batch.ids, batch.labels, batch.probs, batch.emb[:, :1])
+        with pytest.raises(ValidationError, match="modalities"):
+            TraceBatch(batch.ids, batch.labels, batch.probs[:, :1], batch.emb[:, :1])
+
+
+class TestScoreDataset:
     def test_empty(self):
-        assert len(score_dataset([])) == 0
+        empty = TraceBatch(ids=[], labels=np.zeros(0, dtype=int),
+                           probs=np.zeros((0, 2, 3)), emb=np.zeros((0, 2, 4)))
+        assert len(score_dataset(empty)) == 0
+
+    def test_matches_scalar_reference(self):
+        for seed, (c, m, d) in enumerate([(2, 2, 1), (3, 3, 4), (7, 4, 16)]):
+            batch = random_batch(50, seed=seed, c=c, m=m, d=d)
+            batch.probs[0, 0] = np.eye(c)[(batch.labels[0] + 1) % c]  # p_true = 0
+            table = score_dataset(batch)
+            for i in range(len(batch)):
+                rec = score_sample(row_trace(batch, i))
+                assert table.psi[i].tolist() == pytest.approx(rec.psi_per_modality, abs=1e-12)
+                assert table.phi[i] == pytest.approx(rec.phi, abs=1e-12)
+                assert table.r[i] == pytest.approx(rec.r, abs=1e-12)
 
     def test_single_matches_score_sample(self):
-        (trace,) = self._random_traces(1)
-        table = score_dataset([trace])
-        assert table.records[0] == score_sample(trace)
+        batch = random_batch(8)
+        whole = score_dataset(batch)
+        for i in range(len(batch)):
+            one = score_dataset(TraceBatch([batch.ids[i]], batch.labels[i:i + 1],
+                                           batch.probs[i:i + 1], batch.emb[i:i + 1]))
+            assert one.psi[0].tobytes() == whole.psi[i].tobytes()
+            assert one.phi[0].tobytes() == whole.phi[i].tobytes()
+            assert one.r[0].tobytes() == whole.r[i].tobytes()
+            assert one.r[0] == pytest.approx(score_sample(row_trace(batch, i)).r, abs=1e-12)
 
     def test_permutation_equivariance(self):
-        traces = self._random_traces(20)
-        fwd = score_dataset(traces)
-        rev = score_dataset(traces[::-1])
-        assert [r.sample_id for r in rev] == [r.sample_id for r in fwd][::-1]
-        assert fwd.by_id() == rev.by_id()
+        batch = random_batch(20)
+        fwd = score_dataset(batch)
+        rev = score_dataset(TraceBatch(batch.ids[::-1], batch.labels[::-1],
+                                       batch.probs[::-1], batch.emb[::-1]))
+        assert rev.ids == fwd.ids[::-1]
+        for col in ("labels", "psi", "phi", "r"):
+            assert np.array_equal(getattr(rev, col), getattr(fwd, col)[::-1])
 
     def test_duplicate_ids_named(self):
-        traces = self._random_traces(3)
-        traces[2].sample_id = traces[0].sample_id
+        batch = random_batch(3)
+        ids = list(batch.ids)
+        ids[2] = ids[0]
         with pytest.raises(ValidationError, match="s000"):
-            score_dataset(traces)
+            TraceBatch(ids, batch.labels, batch.probs, batch.emb)
 
-    def test_mixed_class_counts_named(self):
-        traces = self._random_traces(2, c=3) + self._random_traces(1, seed=1, c=4)
-        traces[2].sample_id = "odd"
-        with pytest.raises(ValidationError, match="odd"):
-            score_dataset(traces)
+    def test_mixed_class_counts_named(self, tmp_path):
+        path, odd_path = tmp_path / "traces.jsonl", tmp_path / "odd.jsonl"
+        ff.write_traces(path, random_batch(2, c=3))
+        odd = random_batch(1, seed=1, c=4)
+        odd.ids[0] = "odd"
+        ff.write_traces(odd_path, odd)
+        path.write_text(path.read_text() + odd_path.read_text())
+        with pytest.raises(ValidationError, match="line 3"):
+            ff.read_traces(path)
 
     def test_parallel_equals_sequential(self):
-        traces = self._random_traces(64)
-        sequential = score_dataset(traces)
+        batch = random_batch(64)
+        sequential = score_dataset(batch)
+        chunks = [TraceBatch(batch.ids[i:i + 16], batch.labels[i:i + 16],
+                             batch.probs[i:i + 16], batch.emb[i:i + 16])
+                  for i in range(0, 64, 16)]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = list(pool.map(score_sample, traces))
-        assert parallel == sequential.records
+            parts = list(pool.map(score_dataset, chunks))
+        assert sum((part.ids for part in parts), []) == sequential.ids
+        for col in ("labels", "psi", "phi", "r"):
+            assert np.array_equal(np.concatenate([getattr(p, col) for p in parts]),
+                                  getattr(sequential, col))

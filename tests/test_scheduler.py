@@ -5,7 +5,7 @@ import pytest
 
 from climd.distribution import ClassDistribution, subset_size
 from climd.errors import InfeasibleScheduleError, ValidationError
-from climd.measurer import DifficultyRecord, DifficultyTable
+from climd.measurer import DifficultyTable
 from climd.scheduler import (
     ScheduleConfig,
     apportion,
@@ -19,10 +19,11 @@ from climd.scheduler import (
 )
 
 
-def make_record(sid, label, r):
-    # psi/phi backfilled so the record stays internally consistent
-    return DifficultyRecord(sample_id=sid, label=label,
-                            psi_per_modality=[r / 2, r / 2], phi=r / 2, r=r)
+def make_table(ids, labels, r):
+    # psi/phi backfilled so the table stays internally consistent
+    r = np.asarray(r, dtype=float)
+    return DifficultyTable(ids=list(ids), labels=np.asarray(labels),
+                           psi=np.column_stack([r / 2, r / 2]), phi=r / 2, r=r)
 
 
 def random_dataset(rng, max_n=5000):
@@ -38,26 +39,28 @@ def random_dataset(rng, max_n=5000):
     t_floor = max(2, math.ceil(n / (c * n_min)) + 1)
     total_epochs = int(t_floor + rng.integers(0, 10))
 
-    records = []
-    sid = 0
-    for cid, k in enumerate(counts):
-        for _ in range(int(k)):
-            records.append(make_record(f"s{sid:05d}", cid, float(rng.random())))
-            sid += 1
-    table = DifficultyTable(records=records)
-    dist = ClassDistribution.from_labels([rec.label for rec in records], 0.3)
+    labels = np.repeat(np.arange(c), counts)
+    table = make_table([f"s{i:05d}" for i in range(n)], labels, rng.random(n))
+    dist = ClassDistribution.from_labels(labels, 0.3)
     return table, dist, total_epochs
 
 
-def per_class_selections(plan, dist):
+def queues_by_class(table, dist, order="high_r_easy"):
+    """Each class's queue as a list of sample ids."""
+    rows, sizes = build_queues(table, dist, difficulty_order=order)
+    chunks = np.split(np.array(table.ids, dtype=object)[rows], np.cumsum(sizes)[:-1])
+    return {cid: list(chunk) for cid, chunk in zip(dist.classes_by_rank(), chunks)}
+
+
+def per_class_selections(plan, dist, table):
     """Split a plan's flattened sample list back into per-class chunks."""
+    ids = np.array(table.ids, dtype=object)[plan.indices]
     out = {}
     cursor = 0
-    for cid in dist.classes_by_rank():
-        k = plan.counts.get(cid, 0)
-        out[cid] = plan.sample_ids[cursor:cursor + k]
+    for cid, k in zip(dist.classes_by_rank(), plan.counts):
+        out[cid] = list(ids[cursor:cursor + k])
         cursor += k
-    assert cursor == len(plan.sample_ids)
+    assert cursor == plan.total
     return out
 
 
@@ -127,38 +130,24 @@ class TestApportion:
 
 class TestBuildQueues:
     def test_distinct_scores_sort_descending_when_high_is_easy(self):
-        table = DifficultyTable(records=[
-            make_record("a", 0, 0.9), make_record("b", 0, 0.2),
-            make_record("c", 0, 0.6),
-        ])
+        table = make_table("abcd", [0, 0, 0, 1], [0.9, 0.2, 0.6, 0.5])
         dist = ClassDistribution.from_labels([0, 0, 0, 1], 0.3)
-        table.records.append(make_record("d", 1, 0.5))
-        (q0, q1) = build_queues(table, dist)
-        assert q0.ordered_samples == ["a", "c", "b"]
-        assert q1.ordered_samples == ["d"]
+        assert queues_by_class(table, dist) == {0: ["a", "c", "b"], 1: ["d"]}
 
     def test_low_r_easy_reverses(self):
-        table = DifficultyTable(records=[
-            make_record("a", 0, 0.9), make_record("b", 0, 0.2),
-            make_record("c", 1, 0.4),
-        ])
+        table = make_table("abc", [0, 0, 1], [0.9, 0.2, 0.4])
         dist = ClassDistribution.from_labels([0, 0, 1], 0.3)
-        q0, _ = build_queues(table, dist, difficulty_order="low_r_easy")
-        assert q0.ordered_samples == ["b", "a"]
+        assert queues_by_class(table, dist, order="low_r_easy")[0] == ["b", "a"]
 
     def test_equal_scores_fall_back_to_id_order(self):
-        table = DifficultyTable(records=[
-            make_record("zz", 0, 0.5), make_record("aa", 0, 0.5),
-            make_record("mm", 0, 0.5), make_record("x", 1, 0.5),
-        ])
+        table = make_table(["zz", "aa", "mm", "x"], [0, 0, 0, 1], [0.5] * 4)
         dist = ClassDistribution.from_labels([0, 0, 0, 1], 0.3)
-        q0, _ = build_queues(table, dist)
-        assert q0.ordered_samples == ["aa", "mm", "zz"]
+        assert queues_by_class(table, dist)[0] == ["aa", "mm", "zz"]
 
     def test_unknown_class_rejected(self):
-        table = DifficultyTable(records=[make_record("a", 7, 0.5)])
+        table = make_table(["a"], [7], [0.5])
         dist = ClassDistribution.from_labels([0, 1], 0.3)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="'a' has class 7"):
             build_queues(table, dist)
 
     def test_bad_order_flag(self):
@@ -177,29 +166,29 @@ class TestBuildSchedule:
     @staticmethod
     def check_invariants(schedule, table, dist, total_epochs):
         n = len(table)
-        queues = {q.class_id: q.ordered_samples
-                  for q in build_queues(table, dist)}
+        queues = queues_by_class(table, dist)
         assert len(schedule.plans) == total_epochs
+        assert list(schedule.classes) == dist.classes_by_rank()
         for plan in schedule.plans:
             # exact totals
-            assert sum(plan.counts.values()) == plan.total
+            assert sum(plan.counts) == plan.total
             assert plan.total == (n if plan.t == total_epochs
                                   else subset_size(plan.t, total_epochs, n))
-            selections = per_class_selections(plan, dist)
+            selections = per_class_selections(plan, dist, table)
             for cid, chosen in selections.items():
                 # cap respect and prefix property
                 assert len(chosen) <= dist.counts[cid]
                 assert chosen == queues[cid][: len(chosen)]
             # rank monotonicity, allowing the +-1 rounding inversion
-            by_rank = [plan.counts[cid] for cid in dist.classes_by_rank()]
+            by_rank = list(plan.counts)
             assert all(b <= a + 1 for a, b in zip(by_rank, by_rank[1:]))
         # epoch-1 balance
-        first = schedule.plans[0].counts.values()
+        first = schedule.plans[0].counts
         assert max(first) - min(first) <= 1
         # full coverage, each sample exactly once, at the final epoch
         last = schedule.plans[-1]
-        assert len(last.sample_ids) == n
-        assert set(last.sample_ids) == {rec.sample_id for rec in table}
+        assert last.total == n
+        assert sorted(last.indices) == list(range(n))
 
     def test_deterministic(self):
         rng = np.random.default_rng(41)
@@ -209,17 +198,14 @@ class TestBuildSchedule:
         assert a == b
 
     def test_single_epoch_is_the_whole_dataset(self):
-        table = DifficultyTable(records=[
-            make_record("a", 0, 0.1), make_record("b", 0, 0.7),
-            make_record("c", 1, 0.4),
-        ])
+        table = make_table("abc", [0, 0, 1], [0.1, 0.7, 0.4])
         dist = ClassDistribution.from_labels([0, 0, 1], 0.3)
         schedule = build_schedule(table, dist, 1)
         assert len(schedule.plans) == 1
-        assert sorted(schedule.plans[0].sample_ids) == ["a", "b", "c"]
+        assert sorted(table.ids[i] for i in schedule.plans[0].indices) == ["a", "b", "c"]
 
     def test_mismatched_distribution_rejected(self):
-        table = DifficultyTable(records=[make_record("a", 0, 0.1)])
+        table = make_table(["a"], [0], [0.1])
         dist = ClassDistribution.from_counts({0: 2, 1: 1}, 0.3)
         with pytest.raises(ValidationError):
             build_schedule(table, dist, 2)
@@ -227,42 +213,41 @@ class TestBuildSchedule:
     def test_empty_dataset_rejected(self):
         dist = ClassDistribution.from_counts({0: 1, 1: 1}, 0.3)
         with pytest.raises(ValidationError):
-            build_schedule(DifficultyTable(), dist, 2)
+            build_schedule(make_table([], [], []), dist, 2)
 
 
 class TestRandomBaseline:
     def test_same_seed_same_schedule(self):
-        labels = {f"s{i:03d}": i % 3 for i in range(60)}
+        labels = np.arange(60) % 3
         assert (random_baseline_schedule(labels, 4, seed=9)
                 == random_baseline_schedule(labels, 4, seed=9))
 
     def test_each_epoch_is_a_full_permutation(self):
-        labels = {f"s{i:03d}": i % 3 for i in range(60)}
+        labels = np.arange(60) % 3
         schedule = random_baseline_schedule(labels, 5, seed=1)
+        assert schedule.classes == (0, 1, 2)
         for plan in schedule.plans:
-            assert sorted(plan.sample_ids) == sorted(labels)
-            assert plan.counts == {0: 20, 1: 20, 2: 20}
+            assert sorted(plan.indices) == list(range(60))
+            assert list(plan.counts) == [20, 20, 20]
 
     def test_different_seeds_differ(self):
-        labels = {f"s{i:03d}": 0 for i in range(100)}
+        labels = np.zeros(100, dtype=int)
         a = random_baseline_schedule(labels, 1, seed=1)
         b = random_baseline_schedule(labels, 1, seed=2)
-        assert a.plans[0].sample_ids != b.plans[0].sample_ids
+        assert not np.array_equal(a.plans[0].indices, b.plans[0].indices)
 
     def test_truncate_to_budget(self):
-        labels = {f"s{i:03d}": i % 2 for i in range(50)}
+        labels = np.arange(50) % 2
         schedule = random_baseline_schedule(labels, 4, seed=3)
         cut = truncate_schedule(schedule, labels, 120)
         assert cut.total_visits == 120
         assert len(cut.plans) == 3
-        assert cut.plans[2].sample_ids == schedule.plans[2].sample_ids[:20]
-        label_counts = {}
-        for sid in cut.plans[2].sample_ids:
-            label_counts[labels[sid]] = label_counts.get(labels[sid], 0) + 1
-        assert cut.plans[2].counts == label_counts
+        assert np.array_equal(cut.plans[2].indices, schedule.plans[2].indices[:20])
+        label_counts = np.bincount(labels[cut.plans[2].indices], minlength=2)
+        assert list(cut.plans[2].counts) == list(label_counts)
 
     def test_truncate_rejects_overbudget(self):
-        labels = {"a": 0, "b": 1}
+        labels = np.array([0, 1])
         schedule = random_baseline_schedule(labels, 2, seed=0)
         with pytest.raises(ValidationError):
             truncate_schedule(schedule, labels, 5)

@@ -43,9 +43,9 @@ def finite_difference_grads(model, xs, y, step=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = model.loss(xs, y)
+            hi = loss_and_grads(model, xs, y)[0]
             flat[i] = orig - step
-            lo = model.loss(xs, y)
+            lo = loss_and_grads(model, xs, y)[0]
             flat[i] = orig
             gflat[i] = (hi - lo) / (2 * step)
         grads.append(g)
@@ -194,8 +194,7 @@ class TestTrain:
         spec = SyntheticSpec(n_classes=3, dims=(4, 3), n_samples=90,
                              imbalance_exponent=0.8, seed=seed)
         dataset = generate_dataset(spec)
-        labels = dataset.labels_by_id()
-        schedule = random_baseline_schedule(labels, epochs, seed=seed)
+        schedule = random_baseline_schedule(dataset.labels, epochs, seed=seed)
         config = TrainConfig(learning_rate=lr, epochs=epochs, warmup_epochs=0,
                              batch_size=16, hidden=4, seed=seed)
         return dataset, schedule, config
@@ -212,9 +211,7 @@ class TestTrain:
         spec = SyntheticSpec(n_classes=2, dims=(3, 3), n_samples=2,
                              imbalance_exponent=0.0, seed=1)
         dataset = generate_dataset(spec)
-        labels = dataset.labels_by_id()
-        first = {dataset.sample_ids[0]: labels[dataset.sample_ids[0]]}
-        schedule = random_baseline_schedule(first, 200, seed=0)
+        schedule = random_baseline_schedule(dataset.labels[:1], 200, seed=0)
         config = TrainConfig(learning_rate=0.5, epochs=200, warmup_epochs=0,
                              batch_size=1, hidden=4, seed=0)
         _, history = train(dataset, schedule, config)
@@ -234,14 +231,15 @@ class TestTrain:
         dataset, schedule, config = self.small_setup()
         _, history = train(dataset, schedule, config, record_visits=True)
         for plan, visited in zip(schedule.plans, history.visited):
-            assert sorted(visited) == sorted(plan.sample_ids)
+            assert np.array_equal(np.sort(visited), np.sort(plan.indices))
             assert len(visited) == plan.total
 
     def test_unknown_sample_id_rejected_before_training(self):
         dataset, schedule, config = self.small_setup()
-        schedule.plans[0].sample_ids[0] = "ghost"
-        with pytest.raises(ValidationError, match="ghost"):
-            train(dataset, schedule, config)
+        for ghost in (dataset.n_samples, -1):
+            schedule.plans[1].indices[0] = ghost
+            with pytest.raises(ValidationError, match=f"epoch 2 .*{ghost}"):
+                train(dataset, schedule, config)
 
     def test_per_epoch_eval_metrics(self):
         dataset, schedule, config = self.small_setup()
@@ -260,7 +258,10 @@ class TestTraces:
         model = FusionModel.init(SMALL_SPEC.dims, 4, 3, np.random.default_rng(0))
         traces = collect_traces(model, dataset)
         assert len(traces) == dataset.n_samples
-        # ModalityOutput/SampleTrace constructors validate invariants.
+        assert traces.ids == dataset.sample_ids
+        assert traces.probs.shape == (dataset.n_samples, 2, 3)
+        assert traces.emb.shape == (dataset.n_samples, 2, 4)
+        # The TraceBatch constructor validates invariants.
         table = score_dataset(traces)
         assert len(table) == dataset.n_samples
 
@@ -269,12 +270,9 @@ class TestTraces:
         model = FusionModel.init(SMALL_SPEC.dims, 4, 3, np.random.default_rng(0))
         a = collect_traces(model, dataset)
         b = collect_traces(model, dataset)
-        assert len(a) == len(b)
-        for ta, tb in zip(a, b):
-            assert ta.sample_id == tb.sample_id and ta.label == tb.label
-            for ma, mb in zip(ta.modalities, tb.modalities):
-                assert np.array_equal(ma.probs, mb.probs)
-                assert np.array_equal(ma.embedding, mb.embedding)
+        assert a.ids == b.ids
+        for col in ("labels", "probs", "emb"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
 
 
 class TestSplit:
@@ -296,11 +294,13 @@ class TestSplit:
 
 class TestWarmupSchedule:
     def test_uniform_counts(self):
-        labels = {f"s{i:03d}": i % 4 for i in range(80)}
+        labels = np.arange(80) % 4
         schedule = uniform_warmup_schedule(labels, 3, 20, seed=0)
+        assert schedule.classes == (0, 1, 2, 3)
         for plan in schedule.plans:
             assert plan.total == 20
-            assert set(plan.counts.values()) == {5}
+            assert set(plan.counts.tolist()) == {5}
+            assert np.array_equal(np.bincount(labels[plan.indices], minlength=4), plan.counts)
 
 
 class TestExperiment:
@@ -368,8 +368,7 @@ class TestEvaluate:
                              imbalance_exponent=0.0, class_separation=10.0,
                              noise_scale=0.05, seed=3)
         dataset = generate_dataset(spec)
-        labels = dataset.labels_by_id()
-        schedule = random_baseline_schedule(labels, 80, seed=0)
+        schedule = random_baseline_schedule(dataset.labels, 80, seed=0)
         config = TrainConfig(learning_rate=0.02, epochs=80, warmup_epochs=0,
                              batch_size=8, hidden=6, seed=0)
         model, _ = train(dataset, schedule, config)
