@@ -64,7 +64,6 @@ from .simlab import (
     SyntheticSpec,
     TrainConfig,
     collect_traces,
-    forward,
     generate_dataset,
     run_experiment,
     train,

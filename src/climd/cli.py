@@ -134,6 +134,14 @@ def _parse_dims(dims: str, n_modalities: int) -> tuple[int, ...]:
     return parts
 
 
+def _max_workers() -> int:
+    raw = os.environ.get("CLIMD_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValidationError(f"CLIMD_THREADS must be an integer, got {raw!r}") from None
+
+
 def cmd_simulate(args) -> int:
     spec = SyntheticSpec(
         n_classes=args.classes,
@@ -155,8 +163,7 @@ def cmd_simulate(args) -> int:
         refresh_every=args.refresh,
         seed=args.base_seed,
     )
-    max_workers = max(1, int(os.environ.get("CLIMD_THREADS", "1")))
-    report = run_experiment(spec, config, args.seeds, max_workers=max_workers)
+    report = run_experiment(spec, config, args.seeds, max_workers=_max_workers())
 
     out = _outdir(args)
     lines = ["seed,arm,accuracy,weighted_f1,macro_f1,visits"]

@@ -9,6 +9,17 @@ The auxiliary heads exist because difficulty scoring needs per-modality
 class probabilities, which a pure fusion head does not expose; they are
 trained jointly with equal loss weight. All gradients are closed-form.
 
+Every parameter lives in one flat float64 buffer, laid out in
+``FusionModel.params()`` order, and the named weights are views into it:
+copying a model is one buffer copy, and an SGD step is one
+``flat -= lr * grad`` against a gradient buffer of the same layout. Per
+batch, ``train`` gathers the rows once from an (N, sum of dims) feature
+matrix, hands ``loss_and_grads`` column views of them, and applies that
+one update. The auxiliary heads run as one batched matmul and share one
+softmax with the fused head. The arithmetic (summation axes and order,
+scale factors) is that of the per-modality formulas, so losses and
+gradients are bitwise those of separate per-modality arrays.
+
 Determinism: every random draw comes from a named generator derived from
 (seed, purpose), so runs with the same seeds are bit-identical and
 independent seeds can execute in parallel without affecting results.
@@ -17,7 +28,6 @@ independent seeds can execute in parallel without affecting results.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +47,14 @@ from .scheduler import (
     random_baseline_schedule,
     truncate_schedule,
 )
+
+
+def _check_number(name: str, value: float, low: float, strict: bool = False):
+    """Reject a non-finite ``value`` or one below ``low`` (or equal to it,
+    when ``strict``), naming the field."""
+    if not math.isfinite(value) or value < low or (strict and value == low):
+        bound = f"> {low:g}" if strict else f">= {low:g}"
+        raise ValidationError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +95,9 @@ class SyntheticSpec:
             )
         if not 0.0 <= self.redundancy <= 1.0:
             raise ValidationError(f"redundancy must be in [0, 1], got {self.redundancy}")
-        if self.imbalance_exponent < 0:
-            raise ValidationError("imbalance_exponent must be >= 0")
-        if self.class_separation <= 0 or self.noise_scale < 0:
-            raise ValidationError("class_separation must be > 0 and noise_scale >= 0")
+        _check_number("imbalance_exponent", self.imbalance_exponent, 0.0)
+        _check_number("class_separation", self.class_separation, 0.0, strict=True)
+        _check_number("noise_scale", self.noise_scale, 0.0)
 
     @property
     def n_modalities(self) -> int:
@@ -169,123 +186,145 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
 # model
 # ---------------------------------------------------------------------------
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_inplace(z: np.ndarray) -> np.ndarray:
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
-@dataclass
 class FusionModel:
     """Early-fusion classifier with per-modality auxiliary heads.
 
     encoder m:  z_m = x_m @ enc_w[m].T + enc_b[m]        (the embedding)
     fused head: softmax(concat(z) @ head_w.T + head_b)
     aux head m: softmax(z_m @ aux_w[m].T + aux_b[m])
+
+    Every parameter lives in the one float64 buffer ``flat``, laid out in
+    ``params()`` order; the named attributes are views into it, with the
+    per-modality blocks stacked: enc_b (M, H), aux_w (M, C, H), aux_b (M, C).
+    enc_w is a list of (H, d_m) views, since the input dims may differ.
     """
 
-    enc_w: list[np.ndarray]
-    enc_b: list[np.ndarray]
-    head_w: np.ndarray
-    head_b: np.ndarray
-    aux_w: list[np.ndarray]
-    aux_b: list[np.ndarray]
+    def __init__(self, dims, hidden: int, n_classes: int,
+                 flat: np.ndarray | None = None):
+        self.dims = tuple(int(d) for d in dims)
+        self.hidden = int(hidden)
+        self.n_classes = int(n_classes)
+        m, h, c = len(self.dims), self.hidden, self.n_classes
+        shapes = [(h, d) for d in self.dims] + [(m, h), (c, m * h), (c,), (m, c, h), (m, c)]
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        self.flat = np.zeros(ends[-1]) if flat is None else flat
+        (*self.enc_w, self.enc_b, self.head_w, self.head_b, self.aux_w, self.aux_b) = [
+            part.reshape(shape) for part, shape in zip(np.split(self.flat, ends[:-1]), shapes)]
 
     @classmethod
     def init(cls, dims, hidden: int, n_classes: int,
              rng: np.random.Generator) -> "FusionModel":
-        m = len(dims)
-        enc_w = [rng.standard_normal((hidden, d)) / math.sqrt(d) for d in dims]
-        enc_b = [np.zeros(hidden) for _ in range(m)]
-        head_w = rng.standard_normal((n_classes, m * hidden)) / math.sqrt(m * hidden)
-        head_b = np.zeros(n_classes)
-        aux_w = [rng.standard_normal((n_classes, hidden)) / math.sqrt(hidden)
-                 for _ in range(m)]
-        aux_b = [np.zeros(n_classes) for _ in range(m)]
-        return cls(enc_w, enc_b, head_w, head_b, aux_w, aux_b)
+        model = cls(dims, hidden, n_classes)
+        m = model.n_modalities
+        for w, d in zip(model.enc_w, model.dims):
+            w[...] = rng.standard_normal((hidden, d)) / math.sqrt(d)
+        model.head_w[...] = (rng.standard_normal((n_classes, m * hidden))
+                             / math.sqrt(m * hidden))
+        model.aux_w[...] = rng.standard_normal((m, n_classes, hidden)) / math.sqrt(hidden)
+        return model
 
     @property
     def n_modalities(self) -> int:
-        return len(self.enc_w)
-
-    @property
-    def n_classes(self) -> int:
-        return self.head_w.shape[0]
-
-    @property
-    def hidden(self) -> int:
-        return self.enc_w[0].shape[0]
+        return len(self.dims)
 
     def copy(self) -> "FusionModel":
-        return FusionModel(
-            enc_w=[w.copy() for w in self.enc_w],
-            enc_b=[b.copy() for b in self.enc_b],
-            head_w=self.head_w.copy(),
-            head_b=self.head_b.copy(),
-            aux_w=[w.copy() for w in self.aux_w],
-            aux_b=[b.copy() for b in self.aux_b],
-        )
+        return FusionModel(self.dims, self.hidden, self.n_classes, self.flat.copy())
 
     def params(self) -> list[np.ndarray]:
         return [*self.enc_w, *self.enc_b, self.head_w, self.head_b,
                 *self.aux_w, *self.aux_b]
 
-    def forward_batch(self, xs: list[np.ndarray]):
-        """Returns (fused probs, per-modality probs, per-modality embeddings)."""
+    def _forward(self, xs: list[np.ndarray]):
+        """(zcat, probs): the embeddings side by side as (n, M*H), and the
+        fused then the per-modality class probabilities as (M+1, n, C)."""
         if len(xs) != self.n_modalities:
             raise ValidationError(
                 f"model has {self.n_modalities} modalities, got {len(xs)} inputs"
             )
-        for mi, (x, w) in enumerate(zip(xs, self.enc_w)):
-            if x.shape[-1] != w.shape[1]:
+        for mi, (x, d) in enumerate(zip(xs, self.dims)):
+            if x.shape[-1] != d:
                 raise ValidationError(
-                    f"modality {mi}: input dim {x.shape[-1]} != encoder dim {w.shape[1]}"
+                    f"modality {mi}: input dim {x.shape[-1]} != encoder dim {d}"
                 )
-        z = [x @ w.T + b for x, w, b in zip(xs, self.enc_w, self.enc_b)]
-        zcat = np.concatenate(z, axis=-1)
-        fused = _softmax(zcat @ self.head_w.T + self.head_b)
-        aux = [_softmax(zi @ w.T + b) for zi, w, b in zip(z, self.aux_w, self.aux_b)]
-        return fused, aux, z
+        m, h = self.n_modalities, self.hidden
+        n = xs[0].shape[0]
+        zcat = np.empty((n, m * h))
+        for mi, (x, w) in enumerate(zip(xs, self.enc_w)):
+            np.matmul(x, w.T, out=zcat[:, mi * h:(mi + 1) * h])
+        zcat += self.enc_b.reshape(-1)
+        logits = np.empty((m + 1, n, self.n_classes))
+        np.matmul(zcat, self.head_w.T, out=logits[0])
+        logits[0] += self.head_b
+        np.matmul(_per_modality(zcat, m), self.aux_w.transpose(0, 2, 1), out=logits[1:])
+        logits[1:] += self.aux_b[:, None, :]
+        return zcat, _softmax_inplace(logits)
+
+    def forward_batch(self, xs: list[np.ndarray]):
+        """Returns (fused probs, per-modality probs, per-modality embeddings)."""
+        zcat, probs = self._forward(xs)
+        return probs[0], probs[1:], _per_modality(zcat, self.n_modalities)
 
 
-def forward(model: FusionModel, sample_xs: list) -> tuple:
-    """Single-sample forward pass: (fused probs, per-modality probs, embeddings)."""
-    xs = [np.asarray(x, dtype=float).reshape(1, -1) for x in sample_xs]
-    fused, aux, z = model.forward_batch(xs)
-    return fused[0], [p[0] for p in aux], [zi[0] for zi in z]
+def _per_modality(zcat: np.ndarray, m: int) -> np.ndarray:
+    """(n, M*H) side-by-side embeddings as an (M, n, H) view."""
+    n = zcat.shape[0]
+    return zcat.reshape(n, m, -1).transpose(1, 0, 2)
 
 
-def loss_and_grads(model: FusionModel, xs: list[np.ndarray], y: np.ndarray):
-    """Batch loss and its analytic gradients, ordered like model.params()."""
+def loss_and_grads(model: FusionModel, xs: list[np.ndarray], y: np.ndarray,
+                   out: FusionModel | None = None):
+    """Batch loss and its analytic gradients, ordered like model.params().
+
+    The gradients are the parameters of ``out``, a model of the same shape
+    used as a buffer (a fresh one unless given), so they are views of the
+    one flat array ``out.flat``, laid out like ``model.flat``.
+    """
     m = model.n_modalities
     h = model.hidden
     n = y.size
-    fused, aux, z = model.forward_batch(xs)
-    zcat = np.concatenate(z, axis=-1)
+    zcat, probs = model._forward(xs)
 
-    rows = np.arange(n)
-    onehot = np.zeros_like(fused)
-    onehot[rows, y] = 1.0
-    loss = float(-np.log(np.maximum(fused[rows, y], 1e-300)).mean())
-    for pa in aux:
-        loss += float(-np.log(np.maximum(pa[rows, y], 1e-300)).mean()) / m
+    # Contiguous, so each head's mean is the pairwise sum over its own row.
+    picked = np.ascontiguousarray(probs[:, np.arange(n), y])
+    log_sums = np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=1).tolist()
+    loss = -(log_sums[0] / n)
+    for log_sum in log_sums[1:]:
+        loss += -(log_sum / n) / m
 
-    d_fused = (fused - onehot) / n
-    g_head_w = d_fused.T @ zcat
-    g_head_b = d_fused.sum(axis=0)
-    dz = d_fused @ model.head_w  # (n, m*h)
+    if out is None:
+        out = FusionModel(model.dims, h, model.n_classes)
+    # d[0] is the fused head's logit gradient, d[1:] the auxiliary heads'.
+    d = probs
+    d -= np.eye(model.n_classes)[y]
+    d /= np.array([n] + [n * m] * m, dtype=float)[:, None, None]
+    np.matmul(d[0].T, zcat, out=out.head_w)
+    np.add.reduce(d[0], axis=0, out=out.head_b)
+    dz = d[0] @ model.head_w  # (n, M*H)
+    dzm = _per_modality(dz, m)
+    dzm += d[1:] @ model.aux_w
+    zm = _per_modality(zcat, m)
+    # A one-wide operand makes matmul a gemv and a column sum a pairwise
+    # one, and those add up a strided operand in another order than a
+    # contiguous one. Contiguous copies keep every gradient bitwise equal
+    # to the per-modality formulas on separate arrays.
+    if h == 1:
+        zm, dzm = np.ascontiguousarray(zm), np.ascontiguousarray(dzm)
+    np.matmul(d[1:].transpose(0, 2, 1), zm, out=out.aux_w)
+    np.add.reduce(d[1:], axis=1, out=out.aux_b)
+    np.add.reduce(dzm, axis=1, out=out.enc_b)
+    for x, dz_m, g in zip(xs, dzm, out.enc_w):
+        if h == 1 or x.shape[1] == 1:
+            x, dz_m = np.ascontiguousarray(x), np.ascontiguousarray(dz_m)
+        np.matmul(dz_m.T, x, out=g)
 
-    g_enc_w, g_enc_b, g_aux_w, g_aux_b = [], [], [], []
-    for mi in range(m):
-        d_aux = (aux[mi] - onehot) / (n * m)
-        g_aux_w.append(d_aux.T @ z[mi])
-        g_aux_b.append(d_aux.sum(axis=0))
-        dz_m = dz[:, mi * h:(mi + 1) * h] + d_aux @ model.aux_w[mi]
-        g_enc_w.append(dz_m.T @ xs[mi])
-        g_enc_b.append(dz_m.sum(axis=0))
-
-    grads = [*g_enc_w, *g_enc_b, g_head_w, g_head_b, *g_aux_w, *g_aux_b]
-    return loss, grads
+    return loss, out.params()
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +348,8 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.warmup_epochs is not None and self.warmup_epochs < 0:
             raise ValidationError("warmup_epochs must be >= 0")
-        if self.gamma <= 0:
-            raise ValidationError(f"gamma must be > 0, got {self.gamma}")
+        _check_number("learning_rate", self.learning_rate, 0.0)
+        _check_number("gamma", self.gamma, 0.0, strict=True)
         if self.batch_size < 1 or self.hidden < 1:
             raise ValidationError("batch_size and hidden must be >= 1")
         if self.refresh_every < 0:
@@ -357,6 +396,10 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
     """SGD over the schedule: epoch t visits exactly the rows of plan t,
     shuffled by a seeded generator. Returns (model, history).
 
+    Each batch is one row gather, one ``loss_and_grads`` call into a
+    gradient buffer reused by every batch, and one update of the flat
+    parameters (none when the learning rate is 0).
+
     ``eval_set`` is an optional (xs, y) pair evaluated after every epoch.
     ``init_model``, when given, is copied, so callers can hand the same
     initialization to several arms.
@@ -376,6 +419,10 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
     else:
         model = init_model.copy()
 
+    features = np.concatenate(dataset.features, axis=1)  # (N, sum of dims)
+    ends = np.cumsum([f.shape[1] for f in dataset.features]).tolist()
+    columns = [slice(a, b) for a, b in zip([0, *ends], ends)]
+    grad = FusionModel(model.dims, model.hidden, model.n_classes)
     rng = _stream(config.seed, f"shuffle-{arm}")
     history = TrainHistory(visited=[] if record_visits else None)
     for plan in schedule.plans:
@@ -385,13 +432,12 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
         losses = []
         for start in range(0, idx.size, config.batch_size):
             batch = idx[start:start + config.batch_size]
-            xs = dataset.modality_rows(batch)
-            y = dataset.labels[batch]
-            loss, grads = loss_and_grads(model, xs, y)
+            rows = features[batch]
+            loss, _ = loss_and_grads(model, [rows[:, col] for col in columns],
+                                     dataset.labels[batch], out=grad)
             losses.append(loss)
             if config.learning_rate != 0.0:
-                for p, g in zip(model.params(), grads):
-                    p -= config.learning_rate * g
+                model.flat -= config.learning_rate * grad.flat
         stats = EpochStats(t=plan.t, visits=int(idx.size),
                            mean_loss=float(np.mean(losses)) if losses else float("nan"))
         if eval_set is not None:
@@ -582,6 +628,9 @@ def run_experiment(spec: SyntheticSpec, config: TrainConfig, n_seeds: int,
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
     jobs = [(spec, config, k) for k in range(n_seeds)]
     if max_workers > 1:
+        # Imported here: multiprocessing is costly to import, and serial
+        # runs never need it.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(max_workers, n_seeds)) as pool:
             per_seed = list(pool.map(_run_seed_star, jobs))
     else:

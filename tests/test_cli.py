@@ -212,6 +212,33 @@ class TestSimulate:
         assert main(self.ARGS + ["--out", str(out2)]) == 0
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_non_integer_threads_exit_1(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("CLIMD_THREADS", value)
+        assert main(self.ARGS + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "CLIMD_THREADS" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--lr", "nan", "learning_rate"),
+        ("--lr", "inf", "learning_rate"),
+        ("--lr", "-1", "learning_rate"),
+        ("--gamma", "nan", "gamma"),
+        ("--imbalance", "nan", "imbalance_exponent"),
+        ("--imbalance", "inf", "imbalance_exponent"),
+        ("--separation", "inf", "class_separation"),
+        ("--separation", "0", "class_separation"),
+        ("--noise", "nan", "noise_scale"),
+        ("--noise", "-0.5", "noise_scale"),
+    ])
+    def test_bad_numbers_exit_1(self, tmp_path, capsys, flag, value, field):
+        code = main(self.ARGS + [flag, value, "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_validation(self, tmp_path):

@@ -15,7 +15,6 @@ from climd.simlab import (
     class_sizes,
     collect_traces,
     evaluate,
-    forward,
     generate_dataset,
     loss_and_grads,
     run_experiment,
@@ -50,6 +49,38 @@ def finite_difference_grads(model, xs, y, step=1e-5):
             gflat[i] = (hi - lo) / (2 * step)
         grads.append(g)
     return grads
+
+
+def per_modality_loss_and_grads(model, xs, y):
+    """Reference: each head and modality on its own arrays, one at a time."""
+    m, h, n = model.n_modalities, model.hidden, y.size
+
+    def softmax(z):
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    z = [x @ w.T + b for x, w, b in zip(xs, model.enc_w, model.enc_b)]
+    zcat = np.concatenate(z, axis=-1)
+    fused = softmax(zcat @ model.head_w.T + model.head_b)
+    aux = [softmax(zi @ w.T + b) for zi, w, b in zip(z, model.aux_w, model.aux_b)]
+    rows = np.arange(n)
+    onehot = np.zeros_like(fused)
+    onehot[rows, y] = 1.0
+    loss = float(-np.log(np.maximum(fused[rows, y], 1e-300)).mean())
+    for pa in aux:
+        loss += float(-np.log(np.maximum(pa[rows, y], 1e-300)).mean()) / m
+    d_fused = (fused - onehot) / n
+    dz = d_fused @ model.head_w
+    g_enc_w, g_enc_b, g_aux_w, g_aux_b = [], [], [], []
+    for mi in range(m):
+        d_aux = (aux[mi] - onehot) / (n * m)
+        g_aux_w.append(d_aux.T @ z[mi])
+        g_aux_b.append(d_aux.sum(axis=0))
+        dz_m = dz[:, mi * h:(mi + 1) * h] + d_aux @ model.aux_w[mi]
+        g_enc_w.append(dz_m.T @ xs[mi])
+        g_enc_b.append(dz_m.sum(axis=0))
+    return loss, [*g_enc_w, *g_enc_b, d_fused.T @ zcat, d_fused.sum(axis=0),
+                  *g_aux_w, *g_aux_b]
 
 
 class TestClassSizes:
@@ -145,7 +176,8 @@ class TestForward:
         rng = np.random.default_rng(2)
         model = random_model(rng)
         x = [rng.standard_normal(3), rng.standard_normal(4)]
-        fused, aux, embs = forward(model, x)
+        fused, aux, embs = model.forward_batch([xm.reshape(1, -1) for xm in x])
+        fused, aux, embs = fused[0], [p[0] for p in aux], [zm[0] for zm in embs]
 
         # plain-loop oracle
         z = []
@@ -170,6 +202,41 @@ class TestForward:
             model.forward_batch([np.ones((2, 3))])
 
 
+class TestParameterBuffer:
+    def test_copy_shares_no_memory(self):
+        model = random_model(np.random.default_rng(4))
+        clone = model.copy()
+        assert not np.shares_memory(model.flat, clone.flat)
+        for p, q in zip(model.params(), clone.params()):
+            assert np.array_equal(p, q)
+            assert not np.shares_memory(p, q)
+
+    def test_params_alias_the_model(self):
+        rng = np.random.default_rng(5)
+        model = random_model(rng)
+        xs = [rng.standard_normal((4, 3)), rng.standard_normal((4, 4))]
+        before = model.forward_batch(xs)
+        for p in model.params():
+            p += 0.5
+            after = model.forward_batch(xs)
+            p -= 0.5
+            assert any(not np.array_equal(np.asarray(a), np.asarray(b))
+                       for a, b in zip(before, after))
+        assert sum(p.size for p in model.params()) == model.flat.size
+
+    def test_gradients_survive_the_next_call(self):
+        rng = np.random.default_rng(6)
+        model = random_model(rng)
+        xs = [rng.standard_normal((5, 3)), rng.standard_normal((5, 4))]
+        _, first = loss_and_grads(model, xs, np.array([0, 1, 2, 0, 1]))
+        kept = [g.copy() for g in first]
+        _, second = loss_and_grads(model, [x[::-1] + 1.0 for x in xs],
+                                   np.array([2, 2, 1, 1, 0]))
+        assert any(not np.array_equal(a, b) for a, b in zip(kept, second))
+        for g, k in zip(first, kept):
+            assert np.array_equal(g, k)
+
+
 class TestGradients:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -189,6 +256,29 @@ class TestGradients:
                 assert np.linalg.norm(ga - gn) / denom < 1e-4
 
 
+    def test_equals_per_modality_reference_bitwise(self):
+        # Shapes include one-wide modalities, hidden=1 and single-row batches.
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            m = int(rng.integers(2, 5))
+            dims = tuple(int(rng.integers(1, 10)) for _ in range(m))
+            hidden = int(rng.choice([1, 2, 5, 16]))
+            c = int(rng.integers(2, 11))
+            batch = int(rng.integers(1, 41))
+            model = FusionModel.init(dims, hidden, c, rng)
+            # Column views of one matrix, as train passes them.
+            rows = rng.standard_normal((batch, sum(dims))) * 3
+            ends = np.cumsum(dims).tolist()
+            xs = [rows[:, a:b] for a, b in zip([0, *ends], ends)]
+            y = rng.integers(0, c, size=batch)
+            loss, grads = loss_and_grads(model, xs, y)
+            ref_loss, ref_grads = per_modality_loss_and_grads(
+                model, [x.copy() for x in xs], y)
+            assert loss == ref_loss
+            for g, r in zip(grads, ref_grads):
+                assert g.shape == r.shape and np.array_equal(g, r)
+
+
 class TestTrain:
     def small_setup(self, epochs=4, lr=0.1, seed=3):
         spec = SyntheticSpec(n_classes=3, dims=(4, 3), n_samples=90,
@@ -206,6 +296,31 @@ class TestTrain:
         model, _ = train(dataset, schedule, config, init_model=init)
         for p0, p1 in zip(init.params(), model.params()):
             assert np.array_equal(p0, p1)
+
+    @pytest.mark.parametrize("dims, hidden", [((3, 4), 4), ((1, 4), 4)])
+    def test_fused_step_matches_per_parameter_loop(self, dims, hidden):
+        spec = SyntheticSpec(n_classes=3, dims=dims, n_samples=70,
+                             imbalance_exponent=0.8, seed=4)
+        dataset = generate_dataset(spec)
+        schedule = random_baseline_schedule(dataset.labels, 3, seed=4)
+        config = TrainConfig(learning_rate=0.1, epochs=3, warmup_epochs=0,
+                             batch_size=16, hidden=hidden, seed=4)
+        assert all(plan.total % config.batch_size for plan in schedule.plans)
+        model, _ = train(dataset, schedule, config, arm="loop")
+
+        # Plain loop: contiguous per-modality rows, one update per parameter.
+        ref = FusionModel.init(dims, hidden, 3, _stream(config.seed, "init"))
+        rng = _stream(config.seed, "shuffle-loop")
+        for plan in schedule.plans:
+            idx = plan.indices[rng.permutation(plan.total)]
+            for start in range(0, idx.size, config.batch_size):
+                batch = idx[start:start + config.batch_size]
+                _, grads = loss_and_grads(ref, dataset.modality_rows(batch),
+                                          dataset.labels[batch])
+                for p, g in zip(ref.params(), grads):
+                    p -= config.learning_rate * g
+        for p, q in zip(model.params(), ref.params()):
+            assert np.array_equal(p, q)
 
     def test_single_sample_converges(self):
         spec = SyntheticSpec(n_classes=2, dims=(3, 3), n_samples=2,
