@@ -15,11 +15,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import fileformats as ff
 from .distribution import ClassDistribution
 from .errors import ClimdError, InfeasibleScheduleError, ValidationError
-from .measurer import score_dataset
+from .measurer import DifficultyTable, check_unique_ids, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import ScheduleConfig, build_schedule, synthetic_powerlaw_schedule
 from .simlab import SyntheticSpec, TrainConfig, run_experiment
@@ -63,8 +65,35 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _stage(name, fn):
+    """Run ``fn``, tagging a raised error with the stage name, which main()
+    puts in front of the error line."""
+    try:
+        return fn()
+    except (ClimdError, OSError) as exc:
+        exc.stage = name
+        raise
+
+
+def _score_traces(path) -> DifficultyTable:
+    """Read and score a trace file one chunk at a time, so that only the
+    scores of earlier chunks stay resident, never the whole trace arrays.
+    Rows are scored independently, so the table equals that of the whole
+    file."""
+    chunks = ff.iter_traces(path)
+    tables = []
+    while (batch := _stage("read-traces", lambda: next(chunks, None))) is not None:
+        tables.append(_stage("score", lambda: score_dataset(batch)))
+    ids = [sid for table in tables for sid in table.ids]
+    _stage("read-traces", lambda: check_unique_ids(ids, where=f"{path}: "))
+    return DifficultyTable(ids=ids, labels=np.concatenate([t.labels for t in tables]),
+                           psi=np.concatenate([t.psi for t in tables]),
+                           phi=np.concatenate([t.phi for t in tables]),
+                           r=np.concatenate([t.r for t in tables]))
+
+
 def cmd_score(args) -> int:
-    table = score_dataset(ff.read_traces(args.traces))
+    table = _score_traces(args.traces)
     out = _outdir(args)
     ff.write_difficulty(out / "difficulty.csv", table)
     _write_manifest(out, "score", {"traces": str(args.traces)},
@@ -199,20 +228,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    def stage(name, fn):
-        try:
-            return fn()
-        except (ClimdError, OSError) as exc:
-            exc.stage = name  # main() prefixes the error line with it
-            raise
-
     traces_path = Path(args.dataset_dir) / "traces.jsonl" if args.dataset_dir \
         else Path(args.traces)
-    traces = stage("read-traces", lambda: ff.read_traces(traces_path))
-    table = stage("score", lambda: score_dataset(traces))
-    dist = stage("fit", lambda: ClassDistribution.from_labels(traces.labels, args.gamma))
+    table = _score_traces(traces_path)
+    dist = _stage("fit", lambda: ClassDistribution.from_labels(table.labels, args.gamma))
     config = ScheduleConfig(difficulty_order=args.order)
-    schedule = stage("schedule", lambda: build_schedule(table, dist, args.epochs, config))
+    schedule = _stage("schedule", lambda: build_schedule(table, dist, args.epochs, config))
 
     out = _outdir(args)
     ff.write_difficulty(out / "difficulty.csv", table)

@@ -5,8 +5,12 @@ and independently inspectable. Readers return the columnar types the
 pipeline works on: :func:`read_traces` a validated
 :class:`~climd.measurer.TraceBatch`, parsed a chunk of lines at a time
 into arrays, and :func:`read_difficulty` a
-:class:`~climd.measurer.DifficultyTable`. Every rejected line is named
-by its number.
+:class:`~climd.measurer.DifficultyTable`. :func:`iter_traces` yields the
+traces as one batch per ``TRACE_CHUNK`` lines, so ``climd score`` and
+``climd pipeline`` score them chunk by chunk and never hold the whole
+trace arrays. Every rejected line is named by its number. The table
+writers write through an open file a block of rows (a schedule: one
+epoch) at a time.
 
 * traces: one JSON object per line with ``sample_id``, ``label`` and a
   ``modalities`` array of ``{"probs": [...], "embedding": [...]}``;
@@ -33,6 +37,7 @@ import math
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -50,7 +55,9 @@ def _fmt(x: float) -> str:
 # traces (JSON lines)
 # ---------------------------------------------------------------------------
 
-# Lines parsed into Python lists before they are packed into arrays.
+# Lines parsed into Python lists before they are packed into arrays, the
+# lines per batch of iter_traces, and the rows formatted per write by the
+# table writers.
 TRACE_CHUNK = 1024
 
 
@@ -85,41 +92,70 @@ def _pack(path, rows: list, linenos: list[int], shape: tuple) -> np.ndarray:
                           f"in shape {shape} (modalities, values), as on the first line")
 
 
-def read_traces(path) -> TraceBatch:
-    ids, labels, probs, emb = [], [], [], []
-    shapes = None  # (probs, embeddings) shape of the first trace
+def _numbered_lines(path) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of a UTF-8 text file, with their numbers."""
     try:
         with open(path, encoding="utf-8") as fh:
-            numbered = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
-            while chunk := list(islice(numbered, TRACE_CHUNK)):
-                chunk_p, chunk_e = [], []
-                for lineno, line in chunk:
-                    try:
-                        obj = json.loads(line)
-                        if type(obj["label"]) is not int:
-                            raise ValidationError(
-                                f"label must be a JSON integer, got {obj['label']!r}")
-                        chunk_p.append([mod["probs"] for mod in obj["modalities"]])
-                        chunk_e.append([mod["embedding"] for mod in obj["modalities"]])
-                        shapes = shapes or (np.shape(chunk_p[0]), np.shape(chunk_e[0]))
-                        ids.append(str(obj["sample_id"]))
-                        labels.append(obj["label"])
-                    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                        raise ValidationError(
-                            f"{path}: corrupt trace at line {lineno}: {exc}") from exc
-                linenos = [lineno for lineno, _ in chunk]
-                probs.append(_pack(path, chunk_p, linenos, shapes[0]))
-                emb.append(_pack(path, chunk_e, linenos, shapes[1]))
+            yield from ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_traces(path, lines=None, shapes=None) -> TraceBatch:
+    """The traces of a JSONL file as one validated :class:`TraceBatch`.
+
+    By default the whole file. :func:`iter_traces` passes ``lines``, an
+    iterator over some of its (line number, text) pairs, and ``shapes``,
+    the (probs, embeddings) shape every trace must have, which is
+    otherwise that of the first trace. Lines are parsed ``TRACE_CHUNK`` at
+    a time into arrays, the batch is validated once, and a rejected trace
+    is named by its line.
+    """
+    ids, labels, probs, emb, linenos = [], [], [], [], []
+    numbered = _numbered_lines(path) if lines is None else lines
+    while chunk := list(islice(numbered, TRACE_CHUNK)):
+        chunk_p, chunk_e = [], []
+        for lineno, line in chunk:
+            try:
+                obj = json.loads(line)
+                if type(obj["label"]) is not int:
+                    raise ValidationError(f"label must be a JSON integer, got {obj['label']!r}")
+                chunk_p.append([mod["probs"] for mod in obj["modalities"]])
+                chunk_e.append([mod["embedding"] for mod in obj["modalities"]])
+                shapes = shapes or (np.shape(chunk_p[0]), np.shape(chunk_e[0]))
+                ids.append(str(obj["sample_id"]))
+                labels.append(obj["label"])
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}: corrupt trace at line {lineno}: {exc}") from exc
+        chunk_n = [lineno for lineno, _ in chunk]
+        probs.append(_pack(path, chunk_p, chunk_n, shapes[0]))
+        emb.append(_pack(path, chunk_e, chunk_n, shapes[1]))
+        linenos += chunk_n
     try:
-        return TraceBatch(
-            ids=ids, labels=np.array(labels, dtype=np.int64),
-            probs=np.concatenate(probs) if probs else np.zeros((0, 0, 0)),
-            emb=np.concatenate(emb) if emb else np.zeros((0, 0, 0)),
-        )
+        return TraceBatch(ids=ids, labels=np.array(labels, dtype=np.int64),
+                          probs=np.concatenate(probs) if probs else np.zeros((0, 0, 0)),
+                          emb=np.concatenate(emb) if emb else np.zeros((0, 0, 0)))
     except (ValidationError, OverflowError) as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        row = getattr(exc, "row", None)
+        where = f" at line {linenos[row]}" if row is not None else ""
+        raise ValidationError(f"{path}: corrupt trace{where}: {exc}") from exc
+
+
+def iter_traces(path) -> Iterator[TraceBatch]:
+    """Yield the traces of a JSONL file as :func:`read_traces` batches of
+    up to ``TRACE_CHUNK`` lines, in file order; a file without traces
+    yields one empty batch. Each batch is validated on its own, against
+    the shapes of the first; the checks that span the file (repeated ids)
+    are left to the caller."""
+    numbered = _numbered_lines(path)
+    shapes = None
+    while True:
+        batch = read_traces(path, islice(numbered, TRACE_CHUNK), shapes)
+        if len(batch) or shapes is None:
+            yield batch
+        if len(batch) < TRACE_CHUNK:
+            return
+        shapes = batch.probs.shape[1:], batch.emb.shape[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +164,16 @@ def read_traces(path) -> TraceBatch:
 
 def write_difficulty(path, table: DifficultyTable):
     m = table.psi.shape[1]
-    lines = [",".join(["sample_id", "label", "phi",
-                       *(f"psi_{i}" for i in range(1, m + 1)), "r"])]
-    scores = np.column_stack([table.phi, table.psi, table.r]).tolist()
-    for sid, label, row in zip(table.ids, table.labels.tolist(), scores):
-        lines.append(f"{sid},{label}," + ",".join(map(repr, row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(["sample_id", "label", "phi",
+                           *(f"psi_{i}" for i in range(1, m + 1)), "r"]) + "\n")
+        for lo in range(0, len(table), TRACE_CHUNK):
+            hi = lo + TRACE_CHUNK
+            scores = np.column_stack([table.phi[lo:hi], table.psi[lo:hi], table.r[lo:hi]])
+            fh.writelines(f"{sid},{label}," + ",".join(map(repr, row)) + "\n"
+                          for sid, label, row in zip(table.ids[lo:hi],
+                                                     table.labels[lo:hi].tolist(),
+                                                     scores.tolist()))
 
 
 def read_difficulty(path) -> DifficultyTable:
@@ -217,6 +257,7 @@ def read_distribution(path) -> ClassDistribution:
     meta = {}
     counts = {}
     ranks = {}
+    line_of_rank = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -233,18 +274,38 @@ def read_distribution(path) -> ClassDistribution:
                 cid, count, rank = int(parts[0]), int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+            if cid in counts:
+                raise ValidationError(f"{path}: line {lineno}: duplicate class_id {cid}")
+            if rank in line_of_rank:
+                raise ValidationError(f"{path}: line {lineno}: duplicate rank {rank}")
             counts[cid] = count
             ranks[cid] = rank
+            line_of_rank[rank] = lineno
     for key in ("gamma", "alpha_hat", "degenerate"):
         if key not in meta:
             raise ValidationError(f"{path}: missing '# {key}=' header line")
-    return ClassDistribution(
-        counts=counts,
-        gamma=float(meta["gamma"]),
-        alpha_hat=float(meta["alpha_hat"]),
-        degenerate=meta["degenerate"] == "true",
-        rank_of_class=ranks,
-    )
+    values = {}
+    for key in ("gamma", "alpha_hat"):
+        try:
+            values[key] = float(meta[key])
+        except ValueError:
+            values[key] = math.nan
+        if not math.isfinite(values[key]):
+            raise ValidationError(f"{path}: {key} must be a finite number, got {meta[key]!r}")
+    if meta["degenerate"] not in ("true", "false"):
+        raise ValidationError(f"{path}: degenerate must be true or false, "
+                              f"got {meta['degenerate']!r}")
+    degenerate = meta["degenerate"] == "true"
+    if not degenerate and values["gamma"] * values["alpha_hat"] <= 1:
+        raise ValidationError(f"{path}: gamma*alpha_hat must exceed 1 when degenerate=false, "
+                              f"got {values['gamma'] * values['alpha_hat']!r}")
+    for rank, lineno in line_of_rank.items():
+        if not 1 <= rank <= len(ranks):
+            raise ValidationError(f"{path}: line {lineno}: rank {rank} outside "
+                                  f"1..{len(ranks)}; ranks must be a permutation")
+    return ClassDistribution(counts=counts, gamma=values["gamma"],
+                             alpha_hat=values["alpha_hat"], degenerate=degenerate,
+                             rank_of_class=ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +317,12 @@ def write_schedule(path, schedule: Schedule, dist: ClassDistribution, ids):
     the schedule indexes."""
     ids = np.asarray(ids, dtype=object)
     ranks = [dist.rank_of_class[cid] for cid in schedule.classes]
-    lines = []
-    for plan in schedule.plans:
-        chunks = np.split(ids[plan.indices], np.cumsum(plan.counts)[:-1])
-        for cid, rank, k, chunk in zip(schedule.classes, ranks, plan.counts, chunks):
-            lines.append(",".join([str(plan.t), str(cid), str(rank), str(k), *chunk]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        for plan in schedule.plans:
+            chunks = np.split(ids[plan.indices], np.cumsum(plan.counts)[:-1])
+            fh.writelines(",".join([str(plan.t), str(cid), str(rank), str(k), *chunk]) + "\n"
+                          for cid, rank, k, chunk in zip(schedule.classes, ranks,
+                                                         plan.counts, chunks))
 
 
 def write_epoch_rank_table(path, schedule: Schedule, dist: ClassDistribution):

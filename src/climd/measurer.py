@@ -25,6 +25,7 @@ tested against.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -38,6 +39,17 @@ from .errors import ValidationError
 PROB_EPS = 1e-12
 
 PROB_SUM_TOL = 1e-6
+
+# Characters that would break the one-row-per-line CSV artifacts.
+_ID_BREAKS = re.compile(r"[,\n\r]")
+
+
+def check_unique_ids(ids: list[str], where: str = ""):
+    """Reject repeated sample ids, naming up to five of them after the
+    ``where`` prefix."""
+    if len(set(ids)) != len(ids):
+        dupes = sorted(sid for sid, k in Counter(ids).items() if k > 1)
+        raise ValidationError(f"{where}duplicate sample ids: {dupes[:5]}")
 
 
 # Per-sample reference types. score_sample and the functions it calls
@@ -78,7 +90,8 @@ class TraceBatch:
     ``ids`` (N sample ids), ``labels`` (N,), ``probs`` (N, M, C) class
     probabilities and ``emb`` (N, M, D) embeddings. The whole batch is
     validated once, when it is built; a rejected batch names up to five
-    offending sample ids.
+    offending sample ids. Ids must be unique and free of ``,`` and line
+    breaks, which would break the CSV artifacts.
     """
 
     ids: list[str]
@@ -113,16 +126,21 @@ class TraceBatch:
             norms = np.linalg.norm(self.emb, axis=2)
         self._reject(~((norms > 0) & np.isfinite(norms)).all(axis=1),
                      "an embedding norm is zero, NaN or inf")
-        if len(set(self.ids)) != n:
-            dupes = sorted(sid for sid, k in Counter(self.ids).items() if k > 1)
-            raise ValidationError(f"duplicate sample ids: {dupes[:5]}")
+        if _ID_BREAKS.search("".join(self.ids)):
+            self._reject(np.array([bool(_ID_BREAKS.search(sid)) for sid in self.ids]),
+                         "sample id contains ',', newline or carriage return")
+        check_unique_ids(self.ids)
 
     def _reject(self, bad: np.ndarray, reason: str):
+        """Raise naming up to five rejected ids; the error's ``row`` is
+        the index of the first, for readers to map onto a line."""
         rows = np.flatnonzero(bad)
         if rows.size:
             names = [self.ids[i] for i in rows[:5]]
-            raise ValidationError(f"{reason} in {rows.size} of {len(self)} samples, "
+            exc = ValidationError(f"{reason} in {rows.size} of {len(self)} samples, "
                                   f"first {names}")
+            exc.row = int(rows[0])
+            raise exc
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -49,11 +49,15 @@ from .scheduler import (
 )
 
 
-def _check_number(name: str, value: float, low: float, strict: bool = False):
-    """Reject a non-finite ``value`` or one below ``low`` (or equal to it,
-    when ``strict``), naming the field."""
-    if not math.isfinite(value) or value < low or (strict and value == low):
+def _check_number(name: str, value: float, low: float, strict: bool = False,
+                  below: float = math.inf):
+    """Reject a non-finite ``value``, one below ``low`` (or equal to it,
+    when ``strict``) or one not below ``below``, naming the field."""
+    if (not math.isfinite(value) or value < low or (strict and value == low)
+            or value >= below):
         bound = f"> {low:g}" if strict else f">= {low:g}"
+        if below < math.inf:
+            bound += f" and < {below:g}"
         raise ValidationError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
@@ -350,6 +354,7 @@ class TrainConfig:
             raise ValidationError("warmup_epochs must be >= 0")
         _check_number("learning_rate", self.learning_rate, 0.0)
         _check_number("gamma", self.gamma, 0.0, strict=True)
+        _check_number("test_fraction", self.test_fraction, 0.0, strict=True, below=1.0)
         if self.batch_size < 1 or self.hidden < 1:
             raise ValidationError("batch_size and hidden must be >= 1")
         if self.refresh_every < 0:

@@ -1,10 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from climd import fileformats as ff
 from climd.cli import main
+from climd.distribution import ClassDistribution
+from climd.measurer import TraceBatch, score_dataset
+from climd.scheduler import build_schedule
 from climd.simlab import FusionModel, SyntheticSpec, collect_traces, generate_dataset
 
 ALPHA_100_50_10 = 5.889555519686648
@@ -26,6 +30,16 @@ def make_traces_file(path, n=200, seed=5):
     dataset = generate_dataset(spec)
     model = FusionModel.init(spec.dims, 4, 3, np.random.default_rng(seed))
     ff.write_traces(path, collect_traces(model, dataset))
+
+
+def write_random_traces(path, n, seed=0, c=3, m=2, d=3):
+    """n valid traces with labels cycling over c classes; returns the lines."""
+    rng = np.random.default_rng(seed)
+    ff.write_traces(path, TraceBatch(ids=[f"s{i:05d}" for i in range(n)],
+                                     labels=np.arange(n) % c,
+                                     probs=rng.dirichlet(np.ones(c), size=(n, m)),
+                                     emb=rng.standard_normal((n, m, d))))
+    return path.read_text().splitlines()
 
 
 def data_files(outdir):
@@ -178,12 +192,107 @@ class TestPipeline:
         assert code == 1
         assert "UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_id", ["s,3", "s\n3", "s\r3"])
+    def test_csv_breaking_id_exits_1(self, tmp_path, capsys, bad_id):
+        traces = tmp_path / "traces.jsonl"
+        lines = write_random_traces(traces, 10)
+        obj = json.loads(lines[3])
+        obj["sample_id"] = bad_id
+        lines[3] = json.dumps(obj)
+        traces.write_text("\n".join(lines) + "\n")
+        code = main(["pipeline", "--traces", str(traces), "--epochs", "3",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'read-traces': ") and "line 4" in err
+        assert "sample id contains" in err
+
     def test_missing_traces_leave_no_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["pipeline", "--traces", str(tmp_path / "nope.jsonl"),
                      "--epochs", "3", "--out", str(out)])
         assert code == 3
         assert not out.exists()
+
+
+class TestStreaming:
+    """pipeline and score read and score the traces one chunk at a time."""
+
+    @pytest.mark.parametrize("command", ["pipeline", "score"])
+    def test_id_repeated_in_a_later_chunk_exits_1(self, tmp_path, capsys, command):
+        traces = tmp_path / "traces.jsonl"
+        lines = write_random_traces(traces, ff.TRACE_CHUNK + 8)
+        lines[ff.TRACE_CHUNK] = lines[ff.TRACE_CHUNK].replace(
+            f'"s{ff.TRACE_CHUNK:05d}"', '"s00000"')
+        traces.write_text("\n".join(lines) + "\n")
+        argv = [command, "--traces", str(traces), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--epochs", "3"] if command == "pipeline" else [])) == 1
+        err = capsys.readouterr().err
+        assert "duplicate sample ids: ['s00000']" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_value_in_a_later_chunk_names_its_line(self, tmp_path, capsys):
+        traces = tmp_path / "traces.jsonl"
+        lines = write_random_traces(traces, 2 * ff.TRACE_CHUNK + 10)
+        bad = 2 * ff.TRACE_CHUNK + 3  # 0-based index into lines
+        obj = json.loads(lines[bad])
+        obj["modalities"][0]["probs"][0] = float("nan")
+        lines[bad] = json.dumps(obj)
+        traces.write_text("\n".join(lines) + "\n")
+        code = main(["pipeline", "--traces", str(traces), "--epochs", "3",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'read-traces': ")
+        assert f"line {bad + 1}:" in err and f"s{bad:05d}" in err
+
+    def test_outputs_equal_the_whole_batch_path(self, tmp_path):
+        traces = tmp_path / "traces.jsonl"
+        write_random_traces(traces, ff.TRACE_CHUNK * 5 // 2, c=4)
+        batch = ff.read_traces(traces)
+        table = score_dataset(batch)
+        dist = ClassDistribution.from_labels(batch.labels, 0.3)
+        schedule = build_schedule(table, dist, 5)
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        ff.write_difficulty(expected / "difficulty.csv", table)
+        ff.write_distribution(expected / "distribution.csv", dist)
+        ff.write_schedule(expected / "schedule.csv", schedule, dist, table.ids)
+        ff.write_epoch_rank_table(expected / "epoch_rank_counts.csv", schedule, dist)
+
+        assert main(["pipeline", "--traces", str(traces), "--epochs", "5",
+                     "--out", str(tmp_path / "pipe")]) == 0
+        assert main(["score", "--traces", str(traces), "--out", str(tmp_path / "score")]) == 0
+        for path in data_files(expected):
+            assert (tmp_path / "pipe" / path.name).read_bytes() == path.read_bytes()
+        assert ((tmp_path / "score" / "difficulty.csv").read_bytes()
+                == (expected / "difficulty.csv").read_bytes())
+
+    @pytest.mark.parametrize("command", ["pipeline", "score"])
+    def test_whole_trace_arrays_never_resident(self, tmp_path, monkeypatch, command):
+        # Many small chunks of wide embeddings: the whole (N, M, C) and
+        # (N, M, D) arrays dwarf one chunk's parse and the score columns.
+        monkeypatch.setattr(ff, "TRACE_CHUNK", 32)
+        n, m, c, d = 1024, 2, 3, 64
+        traces = tmp_path / "traces.jsonl"
+        write_random_traces(traces, n, c=c, m=m, d=d)
+        whole = n * m * (c + d) * np.dtype(float).itemsize
+        peaks = []  # traced peak once reading, scoring (and scheduling) are done
+        write_difficulty = ff.write_difficulty
+
+        def record_peak(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return write_difficulty(*args)
+
+        monkeypatch.setattr(ff, "write_difficulty", record_peak)
+        argv = [command, "--traces", str(traces), "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            code = main(argv + (["--epochs", "3"] if command == "pipeline" else []))
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peaks[0] < whole, (peaks, whole)
 
 
 class TestSimulate:

@@ -122,6 +122,39 @@ class TestDistributionFormat:
         with pytest.raises(ValidationError, match="gamma"):
             ff.read_distribution(path)
 
+    HEADER = "# n_min=10\n# gamma=0.3\n# alpha_hat=5.0\n# degenerate=false\nclass_id,count,rank\n"
+
+    @pytest.mark.parametrize("rows,match", [
+        ("0,100,1\n0,50,2\n", "line 7: duplicate class_id 0"),
+        ("0,100,1\n1,50,1\n", "line 7: duplicate rank 1"),
+        ("0,100,1\n1,50,3\n", "line 7: rank 3 outside 1..2"),
+        ("0,100,0\n1,50,1\n", "line 6: rank 0 outside 1..2"),
+    ])
+    def test_bad_class_rows_named(self, tmp_path, rows, match):
+        path = tmp_path / "distribution.csv"
+        path.write_text(self.HEADER + rows)
+        with pytest.raises(ValidationError, match=match):
+            ff.read_distribution(path)
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("gamma=0.3", "gamma=nan", "gamma must be a finite number"),
+        ("gamma=0.3", "gamma=abc", "gamma must be a finite number"),
+        ("alpha_hat=5.0", "alpha_hat=inf", "alpha_hat must be a finite number"),
+        ("alpha_hat=5.0", "alpha_hat=3.0", r"gamma\*alpha_hat must exceed 1"),
+        ("degenerate=false", "degenerate=no", "degenerate must be true or false"),
+    ])
+    def test_bad_header_values_named(self, tmp_path, old, new, match):
+        path = tmp_path / "distribution.csv"
+        path.write_text(self.HEADER.replace(old, new) + "0,100,1\n1,50,2\n")
+        with pytest.raises(ValidationError, match=match):
+            ff.read_distribution(path)
+
+    def test_degenerate_flag_waives_the_alpha_bound(self, tmp_path):
+        path = tmp_path / "distribution.csv"
+        path.write_text(self.HEADER.replace("alpha_hat=5.0", "alpha_hat=3.0")
+                        .replace("degenerate=false", "degenerate=true") + "0,50,1\n1,50,2\n")
+        assert ff.read_distribution(path).degenerate
+
 
 class TestScheduleFormat:
     def test_manifest_lines(self, tmp_path):

@@ -206,6 +206,15 @@ class TestTraceBatch:
         with pytest.raises(ValidationError, match=f"{match}.*s001"):
             TraceBatch(ids=batch.ids, **arrays)
 
+    @pytest.mark.parametrize("bad_id", ["s,001", "s\n001", "s\r001"])
+    def test_csv_breaking_ids_rejected(self, bad_id):
+        batch = random_batch(4)
+        ids = list(batch.ids)
+        ids[2] = bad_id
+        with pytest.raises(ValidationError, match="sample id contains") as info:
+            TraceBatch(ids, batch.labels, batch.probs, batch.emb)
+        assert info.value.row == 2
+
     def test_shapes_and_dtypes(self):
         batch = random_batch(3, m=2)
         with pytest.raises(ValidationError, match="integers"):

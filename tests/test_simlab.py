@@ -407,6 +407,12 @@ class TestSplit:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+    @pytest.mark.parametrize("fraction", [math.nan, -0.2, 0.0, 1.0, 1.5])
+    def test_test_fraction_outside_open_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValidationError, match="test_fraction"):
+            TrainConfig(test_fraction=fraction)
+
+
 class TestWarmupSchedule:
     def test_uniform_counts(self):
         labels = np.arange(80) % 4
