@@ -21,7 +21,7 @@ from . import __version__
 from . import fileformats as ff
 from .distribution import ClassDistribution
 from .errors import ClimdError, InfeasibleScheduleError, ValidationError
-from .measurer import DifficultyTable, check_unique_ids, score_dataset
+from .measurer import DifficultyTable, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import ScheduleConfig, build_schedule, synthetic_powerlaw_schedule
 from .simlab import SyntheticSpec, TrainConfig, run_experiment
@@ -79,17 +79,17 @@ def _score_traces(path) -> DifficultyTable:
     """Read and score a trace file one chunk at a time, so that only the
     scores of earlier chunks stay resident, never the whole trace arrays.
     Rows are scored independently, so the table equals that of the whole
-    file."""
+    file; joining it rejects an id repeated across chunks."""
     chunks = ff.iter_traces(path)
     tables = []
     while (batch := _stage("read-traces", lambda: next(chunks, None))) is not None:
         tables.append(_stage("score", lambda: score_dataset(batch)))
-    ids = [sid for table in tables for sid in table.ids]
-    _stage("read-traces", lambda: check_unique_ids(ids, where=f"{path}: "))
-    return DifficultyTable(ids=ids, labels=np.concatenate([t.labels for t in tables]),
-                           psi=np.concatenate([t.psi for t in tables]),
-                           phi=np.concatenate([t.phi for t in tables]),
-                           r=np.concatenate([t.r for t in tables]))
+    return _stage("read-traces", lambda: DifficultyTable(
+        ids=[sid for table in tables for sid in table.ids],
+        labels=np.concatenate([t.labels for t in tables]),
+        psi=np.concatenate([t.psi for t in tables]),
+        phi=np.concatenate([t.phi for t in tables]),
+        r=np.concatenate([t.r for t in tables])))
 
 
 def cmd_score(args) -> int:
@@ -195,21 +195,15 @@ def cmd_simulate(args) -> int:
     report = run_experiment(spec, config, args.seeds, max_workers=_max_workers())
 
     out = _outdir(args)
-    lines = ["seed,arm,accuracy,weighted_f1,macro_f1,visits"]
-    for r in report.rows:
-        lines.append(f"{r.seed},{r.arm},{r.accuracy!r},{r.weighted_f1!r},"
-                     f"{r.macro_f1!r},{r.visits}")
-    (out / "report.csv").write_text("\n".join(lines) + "\n")
-
-    summary = ["arm,mean_accuracy,mean_weighted_f1,mean_macro_f1,macro_f1_wins"]
-    for arm in ("climd", "baseline"):
-        wins = report.wins if arm == "climd" else args.seeds - report.wins
-        summary.append(
-            f"{arm},{report.mean(arm, 'accuracy')!r},"
-            f"{report.mean(arm, 'weighted_f1')!r},"
-            f"{report.mean(arm, 'macro_f1')!r},{wins}"
-        )
-    (out / "summary.csv").write_text("\n".join(summary) + "\n")
+    ff.write_lines(out / "report.csv", [
+        "seed,arm,accuracy,weighted_f1,macro_f1,visits",
+        *(f"{r.seed},{r.arm},{r.accuracy!r},{r.weighted_f1!r},{r.macro_f1!r},{r.visits}"
+          for r in report.rows)])
+    ff.write_lines(out / "summary.csv", [
+        "arm,mean_accuracy,mean_weighted_f1,mean_macro_f1,macro_f1_wins",
+        *(f"{arm},{report.mean(arm, 'accuracy')!r},{report.mean(arm, 'weighted_f1')!r},"
+          f"{report.mean(arm, 'macro_f1')!r},{wins}"
+          for arm, wins in (("climd", report.wins), ("baseline", args.seeds - report.wins)))])
 
     _write_manifest(out, "simulate",
                     {"spec": {k: (list(v) if isinstance(v, tuple) else v)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_number
 
 DEFAULT_GAMMA = 0.3
 
@@ -56,8 +56,8 @@ class ClassDistribution:
             raise ValidationError("class distribution needs at least one class")
         if any(n < 1 for n in self.counts.values()):
             raise ValidationError("all class counts must be >= 1")
-        if self.gamma <= 0:
-            raise ValidationError(f"gamma must be > 0, got {self.gamma}")
+        check_number("gamma", self.gamma, 0.0, strict=True)
+        check_number("alpha_hat", self.alpha_hat, 0.0, strict=True)
         if not self.rank_of_class:
             by_size = sorted(self.counts, key=lambda c: (-self.counts[c], c))
             self.rank_of_class = {cid: rank for rank, cid in enumerate(by_size, start=1)}
@@ -149,8 +149,7 @@ def fit_alpha(counts, gamma: float = DEFAULT_GAMMA) -> AlphaFit:
         raise ValidationError(f"need >= 2 classes to fit, got {counts.size}")
     if np.any(counts < 1):
         raise ValidationError("all class counts must be >= 1")
-    if gamma <= 0:
-        raise ValidationError(f"gamma must be > 0, got {gamma}")
+    check_number("gamma", gamma, 0.0, strict=True)
     c = counts.size
     n_min = counts.min()
     denom = float(np.log(counts).sum() - c * math.log(n_min))

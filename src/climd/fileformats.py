@@ -1,27 +1,32 @@
 """Text-based interchange formats.
 
-Every artifact is line-delimited text so pipeline stages stay diffable
-and independently inspectable. Readers return the columnar types the
-pipeline works on: :func:`read_traces` a validated
+Every artifact is line-delimited UTF-8 text so pipeline stages stay
+diffable and independently inspectable. Readers take their lines from
+:func:`_numbered_lines` (decoded as UTF-8, stripped, blank lines
+skipped) and name a rejected line by its number. Writers hand theirs to
+:func:`write_lines`, which writes them through the open file as they are
+made, so a table is formatted a block of rows (a schedule: one epoch) at
+a time. :func:`read_traces` returns a validated
 :class:`~climd.measurer.TraceBatch`, parsed a chunk of lines at a time
 into arrays, and :func:`read_difficulty` a
 :class:`~climd.measurer.DifficultyTable`. :func:`iter_traces` yields the
 traces as one batch per ``TRACE_CHUNK`` lines, so ``climd score`` and
 ``climd pipeline`` score them chunk by chunk and never hold the whole
-trace arrays. Every rejected line is named by its number. The table
-writers write through an open file a block of rows (a schedule: one
-epoch) at a time.
+trace arrays.
 
 * traces: one JSON object per line with ``sample_id``, ``label`` and a
   ``modalities`` array of ``{"probs": [...], "embedding": [...]}``;
 * difficulty table: CSV ``sample_id,label,phi,psi_1..psi_M,r`` in input order;
-* labels: CSV ``sample_id,label``;
+* labels: CSV ``sample_id,label``, the header optional;
 * distribution report: ``class_id,count,rank`` CSV preceded by ``#``
   header lines carrying n_min, gamma, alpha_hat and the degenerate flag;
 * schedule manifest: one line per (epoch, class):
   ``epoch,class_id,rank,s_t,<sample ids...>``;
 * epoch-by-rank summary: CSV ``epoch,rank_1..rank_C`` of counts;
-* predictions: CSV ``sample_id,true,pred``;
+* predictions: CSV ``sample_id,true,pred``, the header optional;
+* simulate report: CSV ``seed,arm,accuracy,weighted_f1,macro_f1,visits``
+  (``report.csv``) and ``arm,mean_accuracy,mean_weighted_f1,
+  mean_macro_f1,macro_f1_wins`` (``summary.csv``);
 * run manifest: a single JSON document with the resolved config, input
   digests, seeds, version and timestamp.
 
@@ -36,8 +41,7 @@ import json
 import math
 from datetime import datetime, timezone
 from itertools import islice
-from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -51,26 +55,60 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def write_lines(path, lines: Iterable[str]):
+    """Write each of ``lines`` and a newline to a UTF-8 text file, through
+    the open file as the lines are made."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _numbered_lines(path) -> Iterator[tuple[int, str]]:
+    """The stripped non-blank lines of a UTF-8 text file, with their numbers."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, start=1):
+                if line := line.strip():
+                    yield n, line
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _fields(path, lineno: int, line: str, width: int) -> list[str]:
+    """The ``width`` comma-separated fields of a line, naming it otherwise."""
+    parts = line.split(",")
+    if len(parts) != width:
+        raise ValidationError(f"{path}: line {lineno}: expected {width} fields, "
+                              f"got {len(parts)} in {line!r}")
+    return parts
+
+
+def _numbers(path, lineno: int, fields, kind=int) -> list:
+    """``fields`` parsed as ``kind``, int (which must fit in 64 bits) or
+    float, naming the line of one that does not parse."""
+    try:
+        return [int(np.int64(v)) if kind is int else float(v) for v in fields]
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # traces (JSON lines)
 # ---------------------------------------------------------------------------
 
 # Lines parsed into Python lists before they are packed into arrays, the
-# lines per batch of iter_traces, and the rows formatted per write by the
-# table writers.
+# lines per batch of iter_traces, and the rows formatted per block by the
+# difficulty writer.
 TRACE_CHUNK = 1024
 
 
 def write_traces(path, batch: TraceBatch):
-    lines = []
-    for sid, label, probs, emb in zip(batch.ids, batch.labels.tolist(), batch.probs, batch.emb):
-        lines.append(json.dumps({
-            "sample_id": sid,
-            "label": label,
-            "modalities": [{"probs": p, "embedding": e}
-                           for p, e in zip(probs.tolist(), emb.tolist())],
-        }, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_lines(path, (
+        json.dumps({"sample_id": sid, "label": label,
+                    "modalities": [{"probs": p, "embedding": e}
+                                   for p, e in zip(probs.tolist(), emb.tolist())]},
+                   separators=(",", ":"))
+        for sid, label, probs, emb in zip(batch.ids, batch.labels.tolist(),
+                                          batch.probs, batch.emb)))
 
 
 def _pack(path, rows: list, linenos: list[int], shape: tuple) -> np.ndarray:
@@ -90,15 +128,6 @@ def _pack(path, rows: list, linenos: list[int], shape: tuple) -> np.ndarray:
             break
     raise ValidationError(f"{path}: corrupt trace at line {lineno}: expected numbers "
                           f"in shape {shape} (modalities, values), as on the first line")
-
-
-def _numbered_lines(path) -> Iterator[tuple[int, str]]:
-    """The non-blank lines of a UTF-8 text file, with their numbers."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield from ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def read_traces(path, lines=None, shapes=None) -> TraceBatch:
@@ -162,49 +191,42 @@ def iter_traces(path) -> Iterator[TraceBatch]:
 # difficulty table (CSV)
 # ---------------------------------------------------------------------------
 
-def write_difficulty(path, table: DifficultyTable):
+def _difficulty_lines(table: DifficultyTable) -> Iterator[str]:
     m = table.psi.shape[1]
-    with open(path, "w") as fh:
-        fh.write(",".join(["sample_id", "label", "phi",
-                           *(f"psi_{i}" for i in range(1, m + 1)), "r"]) + "\n")
-        for lo in range(0, len(table), TRACE_CHUNK):
-            hi = lo + TRACE_CHUNK
-            scores = np.column_stack([table.phi[lo:hi], table.psi[lo:hi], table.r[lo:hi]])
-            fh.writelines(f"{sid},{label}," + ",".join(map(repr, row)) + "\n"
-                          for sid, label, row in zip(table.ids[lo:hi],
-                                                     table.labels[lo:hi].tolist(),
-                                                     scores.tolist()))
+    yield ",".join(["sample_id", "label", "phi", *(f"psi_{i}" for i in range(1, m + 1)), "r"])
+    for lo in range(0, len(table), TRACE_CHUNK):
+        hi = lo + TRACE_CHUNK
+        scores = np.column_stack([table.phi[lo:hi], table.psi[lo:hi], table.r[lo:hi]])
+        yield from (f"{sid},{label}," + ",".join(map(repr, row))
+                    for sid, label, row in zip(table.ids[lo:hi], table.labels[lo:hi].tolist(),
+                                               scores.tolist()))
+
+
+def write_difficulty(path, table: DifficultyTable):
+    write_lines(path, _difficulty_lines(table))
 
 
 def read_difficulty(path) -> DifficultyTable:
+    lines = _numbered_lines(path)
+    _, header = next(lines, (1, ""))
+    cols = header.split(",")
+    if cols[:3] != ["sample_id", "label", "phi"] or cols[-1] != "r":
+        raise ValidationError(f"{path}: unrecognized difficulty header {header!r}")
     ids, labels, scores = [], [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if cols[:3] != ["sample_id", "label", "phi"] or cols[-1] != "r":
-            raise ValidationError(f"{path}: unrecognized difficulty header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected {len(cols)} fields, got {len(parts)}"
-                )
-            try:
-                label = np.int64(int(parts[1]))
-                row = [float(v) for v in parts[2:]]
-            except (ValueError, OverflowError) as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, row)):
-                raise ValidationError(f"{path}: line {lineno}: non-finite score in {line!r}")
-            ids.append(parts[0])
-            labels.append(label)
-            scores.extend(row)
+    for lineno, line in lines:
+        parts = _fields(path, lineno, line, len(cols))
+        labels += _numbers(path, lineno, parts[1:2])
+        row = _numbers(path, lineno, parts[2:], float)
+        if not all(map(math.isfinite, row)):
+            raise ValidationError(f"{path}: line {lineno}: non-finite score in {line!r}")
+        ids.append(parts[0])
+        scores += row
     scores = np.array(scores, dtype=float).reshape(len(ids), len(cols) - 2)
-    return DifficultyTable(ids=ids, labels=np.array(labels, dtype=int), psi=scores[:, 1:-1],
-                           phi=scores[:, 0], r=scores[:, -1])
+    try:
+        return DifficultyTable(ids=ids, labels=np.array(labels, dtype=int), psi=scores[:, 1:-1],
+                               phi=scores[:, 0], r=scores[:, -1])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -212,27 +234,17 @@ def read_difficulty(path) -> DifficultyTable:
 # ---------------------------------------------------------------------------
 
 def write_labels(path, pairs):
-    lines = ["sample_id,label"]
-    lines += [f"{sid},{int(label)}" for sid, label in pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, ["sample_id,label", *(f"{sid},{int(label)}" for sid, label in pairs)])
 
 
 def read_labels(path) -> list[tuple[str, int]]:
+    """The (sample id, label) pairs of a labels file; the header is optional."""
     pairs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or (lineno == 1 and line == "sample_id,label"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected 'sample_id,label', got {line!r}"
-                )
-            try:
-                pairs.append((parts[0], int(parts[1])))
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {lineno}: bad label {parts[1]!r}") from exc
+    for lineno, line in _numbered_lines(path):
+        if lineno == 1 and line == "sample_id,label":
+            continue
+        sid, label = _fields(path, lineno, line, 2)
+        pairs.append((sid, *_numbers(path, lineno, [label])))
     return pairs
 
 
@@ -241,16 +253,15 @@ def read_labels(path) -> list[tuple[str, int]]:
 # ---------------------------------------------------------------------------
 
 def write_distribution(path, dist: ClassDistribution):
-    lines = [
+    write_lines(path, [
         f"# n_min={dist.n_min}",
         f"# gamma={_fmt(dist.gamma)}",
         f"# alpha_hat={_fmt(dist.alpha_hat)}",
         f"# degenerate={'true' if dist.degenerate else 'false'}",
         "class_id,count,rank",
-    ]
-    for cid in dist.classes_by_rank():
-        lines.append(f"{cid},{dist.counts[cid]},{dist.rank_of_class[cid]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        *(f"{cid},{dist.counts[cid]},{dist.rank_of_class[cid]}"
+          for cid in dist.classes_by_rank()),
+    ])
 
 
 def read_distribution(path) -> ClassDistribution:
@@ -258,29 +269,21 @@ def read_distribution(path) -> ClassDistribution:
     counts = {}
     ranks = {}
     line_of_rank = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line == "class_id,count,rank":
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValidationError(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                cid, count, rank = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-            if cid in counts:
-                raise ValidationError(f"{path}: line {lineno}: duplicate class_id {cid}")
-            if rank in line_of_rank:
-                raise ValidationError(f"{path}: line {lineno}: duplicate rank {rank}")
-            counts[cid] = count
-            ranks[cid] = rank
-            line_of_rank[rank] = lineno
+    for lineno, line in _numbered_lines(path):
+        if line == "class_id,count,rank":
+            continue
+        if line.startswith("#"):
+            key, _, value = line.lstrip("# ").partition("=")
+            meta[key.strip()] = value.strip()
+            continue
+        cid, count, rank = _numbers(path, lineno, _fields(path, lineno, line, 3))
+        if cid in counts:
+            raise ValidationError(f"{path}: line {lineno}: duplicate class_id {cid}")
+        if rank in line_of_rank:
+            raise ValidationError(f"{path}: line {lineno}: duplicate rank {rank}")
+        counts[cid] = count
+        ranks[cid] = rank
+        line_of_rank[rank] = lineno
     for key in ("gamma", "alpha_hat", "degenerate"):
         if key not in meta:
             raise ValidationError(f"{path}: missing '# {key}=' header line")
@@ -303,9 +306,12 @@ def read_distribution(path) -> ClassDistribution:
         if not 1 <= rank <= len(ranks):
             raise ValidationError(f"{path}: line {lineno}: rank {rank} outside "
                                   f"1..{len(ranks)}; ranks must be a permutation")
-    return ClassDistribution(counts=counts, gamma=values["gamma"],
-                             alpha_hat=values["alpha_hat"], degenerate=degenerate,
-                             rank_of_class=ranks)
+    try:
+        return ClassDistribution(counts=counts, gamma=values["gamma"],
+                                 alpha_hat=values["alpha_hat"], degenerate=degenerate,
+                                 rank_of_class=ranks)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +319,22 @@ def read_distribution(path) -> ClassDistribution:
 # ---------------------------------------------------------------------------
 
 def write_schedule(path, schedule: Schedule, dist: ClassDistribution, ids):
-    """One line per (epoch, class); ``ids`` are the sample ids of the rows
-    the schedule indexes."""
+    """One line per (epoch, class), formatted one epoch at a time; ``ids``
+    are the sample ids of the rows the schedule indexes."""
     ids = np.asarray(ids, dtype=object)
     ranks = [dist.rank_of_class[cid] for cid in schedule.classes]
-    with open(path, "w") as fh:
-        for plan in schedule.plans:
-            chunks = np.split(ids[plan.indices], np.cumsum(plan.counts)[:-1])
-            fh.writelines(",".join([str(plan.t), str(cid), str(rank), str(k), *chunk]) + "\n"
-                          for cid, rank, k, chunk in zip(schedule.classes, ranks,
-                                                         plan.counts, chunks))
+    write_lines(path, (",".join([str(plan.t), str(cid), str(rank), str(k), *chunk])
+                       for plan in schedule.plans
+                       for cid, rank, k, chunk in zip(
+                           schedule.classes, ranks, plan.counts,
+                           np.split(ids[plan.indices], np.cumsum(plan.counts)[:-1]))))
 
 
 def write_epoch_rank_table(path, schedule: Schedule, dist: ClassDistribution):
     counts = epoch_rank_counts(schedule, dist)
-    header = "epoch," + ",".join(f"rank_{r}" for r in range(1, counts.shape[1] + 1))
-    lines = [header]
-    for i, row in enumerate(counts, start=1):
-        lines.append(f"{i}," + ",".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, ["epoch," + ",".join(f"rank_{r}" for r in range(1, counts.shape[1] + 1)),
+                       *(f"{i}," + ",".join(str(int(v)) for v in row)
+                         for i, row in enumerate(counts, start=1))])
 
 
 def format_epoch_rank_table(schedule: Schedule, dist: ClassDistribution) -> str:
@@ -348,28 +351,20 @@ def format_epoch_rank_table(schedule: Schedule, dist: ClassDistribution) -> str:
 # ---------------------------------------------------------------------------
 
 def read_predictions(path) -> list[tuple[str, int, int]]:
+    """The (sample id, true, pred) rows of a predictions file; the header
+    is optional."""
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or (lineno == 1 and line.startswith("sample_id")):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected 'sample_id,true,pred', got {line!r}"
-                )
-            try:
-                rows.append((parts[0], int(parts[1]), int(parts[2])))
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, line in _numbered_lines(path):
+        if lineno == 1 and line.startswith("sample_id"):
+            continue
+        sid, *labels = _fields(path, lineno, line, 3)
+        rows.append((sid, *_numbers(path, lineno, labels)))
     return rows
 
 
 def write_predictions(path, rows):
-    lines = ["sample_id,true,pred"]
-    lines += [f"{sid},{int(t)},{int(p)}" for sid, t, p in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, ["sample_id,true,pred",
+                       *(f"{sid},{int(t)},{int(p)}" for sid, t, p in rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +392,7 @@ def build_manifest(command: str, config: dict, inputs: dict[str, str],
 
 
 def write_manifest(path, manifest: dict):
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_lines(path, [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def manifest_data_fields(manifest: dict) -> dict:

@@ -40,8 +40,9 @@ PROB_EPS = 1e-12
 
 PROB_SUM_TOL = 1e-6
 
-# Characters that would break the one-row-per-line CSV artifacts.
-_ID_BREAKS = re.compile(r"[,\n\r]")
+# Characters that would break the one-row-per-line UTF-8 CSV artifacts: the
+# field and line separators, and lone surrogates, which UTF-8 cannot encode.
+_ID_BREAKS = re.compile(r"[,\n\r\ud800-\udfff]")
 
 
 def check_unique_ids(ids: list[str], where: str = ""):
@@ -90,8 +91,8 @@ class TraceBatch:
     ``ids`` (N sample ids), ``labels`` (N,), ``probs`` (N, M, C) class
     probabilities and ``emb`` (N, M, D) embeddings. The whole batch is
     validated once, when it is built; a rejected batch names up to five
-    offending sample ids. Ids must be unique and free of ``,`` and line
-    breaks, which would break the CSV artifacts.
+    offending sample ids. Ids must be unique, encodable as UTF-8 and free
+    of ``,`` and line breaks, which would break the CSV artifacts.
     """
 
     ids: list[str]
@@ -128,7 +129,8 @@ class TraceBatch:
                      "an embedding norm is zero, NaN or inf")
         if _ID_BREAKS.search("".join(self.ids)):
             self._reject(np.array([bool(_ID_BREAKS.search(sid)) for sid in self.ids]),
-                         "sample id contains ',', newline or carriage return")
+                         "sample id contains ',', newline, carriage return "
+                         "or a lone surrogate (not UTF-8)")
         check_unique_ids(self.ids)
 
     def _reject(self, bad: np.ndarray, reason: str):
@@ -150,7 +152,7 @@ class TraceBatch:
 class DifficultyTable:
     """Columnar difficulty scores, one row per sample in input order:
     ``ids``, ``labels`` (N,), per-modality ``psi`` (N, M), ``phi`` (N,)
-    and the combined ``r`` (N,)."""
+    and the combined ``r`` (N,). Ids must be unique."""
 
     ids: list[str]
     labels: np.ndarray
@@ -173,6 +175,7 @@ class DifficultyTable:
                 f"inconsistent difficulty table: {n} ids, labels {self.labels.shape}, "
                 f"psi {self.psi.shape}, phi {self.phi.shape}, r {self.r.shape}"
             )
+        check_unique_ids(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)

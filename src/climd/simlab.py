@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distribution import ClassDistribution, subset_size
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .measurer import TraceBatch, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import (
@@ -47,18 +47,6 @@ from .scheduler import (
     random_baseline_schedule,
     truncate_schedule,
 )
-
-
-def _check_number(name: str, value: float, low: float, strict: bool = False,
-                  below: float = math.inf):
-    """Reject a non-finite ``value``, one below ``low`` (or equal to it,
-    when ``strict``) or one not below ``below``, naming the field."""
-    if (not math.isfinite(value) or value < low or (strict and value == low)
-            or value >= below):
-        bound = f"> {low:g}" if strict else f">= {low:g}"
-        if below < math.inf:
-            bound += f" and < {below:g}"
-        raise ValidationError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +87,9 @@ class SyntheticSpec:
             )
         if not 0.0 <= self.redundancy <= 1.0:
             raise ValidationError(f"redundancy must be in [0, 1], got {self.redundancy}")
-        _check_number("imbalance_exponent", self.imbalance_exponent, 0.0)
-        _check_number("class_separation", self.class_separation, 0.0, strict=True)
-        _check_number("noise_scale", self.noise_scale, 0.0)
+        check_number("imbalance_exponent", self.imbalance_exponent, 0.0)
+        check_number("class_separation", self.class_separation, 0.0, strict=True)
+        check_number("noise_scale", self.noise_scale, 0.0)
 
     @property
     def n_modalities(self) -> int:
@@ -352,9 +340,9 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.warmup_epochs is not None and self.warmup_epochs < 0:
             raise ValidationError("warmup_epochs must be >= 0")
-        _check_number("learning_rate", self.learning_rate, 0.0)
-        _check_number("gamma", self.gamma, 0.0, strict=True)
-        _check_number("test_fraction", self.test_fraction, 0.0, strict=True, below=1.0)
+        check_number("learning_rate", self.learning_rate, 0.0)
+        check_number("gamma", self.gamma, 0.0, strict=True)
+        check_number("test_fraction", self.test_fraction, 0.0, strict=True, below=1.0)
         if self.batch_size < 1 or self.hidden < 1:
             raise ValidationError("batch_size and hidden must be >= 1")
         if self.refresh_every < 0:

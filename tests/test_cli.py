@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from climd.scheduler import build_schedule
 from climd.simlab import FusionModel, SyntheticSpec, collect_traces, generate_dataset
 
 ALPHA_100_50_10 = 5.889555519686648
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_labels_file(path, counts):
@@ -192,7 +197,7 @@ class TestPipeline:
         assert code == 1
         assert "UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad_id", ["s,3", "s\n3", "s\r3"])
+    @pytest.mark.parametrize("bad_id", ["s,3", "s\n3", "s\r3", "s\ud8003"])
     def test_csv_breaking_id_exits_1(self, tmp_path, capsys, bad_id):
         traces = tmp_path / "traces.jsonl"
         lines = write_random_traces(traces, 10)
@@ -213,6 +218,90 @@ class TestPipeline:
                      "--epochs", "3", "--out", str(out)])
         assert code == 3
         assert not out.exists()
+
+
+class TestTextArtifacts:
+    """Every text input is read as UTF-8 and every artifact written as UTF-8."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        """The argv of schedule, fit and eval on small valid inputs."""
+        traces = tmp_path / "traces.jsonl"
+        write_random_traces(traces, 30)
+        table = score_dataset(ff.read_traces(traces))
+        ff.write_difficulty(tmp_path / "difficulty.csv", table)
+        ff.write_distribution(tmp_path / "distribution.csv",
+                              ClassDistribution.from_labels(table.labels))
+        ff.write_labels(tmp_path / "labels.csv", zip(table.ids, table.labels))
+        ff.write_predictions(tmp_path / "predictions.csv",
+                             zip(table.ids, table.labels, table.labels[::-1]))
+        out = ["--out", str(tmp_path / "out")]
+        return {
+            "schedule": ["schedule", "--difficulty", str(tmp_path / "difficulty.csv"),
+                         "--distribution", str(tmp_path / "distribution.csv"),
+                         "--epochs", "3", *out],
+            "fit": ["fit", "--labels", str(tmp_path / "labels.csv"), *out],
+            "eval": ["eval", "--predictions", str(tmp_path / "predictions.csv")],
+        }
+
+    @pytest.mark.parametrize("command,name", [
+        ("schedule", "difficulty.csv"), ("schedule", "distribution.csv"),
+        ("fit", "labels.csv"), ("eval", "predictions.csv"),
+    ])
+    def test_non_utf8_input_exits_1(self, tmp_path, capsys, argv, command, name):
+        path = tmp_path / name
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+        assert main(argv[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err and name in err
+        assert not (tmp_path / "out").exists()
+
+    def test_score_writes_utf8_under_the_posix_locale(self, tmp_path):
+        traces = tmp_path / "traces.jsonl"
+        lines = write_random_traces(traces, 10)
+        lines[3] = lines[3].replace('"s00003"', '"\u00e9"')
+        traces.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="POSIX",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        env.pop("PYTHONIOENCODING", None)
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "climd.cli", "score", "--traces",
+                               str(traces), "--out", str(out)],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert ff.read_difficulty(out / "difficulty.csv").ids[3] == "é"
+
+    def test_schedule_rejects_a_repeated_id(self, tmp_path, capsys):
+        difficulty = tmp_path / "difficulty.csv"
+        difficulty.write_text("sample_id,label,phi,psi_1,psi_2,r\n"
+                              "a,0,0.5,0.25,0.25,0.75\nb,1,0.5,0.25,0.25,0.75\n"
+                              "a,1,0.5,0.25,0.25,0.75\n")
+        distribution = tmp_path / "distribution.csv"
+        ff.write_distribution(distribution, ClassDistribution.from_labels([0, 1, 1]))
+        code = main(["schedule", "--difficulty", str(difficulty), "--distribution",
+                     str(distribution), "--epochs", "2", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {difficulty}: duplicate sample ids: ['a']")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,value", [
+        ("fit", "nan"), ("fit", "inf"), ("pipeline", "nan"),
+    ])
+    def test_non_finite_gamma_exits_1(self, tmp_path, capsys, command, value):
+        if command == "fit":
+            labels = tmp_path / "labels.csv"
+            make_labels_file(labels, [100, 50, 10])
+            argv = ["fit", "--labels", str(labels)]
+        else:
+            traces = tmp_path / "traces.jsonl"
+            write_random_traces(traces, 30)
+            argv = ["pipeline", "--traces", str(traces), "--epochs", "3"]
+        assert main(argv + ["--gamma", value, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gamma must be a finite number" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestStreaming:

@@ -123,6 +123,9 @@ class TestFitAlpha:
             fit_alpha([10, 0], 0.3)
         with pytest.raises(ValidationError):
             fit_alpha([10, 5], 0.0)
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="gamma must be a finite number"):
+                fit_alpha([10, 5], gamma)
 
 
 class TestAlphaSchedule:
@@ -212,6 +215,15 @@ class TestClassDistribution:
     def test_pinned_alpha_must_be_proper(self):
         with pytest.raises(DomainError):
             ClassDistribution.from_counts({0: 5, 1: 3}, gamma=0.3, alpha=3.0)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="alpha_hat must be a finite number"):
+                ClassDistribution.from_counts({0: 5, 1: 3}, gamma=0.3, alpha=alpha)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.3])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        with pytest.raises(ValidationError, match="gamma must be a finite number > 0"):
+            ClassDistribution(counts={0: 5, 1: 3}, gamma=gamma, alpha_hat=5.0,
+                              degenerate=False)
 
     def test_degenerate_flag_propagates(self):
         dist = ClassDistribution.from_labels([0, 0, 1, 1], gamma=0.3)

@@ -194,6 +194,75 @@ class TestPredictionsFormat:
             ff.read_predictions(path)
 
 
+NON_ASCII_IDS = ["é", "Ωmega", "日本語", "😀", "a b"]
+
+
+def plain(result):
+    """A reader's result as plain Python values, comparable with ==."""
+    if isinstance(result, list):
+        return result
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(result).items()}
+
+
+def random_batch(ids):
+    rng = np.random.default_rng(3)
+    n = len(ids)
+    return TraceBatch(ids=ids, labels=np.arange(n) % 3, probs=rng.dirichlet(np.ones(3), (n, 2)),
+                      emb=rng.standard_normal((n, 2, 4)))
+
+
+# One writer/reader pair per CSV artifact: (write(path, ids), read(path)).
+CSV_PAIRS = {
+    "difficulty": (lambda path, ids: ff.write_difficulty(path, score_dataset(random_batch(ids))),
+                   ff.read_difficulty),
+    "labels": (lambda path, ids: ff.write_labels(path, [(sid, i % 3) for i, sid in enumerate(ids)]),
+               ff.read_labels),
+    "predictions": (lambda path, ids: ff.write_predictions(
+        path, [(sid, i % 3, (i + 1) % 3) for i, sid in enumerate(ids)]), ff.read_predictions),
+    "distribution": (lambda path, ids: ff.write_distribution(
+        path, ClassDistribution.from_labels(np.arange(len(ids)) % 3)), ff.read_distribution),
+}
+
+
+class TestTextLines:
+    """Every reader takes the same lines: UTF-8, stripped, blank ones skipped."""
+
+    @pytest.mark.parametrize("name", sorted(CSV_PAIRS))
+    def test_crlf_and_blank_lines_read_the_same(self, tmp_path, name):
+        write, read = CSV_PAIRS[name]
+        path = tmp_path / f"{name}.csv"
+        write(path, [f"s{i}" for i in range(7)])
+        expected = plain(read(path))
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        spaced = [header] + [line for row in rows for line in ("", " \t", row)] + ["", "  "]
+        path.write_bytes("\r\n".join(spaced).encode("utf-8") + b"\r\n")
+        assert plain(read(path)) == expected
+
+    @pytest.mark.parametrize("name", ["labels", "predictions"])
+    def test_header_is_optional(self, tmp_path, name):
+        write, read = CSV_PAIRS[name]
+        path = tmp_path / f"{name}.csv"
+        write(path, [f"s{i}" for i in range(7)])
+        expected = read(path)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+        assert read(path) == expected and len(expected) == 7
+
+    @pytest.mark.parametrize("name", sorted(set(CSV_PAIRS) - {"distribution"}))
+    def test_non_ascii_ids_round_trip(self, tmp_path, name):
+        write, read = CSV_PAIRS[name]
+        path = tmp_path / f"{name}.csv"
+        write(path, NON_ASCII_IDS)
+        assert "日本語" in path.read_bytes().decode("utf-8")
+        back = read(path)
+        ids = [row[0] for row in back] if isinstance(back, list) else back.ids
+        assert ids == NON_ASCII_IDS
+
+    def test_non_ascii_trace_ids_round_trip(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        ff.write_traces(path, random_batch(NON_ASCII_IDS))
+        assert ff.read_traces(path).ids == NON_ASCII_IDS
+
+
 class TestManifest:
     def test_data_fields_drop_timestamp(self, tmp_path):
         src = tmp_path / "input.txt"

@@ -6,6 +6,7 @@ import pytest
 from climd import fileformats as ff
 from climd.errors import ValidationError
 from climd.measurer import (
+    DifficultyTable,
     ModalityOutput,
     SampleTrace,
     TraceBatch,
@@ -206,7 +207,7 @@ class TestTraceBatch:
         with pytest.raises(ValidationError, match=f"{match}.*s001"):
             TraceBatch(ids=batch.ids, **arrays)
 
-    @pytest.mark.parametrize("bad_id", ["s,001", "s\n001", "s\r001"])
+    @pytest.mark.parametrize("bad_id", ["s,001", "s\n001", "s\r001", "s\ud800001"])
     def test_csv_breaking_ids_rejected(self, bad_id):
         batch = random_batch(4)
         ids = list(batch.ids)
@@ -268,6 +269,9 @@ class TestScoreDataset:
         ids[2] = ids[0]
         with pytest.raises(ValidationError, match="s000"):
             TraceBatch(ids, batch.labels, batch.probs, batch.emb)
+        table = score_dataset(batch)
+        with pytest.raises(ValidationError, match="duplicate sample ids: \\['s000'\\]"):
+            DifficultyTable(ids, table.labels, table.psi, table.phi, table.r)
 
     def test_mixed_class_counts_named(self, tmp_path):
         path, odd_path = tmp_path / "traces.jsonl", tmp_path / "odd.jsonl"
