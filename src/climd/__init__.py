@@ -25,18 +25,7 @@ from .errors import (
     InfeasibleScheduleError,
     ValidationError,
 )
-from .measurer import (
-    DifficultyRecord,
-    DifficultyTable,
-    ModalityOutput,
-    SampleTrace,
-    TraceBatch,
-    complementarity,
-    intra_modal_confidence,
-    pairwise_similarity,
-    score_dataset,
-    score_sample,
-)
+from .measurer import DifficultyTable, TraceBatch, score_dataset
 from .metrics import (
     ConfusionMatrix,
     accuracy,
@@ -47,7 +36,6 @@ from .metrics import (
 from .scheduler import (
     EpochPlan,
     Schedule,
-    ScheduleConfig,
     apportion,
     build_queues,
     build_schedule,

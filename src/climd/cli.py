@@ -23,7 +23,8 @@ from .distribution import ClassDistribution
 from .errors import ClimdError, InfeasibleScheduleError, ValidationError
 from .measurer import DifficultyTable, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
-from .scheduler import ScheduleConfig, build_schedule, synthetic_powerlaw_schedule
+from .scheduler import (EASY_HIGH_R, EASY_LOW_R, build_schedule,
+                        synthetic_powerlaw_schedule)
 from .simlab import SyntheticSpec, TrainConfig, run_experiment
 
 
@@ -44,6 +45,13 @@ def _write_manifest(out: Path, command: str, config: dict, inputs: dict,
                     seeds: list[int]):
     manifest = ff.build_manifest(command, config, inputs, seeds, __version__)
     ff.write_manifest(out / "manifest.json", manifest)
+
+
+def _schedule_digest(order: str, dist: ClassDistribution, epochs: int) -> str:
+    """The manifest's digest of the settings a curriculum schedule is built from."""
+    return ff.config_digest({"kind": "curriculum", "difficulty_order": order,
+                             "gamma": dist.gamma, "alpha_hat": dist.alpha_hat,
+                             "total_epochs": epochs})
 
 
 def cmd_fit(args) -> int:
@@ -105,15 +113,14 @@ def cmd_score(args) -> int:
 def cmd_schedule(args) -> int:
     table = ff.read_difficulty(args.difficulty)
     dist = ff.read_distribution(args.distribution)
-    config = ScheduleConfig(difficulty_order=args.order)
-    schedule = build_schedule(table, dist, args.epochs, config)
+    schedule = build_schedule(table, dist, args.epochs, args.order)
     out = _outdir(args)
     ff.write_schedule(out / "schedule.csv", schedule, dist, table.ids)
     ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule, dist)
     _write_manifest(out, "schedule",
                     {"epochs": args.epochs, "order": args.order,
                      "gamma": dist.gamma, "alpha_hat": dist.alpha_hat,
-                     "config_digest": schedule.provenance["config_digest"]},
+                     "config_digest": _schedule_digest(args.order, dist, args.epochs)},
                     {"difficulty": args.difficulty, "distribution": args.distribution},
                     [])
     print(ff.format_epoch_rank_table(schedule, dist))
@@ -205,12 +212,10 @@ def cmd_simulate(args) -> int:
           f"{report.mean(arm, 'macro_f1')!r},{wins}"
           for arm, wins in (("climd", report.wins), ("baseline", args.seeds - report.wins)))])
 
+    settings = {"spec": vars(spec), "config": vars(config), "n_seeds": args.seeds}
     _write_manifest(out, "simulate",
-                    {"spec": {k: (list(v) if isinstance(v, tuple) else v)
-                              for k, v in vars(spec).items()},
-                     "train": vars(config),
-                     "n_seeds": args.seeds,
-                     "config_digest": report.config_digest},
+                    {"spec": settings["spec"], "train": settings["config"],
+                     "n_seeds": args.seeds, "config_digest": ff.config_digest(settings)},
                     {}, list(range(args.seeds)))
 
     for arm in ("climd", "baseline"):
@@ -222,12 +227,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    traces_path = Path(args.dataset_dir) / "traces.jsonl" if args.dataset_dir \
-        else Path(args.traces)
-    table = _score_traces(traces_path)
+    table = _score_traces(args.traces)
     dist = _stage("fit", lambda: ClassDistribution.from_labels(table.labels, args.gamma))
-    config = ScheduleConfig(difficulty_order=args.order)
-    schedule = _stage("schedule", lambda: build_schedule(table, dist, args.epochs, config))
+    schedule = _stage("schedule",
+                      lambda: build_schedule(table, dist, args.epochs, args.order))
 
     out = _outdir(args)
     ff.write_difficulty(out / "difficulty.csv", table)
@@ -236,8 +239,8 @@ def cmd_pipeline(args) -> int:
     ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule, dist)
     _write_manifest(out, "pipeline",
                     {"epochs": args.epochs, "gamma": args.gamma, "order": args.order,
-                     "config_digest": schedule.provenance["config_digest"]},
-                    {"traces": str(traces_path)}, [])
+                     "config_digest": _schedule_digest(args.order, dist, args.epochs)},
+                    {"traces": args.traces}, [])
     print(f"pipeline complete: {len(table)} samples, {dist.n_classes} classes, "
           f"{args.epochs} epochs -> {out}")
     return 0
@@ -265,8 +268,7 @@ def build_parser() -> _Parser:
     p.add_argument("--difficulty", required=True)
     p.add_argument("--distribution", required=True)
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--order", default="high_r_easy",
-                   choices=["high_r_easy", "low_r_easy"])
+    p.add_argument("--order", default=EASY_HIGH_R, choices=[EASY_HIGH_R, EASY_LOW_R])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_schedule)
 
@@ -303,13 +305,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pipeline", help="score -> fit -> schedule from a trace file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--traces")
-    group.add_argument("--dataset-dir")
+    p.add_argument("--traces", required=True)
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--gamma", type=float, default=0.3)
-    p.add_argument("--order", default="high_r_easy",
-                   choices=["high_r_easy", "low_r_easy"])
+    p.add_argument("--order", default=EASY_HIGH_R, choices=[EASY_HIGH_R, EASY_LOW_R])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pipeline)
 

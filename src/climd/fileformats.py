@@ -28,7 +28,9 @@ trace arrays.
   (``report.csv``) and ``arm,mean_accuracy,mean_weighted_f1,
   mean_macro_f1,macro_f1_wins`` (``summary.csv``);
 * run manifest: a single JSON document with the resolved config, input
-  digests, seeds, version and timestamp.
+  digests, seeds, version and timestamp. A ``config_digest`` in the
+  config is :func:`config_digest` of the settings that determine the
+  results.
 
 Floats are written with ``repr`` so they round-trip exactly and reruns
 are byte-identical.
@@ -47,7 +49,7 @@ import numpy as np
 
 from .distribution import ClassDistribution
 from .errors import ValidationError
-from .measurer import DifficultyTable, TraceBatch
+from .measurer import DifficultyTable, TraceBatch, check_ids
 from .scheduler import Schedule, epoch_rank_counts
 
 
@@ -80,6 +82,17 @@ def _fields(path, lineno: int, line: str, width: int) -> list[str]:
         raise ValidationError(f"{path}: line {lineno}: expected {width} fields, "
                               f"got {len(parts)} in {line!r}")
     return parts
+
+
+def _checked(path, linenos: list[int], check):
+    """``check()``, with its error prefixed by the path and, when the
+    error names a ``row``, suffixed by that row's line."""
+    try:
+        return check()
+    except ValidationError as exc:
+        row = getattr(exc, "row", None)
+        where = f" (line {linenos[row]})" if row is not None else ""
+        raise ValidationError(f"{path}: {exc}{where}") from exc
 
 
 def _numbers(path, lineno: int, fields, kind=int) -> list:
@@ -212,7 +225,7 @@ def read_difficulty(path) -> DifficultyTable:
     cols = header.split(",")
     if cols[:3] != ["sample_id", "label", "phi"] or cols[-1] != "r":
         raise ValidationError(f"{path}: unrecognized difficulty header {header!r}")
-    ids, labels, scores = [], [], []
+    ids, labels, scores, linenos = [], [], [], []
     for lineno, line in lines:
         parts = _fields(path, lineno, line, len(cols))
         labels += _numbers(path, lineno, parts[1:2])
@@ -221,12 +234,11 @@ def read_difficulty(path) -> DifficultyTable:
             raise ValidationError(f"{path}: line {lineno}: non-finite score in {line!r}")
         ids.append(parts[0])
         scores += row
+        linenos.append(lineno)
     scores = np.array(scores, dtype=float).reshape(len(ids), len(cols) - 2)
-    try:
-        return DifficultyTable(ids=ids, labels=np.array(labels, dtype=int), psi=scores[:, 1:-1],
-                               phi=scores[:, 0], r=scores[:, -1])
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return _checked(path, linenos, lambda: DifficultyTable(
+        ids=ids, labels=np.array(labels, dtype=int), psi=scores[:, 1:-1],
+        phi=scores[:, 0], r=scores[:, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +250,16 @@ def write_labels(path, pairs):
 
 
 def read_labels(path) -> list[tuple[str, int]]:
-    """The (sample id, label) pairs of a labels file; the header is optional."""
-    pairs = []
+    """The (sample id, label) pairs of a labels file; the header is optional
+    and the ids follow :func:`~climd.measurer.check_ids`."""
+    pairs, linenos = [], []
     for lineno, line in _numbered_lines(path):
         if lineno == 1 and line == "sample_id,label":
             continue
         sid, label = _fields(path, lineno, line, 2)
         pairs.append((sid, *_numbers(path, lineno, [label])))
+        linenos.append(lineno)
+    _checked(path, linenos, lambda: check_ids([sid for sid, _ in pairs]))
     return pairs
 
 
@@ -352,13 +367,15 @@ def format_epoch_rank_table(schedule: Schedule, dist: ClassDistribution) -> str:
 
 def read_predictions(path) -> list[tuple[str, int, int]]:
     """The (sample id, true, pred) rows of a predictions file; the header
-    is optional."""
-    rows = []
+    is optional and the ids follow :func:`~climd.measurer.check_ids`."""
+    rows, linenos = [], []
     for lineno, line in _numbered_lines(path):
-        if lineno == 1 and line.startswith("sample_id"):
+        if lineno == 1 and line == "sample_id,true,pred":
             continue
         sid, *labels = _fields(path, lineno, line, 3)
         rows.append((sid, *_numbers(path, lineno, labels)))
+        linenos.append(lineno)
+    _checked(path, linenos, lambda: check_ids([sid for sid, _, _ in rows]))
     return rows
 
 
@@ -377,6 +394,13 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def config_digest(payload: dict) -> str:
+    """SHA-256 of the canonical JSON of ``payload`` (sorted keys, no spaces)."""
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
 
 
 def build_manifest(command: str, config: dict, inputs: dict[str, str],

@@ -45,12 +45,37 @@ PROB_SUM_TOL = 1e-6
 _ID_BREAKS = re.compile(r"[,\n\r\ud800-\udfff]")
 
 
-def check_unique_ids(ids: list[str], where: str = ""):
-    """Reject repeated sample ids, naming up to five of them after the
-    ``where`` prefix."""
+def _reject(ids: list[str], bad, reason: str):
+    """Raise naming up to five of the ``ids`` flagged in ``bad``; the
+    error's ``row`` is the index of the first, for readers to map onto a
+    line."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        names = [ids[i] for i in rows[:5]]
+        exc = ValidationError(f"{reason} in {rows.size} of {len(ids)} samples, first {names}")
+        exc.row = int(rows[0])
+        raise exc
+
+
+def check_ids(ids: list[str]):
+    """The sample-id rule of every table of samples: ids are unique and
+    non-empty, have no leading or trailing whitespace, and contain no
+    ``,``, newline, carriage return or lone surrogate. A rejected id's
+    error has the ``row`` of the first offender (for a repeat, its second
+    occurrence). Readers strip every line, so a padded id would not read
+    back as written."""
+    if _ID_BREAKS.search("".join(ids)) or not all(sid and sid == sid.strip() for sid in ids):
+        _reject(ids, [not sid or sid != sid.strip() or bool(_ID_BREAKS.search(sid))
+                      for sid in ids],
+                "sample id contains ',', a line break or a lone surrogate (not UTF-8), "
+                "or is empty or padded with whitespace")
     if len(set(ids)) != len(ids):
+        seen = set()
+        row = next(i for i, sid in enumerate(ids) if sid in seen or seen.add(sid))
         dupes = sorted(sid for sid, k in Counter(ids).items() if k > 1)
-        raise ValidationError(f"{where}duplicate sample ids: {dupes[:5]}")
+        exc = ValidationError(f"duplicate sample ids: {dupes[:5]}")
+        exc.row = row
+        raise exc
 
 
 # Per-sample reference types. score_sample and the functions it calls
@@ -91,8 +116,7 @@ class TraceBatch:
     ``ids`` (N sample ids), ``labels`` (N,), ``probs`` (N, M, C) class
     probabilities and ``emb`` (N, M, D) embeddings. The whole batch is
     validated once, when it is built; a rejected batch names up to five
-    offending sample ids. Ids must be unique, encodable as UTF-8 and free
-    of ``,`` and line breaks, which would break the CSV artifacts.
+    offending sample ids. Ids follow :func:`check_ids`.
     """
 
     ids: list[str]
@@ -127,22 +151,10 @@ class TraceBatch:
             norms = np.linalg.norm(self.emb, axis=2)
         self._reject(~((norms > 0) & np.isfinite(norms)).all(axis=1),
                      "an embedding norm is zero, NaN or inf")
-        if _ID_BREAKS.search("".join(self.ids)):
-            self._reject(np.array([bool(_ID_BREAKS.search(sid)) for sid in self.ids]),
-                         "sample id contains ',', newline, carriage return "
-                         "or a lone surrogate (not UTF-8)")
-        check_unique_ids(self.ids)
+        check_ids(self.ids)
 
     def _reject(self, bad: np.ndarray, reason: str):
-        """Raise naming up to five rejected ids; the error's ``row`` is
-        the index of the first, for readers to map onto a line."""
-        rows = np.flatnonzero(bad)
-        if rows.size:
-            names = [self.ids[i] for i in rows[:5]]
-            exc = ValidationError(f"{reason} in {rows.size} of {len(self)} samples, "
-                                  f"first {names}")
-            exc.row = int(rows[0])
-            raise exc
+        _reject(self.ids, bad, reason)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -152,7 +164,7 @@ class TraceBatch:
 class DifficultyTable:
     """Columnar difficulty scores, one row per sample in input order:
     ``ids``, ``labels`` (N,), per-modality ``psi`` (N, M), ``phi`` (N,)
-    and the combined ``r`` (N,). Ids must be unique."""
+    and the combined ``r`` (N,). Ids follow :func:`check_ids`."""
 
     ids: list[str]
     labels: np.ndarray
@@ -175,7 +187,7 @@ class DifficultyTable:
                 f"inconsistent difficulty table: {n} ids, labels {self.labels.shape}, "
                 f"psi {self.psi.shape}, phi {self.phi.shape}, r {self.r.shape}"
             )
-        check_unique_ids(self.ids)
+        check_ids(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)

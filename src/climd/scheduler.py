@@ -20,10 +20,8 @@ immutable once built, so they can be shared across parallel consumers.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,18 +36,6 @@ EASY_LOW_R = "low_r_easy"
 def _stream(seed: int, purpose: str) -> np.random.Generator:
     """Named deterministic RNG stream (stable across platforms/runs)."""
     return np.random.default_rng([int(seed), zlib.crc32(purpose.encode())])
-
-
-@dataclass
-class ScheduleConfig:
-    difficulty_order: str = EASY_HIGH_R
-
-    def __post_init__(self):
-        if self.difficulty_order not in (EASY_HIGH_R, EASY_LOW_R):
-            raise ValidationError(
-                f"difficulty_order must be {EASY_HIGH_R!r} or {EASY_LOW_R!r}, "
-                f"got {self.difficulty_order!r}"
-            )
 
 
 @dataclass(eq=False)
@@ -79,21 +65,10 @@ class EpochPlan:
 class Schedule:
     plans: list[EpochPlan]
     classes: tuple[int, ...]  # class id of each column of every plan's counts
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def total_epochs(self) -> int:
-        return len(self.plans)
 
     @property
     def total_visits(self) -> int:
         return sum(p.total for p in self.plans)
-
-
-def config_digest(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
 
 
 def build_queues(table: DifficultyTable, dist: ClassDistribution,
@@ -105,7 +80,9 @@ def build_queues(table: DifficultyTable, dist: ClassDistribution,
     when a high score means easy), ties by sample id compared as ``str``;
     ``sizes[k]`` is the length of the queue of the class at rank k + 1.
     """
-    ScheduleConfig(difficulty_order=difficulty_order)  # validates the flag
+    if difficulty_order not in (EASY_HIGH_R, EASY_LOW_R):
+        raise ValidationError(f"difficulty_order must be {EASY_HIGH_R!r} or {EASY_LOW_R!r}, "
+                              f"got {difficulty_order!r}")
     classes = np.array(dist.classes_by_rank())
     by_id = np.argsort(classes)
     pos = by_id[np.minimum(np.searchsorted(classes, table.labels, sorter=by_id),
@@ -195,8 +172,7 @@ def apportion(q, total: int, caps) -> np.ndarray:
 
 
 def build_schedule(table: DifficultyTable, dist: ClassDistribution,
-                   total_epochs: int,
-                   config: ScheduleConfig | None = None) -> Schedule:
+                   total_epochs: int, difficulty_order: str = EASY_HIGH_R) -> Schedule:
     """Full curriculum schedule: prefix subsets per epoch, full data at the end.
 
     The difficulty table and the class distribution must describe the same
@@ -206,8 +182,7 @@ def build_schedule(table: DifficultyTable, dist: ClassDistribution,
         raise ValidationError(f"total_epochs must be >= 1, got {total_epochs}")
     if len(table) == 0:
         raise ValidationError("cannot schedule an empty dataset")
-    config = config or ScheduleConfig()
-    order, caps = build_queues(table, dist, config.difficulty_order)
+    order, caps = build_queues(table, dist, difficulty_order)
     classes = dist.classes_by_rank()
     for cid, size, expected in zip(classes, caps, dist.counts_by_rank()):
         if size != expected:
@@ -227,22 +202,7 @@ def build_schedule(table: DifficultyTable, dist: ClassDistribution,
             counts = apportion(target.q, target.subset_size, caps)
         indices = np.concatenate([order[s:s + k] for s, k in zip(starts, counts)])
         plans.append(EpochPlan(t=t, counts=counts, indices=indices))
-
-    digest = config_digest({
-        "kind": "curriculum",
-        "difficulty_order": config.difficulty_order,
-        "gamma": dist.gamma,
-        "alpha_hat": dist.alpha_hat,
-        "total_epochs": total_epochs,
-    })
-    return Schedule(plans=plans, classes=tuple(classes), provenance={
-        "kind": "curriculum",
-        "seed": None,
-        "config_digest": digest,
-        "alpha_hat": dist.alpha_hat,
-        "gamma": dist.gamma,
-        "total_epochs": total_epochs,
-    })
+    return Schedule(plans=plans, classes=tuple(classes))
 
 
 def random_baseline_schedule(labels, total_epochs: int, seed: int) -> Schedule:
@@ -257,19 +217,7 @@ def random_baseline_schedule(labels, total_epochs: int, seed: int) -> Schedule:
     rng = _stream(seed, "baseline-shuffle")
     plans = [EpochPlan(t=t, counts=counts, indices=rng.permutation(labels.size))
              for t in range(1, total_epochs + 1)]
-    digest = config_digest({
-        "kind": "random-baseline",
-        "seed": seed,
-        "total_epochs": total_epochs,
-    })
-    return Schedule(plans=plans, classes=tuple(classes.tolist()), provenance={
-        "kind": "random-baseline",
-        "seed": seed,
-        "config_digest": digest,
-        "alpha_hat": None,
-        "gamma": None,
-        "total_epochs": total_epochs,
-    })
+    return Schedule(plans=plans, classes=tuple(classes.tolist()))
 
 
 def truncate_schedule(schedule: Schedule, labels, budget: int) -> Schedule:
@@ -300,9 +248,7 @@ def truncate_schedule(schedule: Schedule, labels, budget: int) -> Schedule:
         plans.append(EpochPlan(t=plan.t, counts=counts, indices=prefix))
         used = budget
         break
-    provenance = dict(schedule.provenance)
-    provenance["truncated_to"] = budget
-    return Schedule(plans=plans, classes=schedule.classes, provenance=provenance)
+    return Schedule(plans=plans, classes=schedule.classes)
 
 
 def epoch_rank_counts(schedule: Schedule, dist: ClassDistribution) -> np.ndarray:

@@ -42,7 +42,6 @@ from .scheduler import (
     _stream,
     apportion,
     build_schedule,
-    config_digest,
     largest_remainder,
     random_baseline_schedule,
     truncate_schedule,
@@ -370,10 +369,6 @@ class TrainHistory:
     epochs: list[EpochStats] = field(default_factory=list)
     visited: list[np.ndarray] | None = None  # per-epoch row visit order when recorded
 
-    @property
-    def total_visits(self) -> int:
-        return sum(e.visits for e in self.epochs)
-
 
 def evaluate(model: FusionModel, xs: list[np.ndarray], y: np.ndarray):
     """(accuracy, weighted F1, macro F1) of argmax fused predictions."""
@@ -467,14 +462,9 @@ class ExperimentReport:
     rows: list[ArmResult]
     seeds: list[int]
     wins: int  # seeds where the curriculum arm's macro F1 beats the baseline's
-    config_digest: str
-
-    def arm_rows(self, arm: str) -> list[ArmResult]:
-        return [r for r in self.rows if r.arm == arm]
 
     def mean(self, arm: str, metric: str) -> float:
-        vals = [getattr(r, metric) for r in self.arm_rows(arm)]
-        return float(np.mean(vals))
+        return float(np.mean([getattr(r, metric) for r in self.rows if r.arm == arm]))
 
 
 def split_balanced_test(dataset: SyntheticDataset, test_fraction: float,
@@ -516,15 +506,7 @@ def uniform_warmup_schedule(labels, n_epochs: int, epoch_size: int,
         chosen = [rows[np.sort(rng.choice(rows.size, size=int(k), replace=False))]
                   for rows, k in zip(members, counts)]
         plans.append(EpochPlan(t=t, counts=counts, indices=np.concatenate(chosen)))
-    return Schedule(plans=plans, classes=tuple(class_ids.tolist()), provenance={
-        "kind": "warmup-uniform",
-        "seed": seed,
-        "config_digest": config_digest({"kind": "warmup-uniform", "seed": seed,
-                                        "n_epochs": n_epochs, "epoch_size": epoch_size}),
-        "alpha_hat": None,
-        "gamma": None,
-        "total_epochs": n_epochs,
-    })
+    return Schedule(plans=plans, classes=tuple(class_ids.tolist()))
 
 
 def _train_subset_view(dataset: SyntheticDataset, train_idx: np.ndarray) -> SyntheticDataset:
@@ -553,8 +535,7 @@ def _train_curriculum_arm(trainset: SyntheticDataset, dist: ClassDistribution,
     start, chunk = 1, 0
     while start <= cfg.epochs:
         end = min(start + cfg.refresh_every - 1, cfg.epochs)
-        part = Schedule(plans=schedule.plans[start - 1:end],
-                        classes=schedule.classes, provenance=schedule.provenance)
+        part = Schedule(plans=schedule.plans[start - 1:end], classes=schedule.classes)
         model, _ = train(trainset, part, cfg, init_model=model,
                          arm=f"climd-r{chunk}")
         start, chunk = end + 1, chunk + 1
@@ -635,11 +616,4 @@ def run_experiment(spec: SyntheticSpec, config: TrainConfig, n_seeds: int,
         by_arm = {r.arm: r for r in pair}
         if by_arm["climd"].macro_f1 > by_arm["baseline"].macro_f1:
             wins += 1
-    digest = config_digest({
-        "spec": {k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in vars(spec).items()},
-        "config": vars(config),
-        "n_seeds": n_seeds,
-    })
-    return ExperimentReport(rows=rows, seeds=list(range(n_seeds)), wins=wins,
-                            config_digest=digest)
+    return ExperimentReport(rows=rows, seeds=list(range(n_seeds)), wins=wins)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -129,6 +130,12 @@ class TestEval:
         assert "weighted_f1  0.666667" in out
         assert "macro_f1     0.666667" in out
 
+    def test_only_the_exact_header_is_skipped(self, tmp_path, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("sample_idA,0,1\nb,1,1\n")
+        assert main(["eval", "--predictions", str(preds)]) == 0
+        assert "accuracy     0.500000" in capsys.readouterr().out
+
 
 class TestPipeline:
     def test_end_to_end_and_idempotent(self, tmp_path):
@@ -197,7 +204,8 @@ class TestPipeline:
         assert code == 1
         assert "UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad_id", ["s,3", "s\n3", "s\r3", "s\ud8003"])
+    @pytest.mark.parametrize("bad_id", ["s,3", "s\n3", "s\r3", "s\ud8003",
+                                        "", " s3", "s3 ", "s3\t"])
     def test_csv_breaking_id_exits_1(self, tmp_path, capsys, bad_id):
         traces = tmp_path / "traces.jsonl"
         lines = write_random_traces(traces, 10)
@@ -205,12 +213,13 @@ class TestPipeline:
         obj["sample_id"] = bad_id
         lines[3] = json.dumps(obj)
         traces.write_text("\n".join(lines) + "\n")
-        code = main(["pipeline", "--traces", str(traces), "--epochs", "3",
-                     "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: stage 'read-traces': ") and "line 4" in err
-        assert "sample id contains" in err
+        for argv in (["pipeline", "--epochs", "3"], ["score"]):
+            code = main(argv + ["--traces", str(traces), "--out", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: stage 'read-traces': ") and "line 4" in err
+            assert "sample id contains" in err
+            assert not (tmp_path / "out").exists()
 
     def test_missing_traces_leave_no_output(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -284,6 +293,34 @@ class TestTextArtifacts:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {difficulty}: duplicate sample ids: ['a']")
+        assert not (tmp_path / "out").exists()
+
+    def test_schedule_rejects_a_padded_id(self, tmp_path, capsys):
+        difficulty = tmp_path / "difficulty.csv"
+        difficulty.write_text("sample_id,label,phi,psi_1,psi_2,r\n"
+                              "a ,0,0.5,0.25,0.25,0.75\nb,1,0.5,0.25,0.25,0.75\n")
+        distribution = tmp_path / "distribution.csv"
+        ff.write_distribution(distribution, ClassDistribution.from_labels([0, 1]))
+        code = main(["schedule", "--difficulty", str(difficulty), "--distribution",
+                     str(distribution), "--epochs", "2", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {difficulty}: sample id contains")
+        assert "['a ']" in err and "(line 2)" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,name", [("fit", "labels.csv"),
+                                              ("eval", "predictions.csv")])
+    def test_repeated_id_exits_1_naming_its_line(self, tmp_path, capsys, argv,
+                                                 command, name):
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[5] = lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(argv[command]) == 1
+        err = capsys.readouterr().err
+        sid = lines[2].split(",")[0]
+        assert err.startswith(f"error: {path}: duplicate sample ids: [{sid!r}] (line 6)")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,value", [
@@ -436,6 +473,49 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not (tmp_path / "x").exists()
+
+
+def canonical_sha256(payload):
+    return hashlib.sha256(json.dumps(payload, sort_keys=True,
+                                     separators=(",", ":")).encode()).hexdigest()
+
+
+class TestConfigDigest:
+    """Each manifest's config_digest is the SHA-256 of the canonical JSON
+    (sorted keys, no spaces) of the settings the README documents."""
+
+    def test_schedule_and_pipeline(self, tmp_path):
+        traces = tmp_path / "traces.jsonl"
+        make_traces_file(traces)
+        for order in ("high_r_easy", "low_r_easy"):
+            run = tmp_path / f"pipeline-{order}"
+            assert main(["pipeline", "--traces", str(traces), "--epochs", "5",
+                         "--gamma", "0.4", "--order", order, "--out", str(run)]) == 0
+            alpha_hat = ff.read_distribution(run / "distribution.csv").alpha_hat
+            sched = tmp_path / f"schedule-{order}"
+            assert main(["schedule", "--difficulty", str(run / "difficulty.csv"),
+                         "--distribution", str(run / "distribution.csv"),
+                         "--epochs", "5", "--order", order, "--out", str(sched)]) == 0
+            expected = canonical_sha256({"kind": "curriculum", "difficulty_order": order,
+                                         "gamma": 0.4, "alpha_hat": alpha_hat,
+                                         "total_epochs": 5})
+            for out in (run, sched):
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert manifest["config"]["config_digest"] == expected
+
+    def test_simulate(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(TestSimulate.ARGS + ["--out", str(out)]) == 0
+        spec = {"n_classes": 3, "dims": [4, 4], "n_samples": 240,
+                "imbalance_exponent": 1.2, "class_separation": 2.0, "noise_scale": 1.0,
+                "redundancy": 0.3, "seed": 0}
+        train = {"learning_rate": 0.05, "epochs": 6, "warmup_epochs": 1,
+                 "batch_size": 16, "hidden": 8, "gamma": 0.3, "test_fraction": 0.4,
+                 "refresh_every": 0, "seed": 0}
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["spec"], config["train"], config["n_seeds"]) == (spec, train, 2)
+        assert config["config_digest"] == canonical_sha256(
+            {"spec": spec, "config": train, "n_seeds": 2})
 
 
 class TestExitCodes:

@@ -207,7 +207,8 @@ class TestTraceBatch:
         with pytest.raises(ValidationError, match=f"{match}.*s001"):
             TraceBatch(ids=batch.ids, **arrays)
 
-    @pytest.mark.parametrize("bad_id", ["s,001", "s\n001", "s\r001", "s\ud800001"])
+    @pytest.mark.parametrize("bad_id", ["s,001", "s\n001", "s\r001", "s\ud800001",
+                                        "", " s001", "s001 ", "\ts001", "s001\u3000"])
     def test_csv_breaking_ids_rejected(self, bad_id):
         batch = random_batch(4)
         ids = list(batch.ids)
@@ -267,11 +268,16 @@ class TestScoreDataset:
         batch = random_batch(3)
         ids = list(batch.ids)
         ids[2] = ids[0]
-        with pytest.raises(ValidationError, match="s000"):
+        with pytest.raises(ValidationError, match="s000") as info:
             TraceBatch(ids, batch.labels, batch.probs, batch.emb)
+        assert info.value.row == 2
         table = score_dataset(batch)
         with pytest.raises(ValidationError, match="duplicate sample ids: \\['s000'\\]"):
             DifficultyTable(ids, table.labels, table.psi, table.phi, table.r)
+        with pytest.raises(ValidationError, match="padded with whitespace") as info:
+            DifficultyTable(["s000", "s001 ", "s002"], table.labels, table.psi,
+                            table.phi, table.r)
+        assert info.value.row == 1
 
     def test_mixed_class_counts_named(self, tmp_path):
         path, odd_path = tmp_path / "traces.jsonl", tmp_path / "odd.jsonl"

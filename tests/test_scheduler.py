@@ -7,7 +7,6 @@ from climd.distribution import ClassDistribution, subset_size
 from climd.errors import InfeasibleScheduleError, ValidationError
 from climd.measurer import DifficultyTable
 from climd.scheduler import (
-    ScheduleConfig,
     apportion,
     build_queues,
     build_schedule,
@@ -151,8 +150,10 @@ class TestBuildQueues:
             build_queues(table, dist)
 
     def test_bad_order_flag(self):
+        table = make_table(["a", "b"], [0, 1], [0.5, 0.5])
+        dist = ClassDistribution.from_labels([0, 1], 0.3)
         with pytest.raises(ValidationError):
-            ScheduleConfig(difficulty_order="sideways")
+            build_queues(table, dist, "sideways")
 
 
 class TestBuildSchedule:
