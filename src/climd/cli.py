@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import fileformats as ff
 from .distribution import ClassDistribution
-from .errors import ClimdError, InfeasibleScheduleError, ValidationError
+from .errors import ClimdError, InfeasibleScheduleError, ValidationError, check_number
 from .measurer import DifficultyTable, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import (EASY_HIGH_R, EASY_LOW_R, build_schedule,
@@ -145,7 +145,11 @@ def cmd_eval(args) -> int:
         raise ValidationError(f"{args.predictions}: no prediction rows found")
     true = [t for _, t, _ in rows]
     pred = [p for _, _, p in rows]
-    n_classes = args.classes or (max(max(true), max(pred)) + 1)
+    if args.classes is None:
+        n_classes = max(max(true), max(pred)) + 1
+    else:
+        check_number("--classes", args.classes, 1)
+        n_classes = args.classes
     cm = confusion(true, pred, n_classes)
     print(f"accuracy     {accuracy(cm):.6f}")
     print(f"weighted_f1  {weighted_f1(cm):.6f}")

@@ -14,8 +14,9 @@ traces as one batch per ``TRACE_CHUNK`` lines, so ``climd score`` and
 ``climd pipeline`` score them chunk by chunk and never hold the whole
 trace arrays.
 
-* traces: one JSON object per line with ``sample_id``, ``label`` and a
-  ``modalities`` array of ``{"probs": [...], "embedding": [...]}``;
+* traces: one JSON object per line with a string ``sample_id``, an
+  integer ``label`` and a ``modalities`` array of
+  ``{"probs": [...], "embedding": [...]}``;
 * difficulty table: CSV ``sample_id,label,phi,psi_1..psi_M,r`` in input order;
 * labels: CSV ``sample_id,label``, the header optional;
 * distribution report: ``class_id,count,rank`` CSV preceded by ``#``
@@ -160,12 +161,15 @@ def read_traces(path, lines=None, shapes=None) -> TraceBatch:
         for lineno, line in chunk:
             try:
                 obj = json.loads(line)
+                if type(obj["sample_id"]) is not str:
+                    raise ValidationError(
+                        f"sample_id must be a JSON string, got {obj['sample_id']!r}")
                 if type(obj["label"]) is not int:
                     raise ValidationError(f"label must be a JSON integer, got {obj['label']!r}")
                 chunk_p.append([mod["probs"] for mod in obj["modalities"]])
                 chunk_e.append([mod["embedding"] for mod in obj["modalities"]])
                 shapes = shapes or (np.shape(chunk_p[0]), np.shape(chunk_e[0]))
-                ids.append(str(obj["sample_id"]))
+                ids.append(obj["sample_id"])
                 labels.append(obj["label"])
             except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise ValidationError(f"{path}: corrupt trace at line {lineno}: {exc}") from exc

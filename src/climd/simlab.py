@@ -9,16 +9,19 @@ The auxiliary heads exist because difficulty scoring needs per-modality
 class probabilities, which a pure fusion head does not expose; they are
 trained jointly with equal loss weight. All gradients are closed-form.
 
-Every parameter lives in one flat float64 buffer, laid out in
-``FusionModel.params()`` order, and the named weights are views into it:
-copying a model is one buffer copy, and an SGD step is one
-``flat -= lr * grad`` against a gradient buffer of the same layout. Per
-batch, ``train`` gathers the rows once from an (N, sum of dims) feature
-matrix, hands ``loss_and_grads`` column views of them, and applies that
-one update. The auxiliary heads run as one batched matmul and share one
-softmax with the fused head. The arithmetic (summation axes and order,
-scale factors) is that of the per-modality formulas, so losses and
-gradients are bitwise those of separate per-modality arrays.
+Features have one layout, an (n, sum of dims) float64 matrix with the
+modalities side by side; the model slices modality m from its column
+block ``FusionModel.columns[m]``. Every parameter lives in one flat
+float64 buffer, laid out in ``FusionModel.params()`` order, and the named
+weights are views into it: copying a model is one buffer copy, and an SGD
+step is one ``flat -= lr * grad`` against a gradient buffer of the same
+layout. Per batch, ``train`` gathers the rows once from the dataset's
+``x`` and applies that one update, starting from a required init model:
+``run_seed`` builds one, and the warm-up and both arms start from it.
+The auxiliary heads run as one batched matmul and share one softmax with
+the fused head. The arithmetic (summation axes and order, scale factors)
+is that of the per-modality formulas, so losses and gradients are bitwise
+those of separate per-modality arrays.
 
 Determinism: every random draw comes from a named generator derived from
 (seed, purpose), so runs with the same seeds are bit-identical and
@@ -74,6 +77,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_number("seed", self.seed, 0)
         if self.n_classes < 2:
             raise ValidationError(f"need >= 2 classes, got {self.n_classes}")
         if len(self.dims) < 2:
@@ -99,7 +103,7 @@ class SyntheticSpec:
 class SyntheticDataset:
     sample_ids: list[str]
     labels: np.ndarray
-    features: list[np.ndarray]  # one (N, d_m) array per modality
+    x: np.ndarray  # (N, sum of dims), the modalities side by side
     centroids: list[np.ndarray]  # one (C, d_m) array per modality
     spec: SyntheticSpec
 
@@ -107,8 +111,11 @@ class SyntheticDataset:
     def n_samples(self) -> int:
         return len(self.sample_ids)
 
-    def modality_rows(self, indices) -> list[np.ndarray]:
-        return [feat[indices] for feat in self.features]
+
+def _columns(dims) -> list[slice]:
+    """The column block of each modality in a side-by-side feature matrix."""
+    ends = np.cumsum(dims).tolist()
+    return [slice(a, b) for a, b in zip([0, *ends], ends)]
 
 
 def class_sizes(n_total: int, n_classes: int, exponent: float) -> np.ndarray:
@@ -139,7 +146,7 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
     pairwise centroid distance equals ``class_separation``.
     """
     sizes = class_sizes(spec.n_samples, spec.n_classes, spec.imbalance_exponent)
-    c, m = spec.n_classes, spec.n_modalities
+    c = spec.n_classes
     d_max = max(spec.dims)
     common = _stream(spec.seed, "centroids-common").standard_normal((c, d_max))
     rng_specific = _stream(spec.seed, "centroids-specific")
@@ -159,18 +166,12 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
     n = int(sizes.sum())
     width = max(5, len(str(n)))
     sample_ids = [f"s{i:0{width}d}" for i in range(n)]
-    features = []
-    for mi in range(m):
-        rng = _stream(spec.seed, f"features-{mi}")
-        noise = rng.standard_normal((n, spec.dims[mi]))
-        features.append(centroids[mi][labels] + spec.noise_scale * noise)
-    return SyntheticDataset(
-        sample_ids=sample_ids,
-        labels=labels,
-        features=features,
-        centroids=centroids,
-        spec=spec,
-    )
+    x = np.empty((n, sum(spec.dims)))
+    for mi, col in enumerate(_columns(spec.dims)):
+        noise = _stream(spec.seed, f"features-{mi}").standard_normal((n, spec.dims[mi]))
+        x[:, col] = centroids[mi][labels] + spec.noise_scale * noise
+    return SyntheticDataset(sample_ids=sample_ids, labels=labels, x=x,
+                            centroids=centroids, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +188,7 @@ def _softmax_inplace(z: np.ndarray) -> np.ndarray:
 class FusionModel:
     """Early-fusion classifier with per-modality auxiliary heads.
 
-    encoder m:  z_m = x_m @ enc_w[m].T + enc_b[m]        (the embedding)
+    encoder m:  z_m = x[:, columns[m]] @ enc_w[m].T + enc_b[m]   (the embedding)
     fused head: softmax(concat(z) @ head_w.T + head_b)
     aux head m: softmax(z_m @ aux_w[m].T + aux_b[m])
 
@@ -202,6 +203,7 @@ class FusionModel:
         self.dims = tuple(int(d) for d in dims)
         self.hidden = int(hidden)
         self.n_classes = int(n_classes)
+        self.columns = _columns(self.dims)
         m, h, c = len(self.dims), self.hidden, self.n_classes
         shapes = [(h, d) for d in self.dims] + [(m, h), (c, m * h), (c,), (m, c, h), (m, c)]
         ends = np.cumsum([math.prod(shape) for shape in shapes])
@@ -232,23 +234,20 @@ class FusionModel:
         return [*self.enc_w, *self.enc_b, self.head_w, self.head_b,
                 *self.aux_w, *self.aux_b]
 
-    def _forward(self, xs: list[np.ndarray]):
+    def _forward(self, x: np.ndarray):
         """(zcat, probs): the embeddings side by side as (n, M*H), and the
         fused then the per-modality class probabilities as (M+1, n, C)."""
-        if len(xs) != self.n_modalities:
+        width = self.columns[-1].stop
+        if x.ndim != 2 or x.shape[1] != width:
             raise ValidationError(
-                f"model has {self.n_modalities} modalities, got {len(xs)} inputs"
+                f"model takes an (n, {width}) matrix of its {self.n_modalities} "
+                f"modalities side by side, got shape {x.shape}"
             )
-        for mi, (x, d) in enumerate(zip(xs, self.dims)):
-            if x.shape[-1] != d:
-                raise ValidationError(
-                    f"modality {mi}: input dim {x.shape[-1]} != encoder dim {d}"
-                )
         m, h = self.n_modalities, self.hidden
-        n = xs[0].shape[0]
+        n = x.shape[0]
         zcat = np.empty((n, m * h))
-        for mi, (x, w) in enumerate(zip(xs, self.enc_w)):
-            np.matmul(x, w.T, out=zcat[:, mi * h:(mi + 1) * h])
+        for mi, (col, w) in enumerate(zip(self.columns, self.enc_w)):
+            np.matmul(x[:, col], w.T, out=zcat[:, mi * h:(mi + 1) * h])
         zcat += self.enc_b.reshape(-1)
         logits = np.empty((m + 1, n, self.n_classes))
         np.matmul(zcat, self.head_w.T, out=logits[0])
@@ -257,9 +256,10 @@ class FusionModel:
         logits[1:] += self.aux_b[:, None, :]
         return zcat, _softmax_inplace(logits)
 
-    def forward_batch(self, xs: list[np.ndarray]):
-        """Returns (fused probs, per-modality probs, per-modality embeddings)."""
-        zcat, probs = self._forward(xs)
+    def forward_batch(self, x: np.ndarray):
+        """(fused probs, per-modality probs, per-modality embeddings) of the
+        rows of ``x``, the (n, sum of dims) matrix of the modalities."""
+        zcat, probs = self._forward(x)
         return probs[0], probs[1:], _per_modality(zcat, self.n_modalities)
 
 
@@ -269,9 +269,10 @@ def _per_modality(zcat: np.ndarray, m: int) -> np.ndarray:
     return zcat.reshape(n, m, -1).transpose(1, 0, 2)
 
 
-def loss_and_grads(model: FusionModel, xs: list[np.ndarray], y: np.ndarray,
+def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
                    out: FusionModel | None = None):
-    """Batch loss and its analytic gradients, ordered like model.params().
+    """Batch loss and its analytic gradients, ordered like model.params(),
+    of the rows of ``x`` (column block ``model.columns[m]`` is modality m).
 
     The gradients are the parameters of ``out``, a model of the same shape
     used as a buffer (a fresh one unless given), so they are views of the
@@ -280,7 +281,7 @@ def loss_and_grads(model: FusionModel, xs: list[np.ndarray], y: np.ndarray,
     m = model.n_modalities
     h = model.hidden
     n = y.size
-    zcat, probs = model._forward(xs)
+    zcat, probs = model._forward(x)
 
     # Contiguous, so each head's mean is the pairwise sum over its own row.
     picked = np.ascontiguousarray(probs[:, np.arange(n), y])
@@ -310,10 +311,11 @@ def loss_and_grads(model: FusionModel, xs: list[np.ndarray], y: np.ndarray,
     np.matmul(d[1:].transpose(0, 2, 1), zm, out=out.aux_w)
     np.add.reduce(d[1:], axis=1, out=out.aux_b)
     np.add.reduce(dzm, axis=1, out=out.enc_b)
-    for x, dz_m, g in zip(xs, dzm, out.enc_w):
-        if h == 1 or x.shape[1] == 1:
-            x, dz_m = np.ascontiguousarray(x), np.ascontiguousarray(dz_m)
-        np.matmul(dz_m.T, x, out=g)
+    for col, dz_m, g in zip(model.columns, dzm, out.enc_w):
+        xm = x[:, col]
+        if h == 1 or xm.shape[1] == 1:
+            xm, dz_m = np.ascontiguousarray(xm), np.ascontiguousarray(dz_m)
+        np.matmul(dz_m.T, xm, out=g)
 
     return loss, out.params()
 
@@ -335,6 +337,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_number("seed", self.seed, 0)
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.warmup_epochs is not None and self.warmup_epochs < 0:
@@ -370,28 +373,31 @@ class TrainHistory:
     visited: list[np.ndarray] | None = None  # per-epoch row visit order when recorded
 
 
-def evaluate(model: FusionModel, xs: list[np.ndarray], y: np.ndarray):
+def evaluate(model: FusionModel, x: np.ndarray, y: np.ndarray):
     """(accuracy, weighted F1, macro F1) of argmax fused predictions."""
-    fused, _, _ = model.forward_batch(xs)
+    fused, _, _ = model.forward_batch(x)
     pred = fused.argmax(axis=1)
     cm = confusion(y, pred, model.n_classes)
     return accuracy(cm), weighted_f1(cm), macro_f1(cm)
 
 
 def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
-          eval_set=None, init_model: FusionModel | None = None,
-          arm: str = "train", record_visits: bool = False):
-    """SGD over the schedule: epoch t visits exactly the rows of plan t,
-    shuffled by a seeded generator. Returns (model, history).
+          init_model: FusionModel, eval_set=None, arm: str = "train",
+          record_visits: bool = False):
+    """SGD from a copy of ``init_model``, which must have the dataset's dims
+    and classes, over the schedule: epoch t visits exactly the rows of plan
+    t, shuffled by a seeded generator. Returns (model, history).
 
-    Each batch is one row gather, one ``loss_and_grads`` call into a
-    gradient buffer reused by every batch, and one update of the flat
-    parameters (none when the learning rate is 0).
+    Each batch is one gather from ``dataset.x``, one ``loss_and_grads``
+    call into a gradient buffer reused by every batch, and one update of
+    the flat parameters (none when the learning rate is 0).
 
-    ``eval_set`` is an optional (xs, y) pair evaluated after every epoch.
-    ``init_model``, when given, is copied, so callers can hand the same
-    initialization to several arms.
+    ``eval_set`` is an optional (x, y) pair evaluated after every epoch.
     """
+    want = (tuple(dataset.spec.dims), dataset.spec.n_classes)
+    if (init_model.dims, init_model.n_classes) != want:
+        raise ValidationError(f"init model has (dims, classes) "
+                              f"{(init_model.dims, init_model.n_classes)}, the dataset {want}")
     n = dataset.n_samples
     for plan in schedule.plans:
         outside = plan.indices[(plan.indices < 0) | (plan.indices >= n)]
@@ -401,15 +407,7 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
                 f"{outside[:5].tolist()}"
             )
 
-    if init_model is None:
-        model = FusionModel.init(dataset.spec.dims, config.hidden,
-                                 dataset.spec.n_classes, _stream(config.seed, "init"))
-    else:
-        model = init_model.copy()
-
-    features = np.concatenate(dataset.features, axis=1)  # (N, sum of dims)
-    ends = np.cumsum([f.shape[1] for f in dataset.features]).tolist()
-    columns = [slice(a, b) for a, b in zip([0, *ends], ends)]
+    model = init_model.copy()
     grad = FusionModel(model.dims, model.hidden, model.n_classes)
     rng = _stream(config.seed, f"shuffle-{arm}")
     history = TrainHistory(visited=[] if record_visits else None)
@@ -420,9 +418,8 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
         losses = []
         for start in range(0, idx.size, config.batch_size):
             batch = idx[start:start + config.batch_size]
-            rows = features[batch]
-            loss, _ = loss_and_grads(model, [rows[:, col] for col in columns],
-                                     dataset.labels[batch], out=grad)
+            loss, _ = loss_and_grads(model, dataset.x[batch], dataset.labels[batch],
+                                     out=grad)
             losses.append(loss)
             if config.learning_rate != 0.0:
                 model.flat -= config.learning_rate * grad.flat
@@ -438,7 +435,7 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
 def collect_traces(model: FusionModel, dataset: SyntheticDataset) -> TraceBatch:
     """Traces of every sample: auxiliary-head probabilities plus the
     encoder activations as embeddings. Deterministic."""
-    _, aux, z = model.forward_batch(dataset.features)
+    _, aux, z = model.forward_batch(dataset.x)
     return TraceBatch(ids=dataset.sample_ids, labels=dataset.labels,
                       probs=np.stack(aux, axis=1), emb=np.stack(z, axis=1))
 
@@ -510,64 +507,52 @@ def uniform_warmup_schedule(labels, n_epochs: int, epoch_size: int,
 
 
 def _train_subset_view(dataset: SyntheticDataset, train_idx: np.ndarray) -> SyntheticDataset:
-    return SyntheticDataset(
-        sample_ids=[dataset.sample_ids[i] for i in train_idx],
-        labels=dataset.labels[train_idx],
-        features=[f[train_idx] for f in dataset.features],
-        centroids=dataset.centroids,
-        spec=dataset.spec,
-    )
+    return replace(dataset, sample_ids=[dataset.sample_ids[i] for i in train_idx],
+                   labels=dataset.labels[train_idx], x=dataset.x[train_idx])
 
 
 def _train_curriculum_arm(trainset: SyntheticDataset, dist: ClassDistribution,
                           table, cfg: TrainConfig, init: FusionModel):
-    """Train under the ramp, re-scoring difficulty every ``refresh_every``
-    epochs when requested. Class counts are fixed by the distribution, so
-    refreshing only re-orders the within-class queues and never changes
-    the visit budget."""
-    schedule = build_schedule(table, dist, cfg.epochs)
-    if cfg.refresh_every == 0:
-        model, _ = train(trainset, schedule, cfg, init_model=init, arm="climd")
-        return model, schedule.total_visits
-
-    budget = schedule.total_visits
-    model = init
-    start, chunk = 1, 0
-    while start <= cfg.epochs:
-        end = min(start + cfg.refresh_every - 1, cfg.epochs)
-        part = Schedule(plans=schedule.plans[start - 1:end], classes=schedule.classes)
-        model, _ = train(trainset, part, cfg, init_model=model,
-                         arm=f"climd-r{chunk}")
-        start, chunk = end + 1, chunk + 1
-        if start <= cfg.epochs:
+    """Train under the ramp in chunks of ``refresh_every`` epochs (all of
+    them when 0), re-scoring difficulty before each chunk after the first.
+    Class counts are fixed by the distribution, so refreshing only
+    re-orders the within-class queues and never changes the visit budget."""
+    step = cfg.refresh_every or cfg.epochs
+    model, budget = init, 0
+    for chunk, start in enumerate(range(0, cfg.epochs, step)):
+        if chunk:
             table = score_dataset(collect_traces(model, trainset))
-            schedule = build_schedule(table, dist, cfg.epochs)
+        schedule = build_schedule(table, dist, cfg.epochs)
+        part = Schedule(plans=schedule.plans[start:start + step], classes=schedule.classes)
+        model, _ = train(trainset, part, cfg, model,
+                         arm=f"climd-r{chunk}" if cfg.refresh_every else "climd")
+        budget += part.total_visits
     return model, budget
 
 
 def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmResult]:
     """One full comparison at seed offset ``offset``: generate, warm up,
     score, schedule, then train the curriculum arm and the budget-matched
-    random baseline from identical initializations."""
+    random baseline. The warm-up and both arms start from one init model."""
     dspec = replace(spec, seed=spec.seed + offset)
     cfg = replace(config, seed=config.seed + offset)
     dataset = generate_dataset(dspec)
     train_idx, test_idx = split_balanced_test(dataset, cfg.test_fraction, cfg.seed)
     trainset = _train_subset_view(dataset, train_idx)
-    test_xs = dataset.modality_rows(test_idx)
+    test_x = dataset.x[test_idx]
     test_y = dataset.labels[test_idx]
     n_train = trainset.n_samples
+    init = FusionModel.init(dspec.dims, cfg.hidden, dspec.n_classes,
+                            _stream(cfg.seed, "init"))
 
     # Warm-up pass: trains a throwaway model just to produce traces.
     warm_epoch_size = subset_size(1, cfg.epochs, n_train)
     warm_schedule = uniform_warmup_schedule(trainset.labels, cfg.resolved_warmup,
                                             warm_epoch_size, cfg.seed)
-    warm_model, _ = train(trainset, warm_schedule, cfg, arm="warmup")
+    warm_model, _ = train(trainset, warm_schedule, cfg, init, arm="warmup")
     table = score_dataset(collect_traces(warm_model, trainset))
     dist = ClassDistribution.from_labels(trainset.labels, cfg.gamma)
 
-    init = FusionModel.init(dspec.dims, cfg.hidden, dspec.n_classes,
-                            _stream(cfg.seed, "init"))
     climd_model, budget = _train_curriculum_arm(trainset, dist, table, cfg, init)
 
     base_epochs = math.ceil(budget / n_train)
@@ -575,20 +560,16 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmR
         random_baseline_schedule(trainset.labels, base_epochs, cfg.seed),
         trainset.labels, budget,
     )
-    base_model, _ = train(trainset, baseline, cfg, init_model=init, arm="baseline")
+    base_model, _ = train(trainset, baseline, cfg, init, arm="baseline")
 
     results = []
     for arm, model, visits in (("climd", climd_model, budget),
                                ("baseline", base_model, baseline.total_visits)):
-        acc, wf1, mf1 = evaluate(model, test_xs, test_y)
+        acc, wf1, mf1 = evaluate(model, test_x, test_y)
         results.append(ArmResult(seed=offset, arm=arm, accuracy=acc,
                                  weighted_f1=wf1, macro_f1=mf1, visits=visits))
     assert results[0].visits == results[1].visits
     return results
-
-
-def _run_seed_star(args) -> list[ArmResult]:
-    return run_seed(*args)
 
 
 def run_experiment(spec: SyntheticSpec, config: TrainConfig, n_seeds: int,
@@ -600,15 +581,15 @@ def run_experiment(spec: SyntheticSpec, config: TrainConfig, n_seeds: int,
     """
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
-    jobs = [(spec, config, k) for k in range(n_seeds)]
+    jobs = ([spec] * n_seeds, [config] * n_seeds, range(n_seeds))
     if max_workers > 1:
         # Imported here: multiprocessing is costly to import, and serial
         # runs never need it.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(max_workers, n_seeds)) as pool:
-            per_seed = list(pool.map(_run_seed_star, jobs))
+            per_seed = list(pool.map(run_seed, *jobs))
     else:
-        per_seed = [run_seed(*job) for job in jobs]
+        per_seed = list(map(run_seed, *jobs))
 
     rows = [r for pair in per_seed for r in pair]
     wins = 0

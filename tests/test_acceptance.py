@@ -199,9 +199,9 @@ def test_criterion_5_gradient_correctness():
             c = int(rng.integers(2, 5))
             batch = int(rng.integers(1, 6))
             model = FusionModel.init(dims, hidden, c, rng)
-            xs = [rng.standard_normal((batch, d)) for d in dims]
+            x = np.hstack([rng.standard_normal((batch, d)) for d in dims])
             y = rng.integers(0, c, size=batch)
-            _, analytic = loss_and_grads(model, xs, y)
+            _, analytic = loss_and_grads(model, x, y)
 
             step = 1e-5
             for p, ga in zip(model.params(), analytic):
@@ -210,9 +210,9 @@ def test_criterion_5_gradient_correctness():
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + step
-                    hi = loss_and_grads(model, xs, y)[0]
+                    hi = loss_and_grads(model, x, y)[0]
                     flat[i] = orig - step
-                    lo = loss_and_grads(model, xs, y)[0]
+                    lo = loss_and_grads(model, x, y)[0]
                     flat[i] = orig
                     nflat[i] = (hi - lo) / (2.0 * step)
                 denom = max(np.linalg.norm(ga), np.linalg.norm(gn), 1e-8)

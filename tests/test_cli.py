@@ -129,6 +129,11 @@ class TestEval:
         assert "accuracy     0.666667" in out
         assert "weighted_f1  0.666667" in out
         assert "macro_f1     0.666667" in out
+        for classes in ("0", "-1"):
+            argv = ["eval", "--predictions", str(preds), "--classes", classes]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: --classes ")
 
     def test_only_the_exact_header_is_skipped(self, tmp_path, capsys):
         preds = tmp_path / "preds.csv"
@@ -174,14 +179,16 @@ class TestPipeline:
         ("embedding", float("nan")), ("embedding", float("-inf")),
         ("embedding", None),  # drops a value: embedding dims differ across modalities
         ("label", True), ("label", 1.7),
+        ("sample_id", None), ("sample_id", True), ("sample_id", 1.5),
+        ("sample_id", 12), ("sample_id", ["a"]),
     ])
     def test_bad_trace_values_exit_1(self, tmp_path, capsys, field, value):
         traces = tmp_path / "traces.jsonl"
         make_traces_file(traces, n=30)
         lines = traces.read_text().splitlines()
         obj = json.loads(lines[4])
-        if field == "label":
-            obj["label"] = value
+        if field in ("label", "sample_id"):
+            obj[field] = value
         elif value is None:
             obj["modalities"][1]["embedding"].pop()
         else:
@@ -466,6 +473,7 @@ class TestSimulate:
         ("--separation", "0", "class_separation"),
         ("--noise", "nan", "noise_scale"),
         ("--noise", "-0.5", "noise_scale"),
+        ("--base-seed", "-1", "seed"),
     ])
     def test_bad_numbers_exit_1(self, tmp_path, capsys, flag, value, field):
         code = main(self.ARGS + [flag, value, "--out", str(tmp_path / "x")])

@@ -32,7 +32,13 @@ def random_model(rng, dims=(3, 4), hidden=3, n_classes=3):
     return FusionModel.init(dims, hidden, n_classes, rng)
 
 
-def finite_difference_grads(model, xs, y, step=1e-5):
+def seed_init(dataset, config):
+    """The init model run_seed builds for a dataset and config."""
+    return FusionModel.init(dataset.spec.dims, config.hidden, dataset.spec.n_classes,
+                            _stream(config.seed, "init"))
+
+
+def finite_difference_grads(model, x, y, step=1e-5):
     """Central-difference oracle over every parameter entry."""
     grads = []
     for p in model.params():
@@ -42,9 +48,9 @@ def finite_difference_grads(model, xs, y, step=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = loss_and_grads(model, xs, y)[0]
+            hi = loss_and_grads(model, x, y)[0]
             flat[i] = orig - step
-            lo = loss_and_grads(model, xs, y)[0]
+            lo = loss_and_grads(model, x, y)[0]
             flat[i] = orig
             gflat[i] = (hi - lo) / (2 * step)
         grads.append(g)
@@ -121,13 +127,19 @@ class TestGenerateDataset:
         b = generate_dataset(SMALL_SPEC)
         assert a.sample_ids == b.sample_ids
         assert np.array_equal(a.labels, b.labels)
-        for fa, fb in zip(a.features, b.features):
-            assert np.array_equal(fa, fb)
+        assert np.array_equal(a.x, b.x)
 
     def test_seed_changes_data(self):
         a = generate_dataset(SMALL_SPEC)
         b = generate_dataset(replace(SMALL_SPEC, seed=6))
-        assert not np.array_equal(a.features[0], b.features[0])
+        assert not np.array_equal(a.x[:, :4], b.x[:, :4])
+
+    def test_column_blocks_are_the_per_modality_draws(self):
+        ds = generate_dataset(SMALL_SPEC)
+        assert ds.x.shape == (120, 7) and ds.x.dtype == np.float64
+        for mi, (a, b) in enumerate([(0, 4), (4, 7)]):
+            noise = _stream(SMALL_SPEC.seed, f"features-{mi}").standard_normal((120, b - a))
+            assert np.array_equal(ds.x[:, a:b], ds.centroids[mi][ds.labels] + noise)
 
     def test_full_redundancy_duplicates_centroids(self):
         spec = SyntheticSpec(n_classes=4, dims=(5, 5, 5), n_samples=40,
@@ -159,14 +171,14 @@ class TestForward:
         model = random_model(np.random.default_rng(0))
         model.head_w[:] = 0.0
         model.head_b[:] = 0.0
-        fused, _, _ = model.forward_batch([np.ones((4, 3)), np.ones((4, 4))])
+        fused, _, _ = model.forward_batch(np.ones((4, 7)))
         assert np.allclose(fused, 1.0 / 3.0, atol=1e-12)
 
     def test_probability_vectors_sum_to_one(self):
         rng = np.random.default_rng(1)
         model = random_model(rng)
-        xs = [rng.standard_normal((16, 3)), rng.standard_normal((16, 4))]
-        fused, aux, _ = model.forward_batch(xs)
+        x = np.hstack([rng.standard_normal((16, 3)), rng.standard_normal((16, 4))])
+        fused, aux, _ = model.forward_batch(x)
         assert np.allclose(fused.sum(axis=1), 1.0, atol=1e-6)
         for pa in aux:
             assert np.allclose(pa.sum(axis=1), 1.0, atol=1e-6)
@@ -176,7 +188,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         model = random_model(rng)
         x = [rng.standard_normal(3), rng.standard_normal(4)]
-        fused, aux, embs = model.forward_batch([xm.reshape(1, -1) for xm in x])
+        fused, aux, embs = model.forward_batch(np.concatenate(x).reshape(1, -1))
         fused, aux, embs = fused[0], [p[0] for p in aux], [zm[0] for zm in embs]
 
         # plain-loop oracle
@@ -196,10 +208,9 @@ class TestForward:
 
     def test_dim_mismatch(self):
         model = random_model(np.random.default_rng(3))
-        with pytest.raises(ValidationError):
-            model.forward_batch([np.ones((2, 9)), np.ones((2, 4))])
-        with pytest.raises(ValidationError):
-            model.forward_batch([np.ones((2, 3))])
+        for x in (np.ones((2, 13)), np.ones((2, 3)), np.ones(7), np.ones((1, 2, 7))):
+            with pytest.raises(ValidationError, match=r"\(n, 7\) matrix"):
+                model.forward_batch(x)
 
 
 class TestParameterBuffer:
@@ -214,11 +225,11 @@ class TestParameterBuffer:
     def test_params_alias_the_model(self):
         rng = np.random.default_rng(5)
         model = random_model(rng)
-        xs = [rng.standard_normal((4, 3)), rng.standard_normal((4, 4))]
-        before = model.forward_batch(xs)
+        x = np.hstack([rng.standard_normal((4, 3)), rng.standard_normal((4, 4))])
+        before = model.forward_batch(x)
         for p in model.params():
             p += 0.5
-            after = model.forward_batch(xs)
+            after = model.forward_batch(x)
             p -= 0.5
             assert any(not np.array_equal(np.asarray(a), np.asarray(b))
                        for a, b in zip(before, after))
@@ -227,11 +238,10 @@ class TestParameterBuffer:
     def test_gradients_survive_the_next_call(self):
         rng = np.random.default_rng(6)
         model = random_model(rng)
-        xs = [rng.standard_normal((5, 3)), rng.standard_normal((5, 4))]
-        _, first = loss_and_grads(model, xs, np.array([0, 1, 2, 0, 1]))
+        x = np.hstack([rng.standard_normal((5, 3)), rng.standard_normal((5, 4))])
+        _, first = loss_and_grads(model, x, np.array([0, 1, 2, 0, 1]))
         kept = [g.copy() for g in first]
-        _, second = loss_and_grads(model, [x[::-1] + 1.0 for x in xs],
-                                   np.array([2, 2, 1, 1, 0]))
+        _, second = loss_and_grads(model, x[::-1] + 1.0, np.array([2, 2, 1, 1, 0]))
         assert any(not np.array_equal(a, b) for a, b in zip(kept, second))
         for g, k in zip(first, kept):
             assert np.array_equal(g, k)
@@ -247,10 +257,10 @@ class TestGradients:
             c = int(rng.integers(2, 4))
             batch = int(rng.integers(1, 5))
             model = FusionModel.init(dims, hidden, c, rng)
-            xs = [rng.standard_normal((batch, d)) for d in dims]
+            x = np.hstack([rng.standard_normal((batch, d)) for d in dims])
             y = rng.integers(0, c, size=batch)
-            _, analytic = loss_and_grads(model, xs, y)
-            numeric = finite_difference_grads(model, xs, y)
+            _, analytic = loss_and_grads(model, x, y)
+            numeric = finite_difference_grads(model, x, y)
             for ga, gn in zip(analytic, numeric):
                 denom = max(np.linalg.norm(ga), np.linalg.norm(gn), 1e-8)
                 assert np.linalg.norm(ga - gn) / denom < 1e-4
@@ -266,14 +276,12 @@ class TestGradients:
             c = int(rng.integers(2, 11))
             batch = int(rng.integers(1, 41))
             model = FusionModel.init(dims, hidden, c, rng)
-            # Column views of one matrix, as train passes them.
             rows = rng.standard_normal((batch, sum(dims))) * 3
-            ends = np.cumsum(dims).tolist()
-            xs = [rows[:, a:b] for a, b in zip([0, *ends], ends)]
             y = rng.integers(0, c, size=batch)
-            loss, grads = loss_and_grads(model, xs, y)
+            loss, grads = loss_and_grads(model, rows, y)
+            ends = np.cumsum(dims).tolist()
             ref_loss, ref_grads = per_modality_loss_and_grads(
-                model, [x.copy() for x in xs], y)
+                model, [rows[:, a:b].copy() for a, b in zip([0, *ends], ends)], y)
             assert loss == ref_loss
             for g, r in zip(grads, ref_grads):
                 assert g.shape == r.shape and np.array_equal(g, r)
@@ -291,8 +299,7 @@ class TestTrain:
 
     def test_zero_learning_rate_keeps_parameters(self):
         dataset, schedule, config = self.small_setup(lr=0.0)
-        init = FusionModel.init(dataset.spec.dims, config.hidden, 3,
-                                _stream(config.seed, "init"))
+        init = seed_init(dataset, config)
         model, _ = train(dataset, schedule, config, init_model=init)
         for p0, p1 in zip(init.params(), model.params()):
             assert np.array_equal(p0, p1)
@@ -306,17 +313,17 @@ class TestTrain:
         config = TrainConfig(learning_rate=0.1, epochs=3, warmup_epochs=0,
                              batch_size=16, hidden=hidden, seed=4)
         assert all(plan.total % config.batch_size for plan in schedule.plans)
-        model, _ = train(dataset, schedule, config, arm="loop")
+        init = seed_init(dataset, config)
+        model, _ = train(dataset, schedule, config, init, arm="loop")
 
-        # Plain loop: contiguous per-modality rows, one update per parameter.
-        ref = FusionModel.init(dims, hidden, 3, _stream(config.seed, "init"))
+        # Plain loop: one update per parameter.
+        ref = init.copy()
         rng = _stream(config.seed, "shuffle-loop")
         for plan in schedule.plans:
             idx = plan.indices[rng.permutation(plan.total)]
             for start in range(0, idx.size, config.batch_size):
                 batch = idx[start:start + config.batch_size]
-                _, grads = loss_and_grads(ref, dataset.modality_rows(batch),
-                                          dataset.labels[batch])
+                _, grads = loss_and_grads(ref, dataset.x[batch], dataset.labels[batch])
                 for p, g in zip(ref.params(), grads):
                     p -= config.learning_rate * g
         for p, q in zip(model.params(), ref.params()):
@@ -329,22 +336,24 @@ class TestTrain:
         schedule = random_baseline_schedule(dataset.labels[:1], 200, seed=0)
         config = TrainConfig(learning_rate=0.5, epochs=200, warmup_epochs=0,
                              batch_size=1, hidden=4, seed=0)
-        _, history = train(dataset, schedule, config)
+        _, history = train(dataset, schedule, config, seed_init(dataset, config))
         losses = [e.mean_loss for e in history.epochs]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 0.05
 
     def test_determinism(self):
         dataset, schedule, config = self.small_setup()
-        m1, h1 = train(dataset, schedule, config)
-        m2, h2 = train(dataset, schedule, config)
+        init = seed_init(dataset, config)
+        m1, h1 = train(dataset, schedule, config, init)
+        m2, h2 = train(dataset, schedule, config, init)
         for p1, p2 in zip(m1.params(), m2.params()):
             assert np.array_equal(p1, p2)
         assert [e.mean_loss for e in h1.epochs] == [e.mean_loss for e in h2.epochs]
 
     def test_epoch_visits_exact_plan_multiset(self):
         dataset, schedule, config = self.small_setup()
-        _, history = train(dataset, schedule, config, record_visits=True)
+        _, history = train(dataset, schedule, config, seed_init(dataset, config),
+                           record_visits=True)
         for plan, visited in zip(schedule.plans, history.visited):
             assert np.array_equal(np.sort(visited), np.sort(plan.indices))
             assert len(visited) == plan.total
@@ -354,12 +363,21 @@ class TestTrain:
         for ghost in (dataset.n_samples, -1):
             schedule.plans[1].indices[0] = ghost
             with pytest.raises(ValidationError, match=f"epoch 2 .*{ghost}"):
-                train(dataset, schedule, config)
+                train(dataset, schedule, config, seed_init(dataset, config))
+
+    def test_init_model_must_match_the_dataset(self):
+        dataset, schedule, config = self.small_setup()
+        for dims, classes in (((4, 4), 3), ((3, 4), 3), ((4, 3, 1), 3), ((4, 3), 2),
+                              ((4, 3), 4)):
+            init = FusionModel.init(dims, config.hidden, classes, np.random.default_rng(0))
+            with pytest.raises(ValidationError, match=r"init model has \(dims, classes\)"):
+                train(dataset, schedule, config, init)
 
     def test_per_epoch_eval_metrics(self):
         dataset, schedule, config = self.small_setup()
-        eval_set = (dataset.features, dataset.labels)
-        _, history = train(dataset, schedule, config, eval_set=eval_set)
+        eval_set = (dataset.x, dataset.labels)
+        _, history = train(dataset, schedule, config, seed_init(dataset, config),
+                           eval_set=eval_set)
         assert len(history.epochs) == config.epochs
         for stats in history.epochs:
             assert 0.0 <= stats.test_accuracy <= 1.0
@@ -492,6 +510,6 @@ class TestEvaluate:
         schedule = random_baseline_schedule(dataset.labels, 80, seed=0)
         config = TrainConfig(learning_rate=0.02, epochs=80, warmup_epochs=0,
                              batch_size=8, hidden=6, seed=0)
-        model, _ = train(dataset, schedule, config)
-        acc, wf1, mf1 = evaluate(model, dataset.features, dataset.labels)
+        model, _ = train(dataset, schedule, config, seed_init(dataset, config))
+        acc, wf1, mf1 = evaluate(model, dataset.x, dataset.labels)
         assert acc == 1.0 and wf1 == 1.0 and mf1 == 1.0
