@@ -68,8 +68,8 @@ def cmd_fit(args) -> int:
         print(f"fit: degenerate (all classes equal); fallback alpha = {dist.alpha_hat:.6g}")
     else:
         print(f"fit: alpha_hat = {dist.alpha_hat:.6g} (gamma = {dist.gamma:g})")
-    for cid in dist.classes_by_rank():
-        print(f"  rank {dist.rank_of_class[cid]:>3}: class {cid} with {dist.counts[cid]} samples")
+    for rank, (cid, n) in enumerate(zip(dist.classes.tolist(), dist.counts.tolist()), start=1):
+        print(f"  rank {rank:>3}: class {cid} with {n} samples")
     return 0
 
 

@@ -18,13 +18,13 @@ proper with a margin of g.
 The epoch ramp interpolates alpha linearly from 1 (epoch 1) to the fitted
 cap (final epoch), and the epoch-t class-sampling target is a convex
 mixture of the uniform distribution and the normalized power law over
-class *ranks* (rank 1 = largest class).
+class *ranks* (rank 1 = largest class), :func:`rank_weights`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,30 +37,41 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassDistribution:
-    """Per-class counts with descending-rank assignment and fitted alpha.
-
-    ``rank_of_class`` maps class id -> rank in 1..C, rank 1 being the
-    largest class; ties are broken by ascending class id.
+    """Class ids and their sizes as int64 ``(C,)`` arrays in rank order,
+    with the fitted alpha: ``classes[k]`` is the class at rank k + 1.
+    :meth:`from_counts` ranks by descending size, ties by ascending id.
+    A repeated id is rejected with the ``row`` of its second occurrence.
     """
 
-    counts: dict[int, int]
+    classes: np.ndarray
+    counts: np.ndarray
     gamma: float
     alpha_hat: float
     degenerate: bool
-    rank_of_class: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.counts:
+        self.classes = np.asarray(self.classes, dtype=np.int64)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if self.classes.ndim != 1 or self.classes.shape != self.counts.shape:
+            raise ValidationError("classes and counts must be 1-D arrays of one length")
+        if not self.classes.size:
             raise ValidationError("class distribution needs at least one class")
-        if any(n < 1 for n in self.counts.values()):
+        if np.any(self.counts < 1):
             raise ValidationError("all class counts must be >= 1")
         check_number("gamma", self.gamma, 0.0, strict=True)
         check_number("alpha_hat", self.alpha_hat, 0.0, strict=True)
-        if not self.rank_of_class:
-            by_size = sorted(self.counts, key=lambda c: (-self.counts[c], c))
-            self.rank_of_class = {cid: rank for rank, cid in enumerate(by_size, start=1)}
+        if not self.degenerate and self.gamma * self.alpha_hat <= 1:
+            raise DomainError(f"gamma*alpha_hat must exceed 1 unless degenerate, "
+                              f"got {self.gamma * self.alpha_hat!r}")
+        by_id = np.argsort(self.classes, kind="stable")
+        repeats = by_id[1:][self.classes[by_id[1:]] == self.classes[by_id[:-1]]]
+        if repeats.size:
+            row = int(repeats.min())
+            exc = ValidationError(f"duplicate class_id {self.classes[row]}")
+            exc.row = row
+            raise exc
 
     @classmethod
     def from_counts(cls, counts: dict[int, int], gamma: float = DEFAULT_GAMMA,
@@ -70,14 +81,11 @@ class ClassDistribution:
         Pass ``alpha`` to pin the imbalance parameter instead of fitting
         (used e.g. when reproducing a schedule with a known cap).
         """
-        if alpha is not None:
-            if gamma * alpha <= 1:
-                raise DomainError(f"gamma*alpha must exceed 1, got {gamma * alpha}")
-            return cls(counts=dict(counts), gamma=gamma, alpha_hat=float(alpha),
-                       degenerate=False)
-        fit = fit_alpha(list(counts.values()), gamma)
-        return cls(counts=dict(counts), gamma=gamma, alpha_hat=fit.alpha_hat,
-                   degenerate=fit.degenerate)
+        ids, sizes = np.array(list(counts.items()), dtype=np.int64).reshape(-1, 2).T
+        fit = fit_alpha(sizes, gamma) if alpha is None else AlphaFit(float(alpha), False)
+        rank = np.lexsort((ids, -sizes))
+        return cls(classes=ids[rank], counts=sizes[rank], gamma=gamma,
+                   alpha_hat=fit.alpha_hat, degenerate=fit.degenerate)
 
     @classmethod
     def from_labels(cls, labels, gamma: float = DEFAULT_GAMMA) -> "ClassDistribution":
@@ -86,21 +94,15 @@ class ClassDistribution:
 
     @property
     def n_classes(self) -> int:
-        return len(self.counts)
+        return self.classes.size
 
     @property
     def n_total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     @property
     def n_min(self) -> int:
-        return min(self.counts.values())
-
-    def classes_by_rank(self) -> list[int]:
-        return sorted(self.counts, key=lambda c: self.rank_of_class[c])
-
-    def counts_by_rank(self) -> np.ndarray:
-        return np.array([self.counts[c] for c in self.classes_by_rank()], dtype=int)
+        return int(self.counts.min())
 
 
 @dataclass
@@ -176,6 +178,13 @@ def subset_size(t: int, total_epochs: int, n_total: int) -> int:
     return _round_half_up(t * n_total / total_epochs)
 
 
+def rank_weights(n_classes: int, exponent: float) -> np.ndarray:
+    """The power law rank^(-exponent) over ranks 1..n_classes, normalized
+    to sum to 1."""
+    weights = np.arange(1, n_classes + 1, dtype=float) ** -exponent
+    return weights / weights.sum()
+
+
 def epoch_target(t: int, total_epochs: int, n_total: int,
                  dist: ClassDistribution) -> EpochTarget:
     """Per-rank sampling probabilities and subset size for epoch t.
@@ -189,10 +198,7 @@ def epoch_target(t: int, total_epochs: int, n_total: int,
     alpha_t = alpha_schedule(t, total_epochs, dist.alpha_hat)
     w = 1.0 if total_epochs == 1 else (t - 1) / (total_epochs - 1)
     c = dist.n_classes
-    ranks = np.arange(1, c + 1, dtype=float)
-    power = ranks ** (-dist.gamma * alpha_t)
-    power /= power.sum()
-    q = (1.0 - w) / c + w * power
+    q = (1.0 - w) / c + w * rank_weights(c, dist.gamma * alpha_t)
     return EpochTarget(
         t=t,
         alpha_t=alpha_t,

@@ -19,8 +19,8 @@ trace arrays.
   ``{"probs": [...], "embedding": [...]}``;
 * difficulty table: CSV ``sample_id,label,phi,psi_1..psi_M,r`` in input order;
 * labels: CSV ``sample_id,label``, the header optional;
-* distribution report: ``class_id,count,rank`` CSV preceded by ``#``
-  header lines carrying n_min, gamma, alpha_hat and the degenerate flag;
+* distribution report: ``class_id,count,rank`` CSV, rank order kept, under
+  ``#`` lines carrying n_min, gamma, alpha_hat and the degenerate flag;
 * schedule manifest: one line per (epoch, class):
   ``epoch,class_id,rank,s_t,<sample ids...>``;
 * epoch-by-rank summary: CSV ``epoch,rank_1..rank_C`` of counts;
@@ -278,16 +278,14 @@ def write_distribution(path, dist: ClassDistribution):
         f"# alpha_hat={_fmt(dist.alpha_hat)}",
         f"# degenerate={'true' if dist.degenerate else 'false'}",
         "class_id,count,rank",
-        *(f"{cid},{dist.counts[cid]},{dist.rank_of_class[cid]}"
-          for cid in dist.classes_by_rank()),
+        *(f"{cid},{n},{rank}" for rank, (cid, n) in
+          enumerate(zip(dist.classes.tolist(), dist.counts.tolist()), start=1)),
     ])
 
 
 def read_distribution(path) -> ClassDistribution:
     meta = {}
-    counts = {}
-    ranks = {}
-    line_of_rank = {}
+    rows = {}  # rank -> (class id, count, line)
     for lineno, line in _numbered_lines(path):
         if line == "class_id,count,rank":
             continue
@@ -296,13 +294,9 @@ def read_distribution(path) -> ClassDistribution:
             meta[key.strip()] = value.strip()
             continue
         cid, count, rank = _numbers(path, lineno, _fields(path, lineno, line, 3))
-        if cid in counts:
-            raise ValidationError(f"{path}: line {lineno}: duplicate class_id {cid}")
-        if rank in line_of_rank:
+        if rank in rows:
             raise ValidationError(f"{path}: line {lineno}: duplicate rank {rank}")
-        counts[cid] = count
-        ranks[cid] = rank
-        line_of_rank[rank] = lineno
+        rows[rank] = cid, count, lineno
     for key in ("gamma", "alpha_hat", "degenerate"):
         if key not in meta:
             raise ValidationError(f"{path}: missing '# {key}=' header line")
@@ -312,25 +306,18 @@ def read_distribution(path) -> ClassDistribution:
             values[key] = float(meta[key])
         except ValueError:
             values[key] = math.nan
-        if not math.isfinite(values[key]):
-            raise ValidationError(f"{path}: {key} must be a finite number, got {meta[key]!r}")
     if meta["degenerate"] not in ("true", "false"):
         raise ValidationError(f"{path}: degenerate must be true or false, "
                               f"got {meta['degenerate']!r}")
-    degenerate = meta["degenerate"] == "true"
-    if not degenerate and values["gamma"] * values["alpha_hat"] <= 1:
-        raise ValidationError(f"{path}: gamma*alpha_hat must exceed 1 when degenerate=false, "
-                              f"got {values['gamma'] * values['alpha_hat']!r}")
-    for rank, lineno in line_of_rank.items():
-        if not 1 <= rank <= len(ranks):
+    for rank, (_, _, lineno) in rows.items():
+        if not 1 <= rank <= len(rows):
             raise ValidationError(f"{path}: line {lineno}: rank {rank} outside "
-                                  f"1..{len(ranks)}; ranks must be a permutation")
-    try:
-        return ClassDistribution(counts=counts, gamma=values["gamma"],
-                                 alpha_hat=values["alpha_hat"], degenerate=degenerate,
-                                 rank_of_class=ranks)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+                                  f"1..{len(rows)}; ranks must be a permutation")
+    classes, counts, linenos = np.array([rows[r] for r in sorted(rows)],
+                                        dtype=np.int64).reshape(-1, 3).T
+    return _checked(path, linenos.tolist(), lambda: ClassDistribution(
+        classes=classes, counts=counts, gamma=values["gamma"],
+        alpha_hat=values["alpha_hat"], degenerate=meta["degenerate"] == "true"))
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +328,13 @@ def write_schedule(path, schedule: Schedule, dist: ClassDistribution, ids):
     """One line per (epoch, class), formatted one epoch at a time; ``ids``
     are the sample ids of the rows the schedule indexes."""
     ids = np.asarray(ids, dtype=object)
-    ranks = [dist.rank_of_class[cid] for cid in schedule.classes]
+    counts = epoch_rank_counts(schedule, dist)
+    ranks = range(1, counts.shape[1] + 1)
     write_lines(path, (",".join([str(plan.t), str(cid), str(rank), str(k), *chunk])
-                       for plan in schedule.plans
+                       for plan, row in zip(schedule.plans, counts)
                        for cid, rank, k, chunk in zip(
-                           schedule.classes, ranks, plan.counts,
-                           np.split(ids[plan.indices], np.cumsum(plan.counts)[:-1]))))
+                           schedule.classes, ranks, row,
+                           np.split(ids[plan.indices], np.cumsum(row)[:-1]))))
 
 
 def write_epoch_rank_table(path, schedule: Schedule, dist: ClassDistribution):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import ClassDistribution, epoch_target
+from .distribution import ClassDistribution, epoch_target, rank_weights
 from .errors import InfeasibleScheduleError, ValidationError
 from .measurer import DifficultyTable
 
@@ -83,7 +83,7 @@ def build_queues(table: DifficultyTable, dist: ClassDistribution,
     if difficulty_order not in (EASY_HIGH_R, EASY_LOW_R):
         raise ValidationError(f"difficulty_order must be {EASY_HIGH_R!r} or {EASY_LOW_R!r}, "
                               f"got {difficulty_order!r}")
-    classes = np.array(dist.classes_by_rank())
+    classes = dist.classes
     by_id = np.argsort(classes)
     pos = by_id[np.minimum(np.searchsorted(classes, table.labels, sorter=by_id),
                            classes.size - 1)]
@@ -183,8 +183,7 @@ def build_schedule(table: DifficultyTable, dist: ClassDistribution,
     if len(table) == 0:
         raise ValidationError("cannot schedule an empty dataset")
     order, caps = build_queues(table, dist, difficulty_order)
-    classes = dist.classes_by_rank()
-    for cid, size, expected in zip(classes, caps, dist.counts_by_rank()):
+    for cid, size, expected in zip(dist.classes, caps, dist.counts):
         if size != expected:
             raise ValidationError(
                 f"class {cid}: difficulty table has {size} samples "
@@ -202,7 +201,7 @@ def build_schedule(table: DifficultyTable, dist: ClassDistribution,
             counts = apportion(target.q, target.subset_size, caps)
         indices = np.concatenate([order[s:s + k] for s, k in zip(starts, counts)])
         plans.append(EpochPlan(t=t, counts=counts, indices=indices))
-    return Schedule(plans=plans, classes=tuple(classes))
+    return Schedule(plans=plans, classes=tuple(dist.classes.tolist()))
 
 
 def random_baseline_schedule(labels, total_epochs: int, seed: int) -> Schedule:
@@ -253,7 +252,7 @@ def truncate_schedule(schedule: Schedule, labels, budget: int) -> Schedule:
 
 def epoch_rank_counts(schedule: Schedule, dist: ClassDistribution) -> np.ndarray:
     """(T, C) matrix of per-epoch counts ordered by class rank."""
-    if list(schedule.classes) != dist.classes_by_rank():
+    if list(schedule.classes) != dist.classes.tolist():
         raise ValidationError("schedule classes are not the distribution's rank order")
     return np.array([p.counts for p in schedule.plans], dtype=int)
 
@@ -268,10 +267,7 @@ def synthetic_powerlaw_schedule(n_samples: int = 1000, total_epochs: int = 10,
     so the full-data final epoch lands exactly on that law. Returns
     (schedule, distribution).
     """
-    ranks = np.arange(1, n_classes + 1, dtype=float)
-    weights = ranks ** (-gamma * alpha_cap)
-    weights /= weights.sum()
-    sizes = largest_remainder(weights * n_samples, n_samples)
+    sizes = largest_remainder(rank_weights(n_classes, gamma * alpha_cap) * n_samples, n_samples)
     counts = {cid: int(sizes[cid]) for cid in range(n_classes)}
     dist = ClassDistribution.from_counts(counts, gamma=gamma, alpha=alpha_cap)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distribution import ClassDistribution, subset_size
+from .distribution import ClassDistribution, rank_weights, subset_size
 from .errors import ValidationError, check_number
 from .measurer import TraceBatch, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
@@ -127,10 +127,7 @@ def class_sizes(n_total: int, n_classes: int, exponent: float) -> np.ndarray:
     """
     if n_total < n_classes:
         raise ValidationError(f"{n_total} samples cannot cover {n_classes} classes")
-    ranks = np.arange(1, n_classes + 1, dtype=float)
-    weights = ranks ** (-float(exponent))
-    weights /= weights.sum()
-    sizes = largest_remainder(weights * n_total, n_total)
+    sizes = largest_remainder(rank_weights(n_classes, float(exponent)) * n_total, n_total)
     while (sizes == 0).any():
         sizes[int(np.argmax(sizes))] -= 1
         sizes[int(np.argmin(sizes))] += 1
@@ -256,10 +253,13 @@ class FusionModel:
         logits[1:] += self.aux_b[:, None, :]
         return zcat, _softmax_inplace(logits)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def forward_batch(self, x: np.ndarray):
         """(fused probs, per-modality probs, per-modality embeddings) of the
         rows of ``x``, the (n, sum of dims) matrix of the modalities."""
         zcat, probs = self._forward(x)
+        if not (np.isfinite(probs).all() and np.isfinite(zcat).all()):
+            raise ValidationError("model outputs are not finite: training diverged")
         return probs[0], probs[1:], _per_modality(zcat, self.n_modalities)
 
 
@@ -381,6 +381,7 @@ def evaluate(model: FusionModel, x: np.ndarray, y: np.ndarray):
     return accuracy(cm), weighted_f1(cm), macro_f1(cm)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
           init_model: FusionModel, eval_set=None, arm: str = "train",
           record_visits: bool = False):
@@ -393,6 +394,7 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
     the flat parameters (none when the learning rate is 0).
 
     ``eval_set`` is an optional (x, y) pair evaluated after every epoch.
+    An epoch that ends with a non-finite batch loss or parameter raises.
     """
     want = (tuple(dataset.spec.dims), dataset.spec.n_classes)
     if (init_model.dims, init_model.n_classes) != want:
@@ -423,6 +425,9 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
             losses.append(loss)
             if config.learning_rate != 0.0:
                 model.flat -= config.learning_rate * grad.flat
+        if not (np.isfinite(losses).all() and np.isfinite(model.flat).all()):
+            raise ValidationError(f"training diverged: arm {arm!r} at epoch {plan.t} has a "
+                                  f"non-finite loss or parameter (try a smaller learning rate)")
         stats = EpochStats(t=plan.t, visits=int(idx.size),
                            mean_loss=float(np.mean(losses)) if losses else float("nan"))
         if eval_set is not None:

@@ -166,7 +166,7 @@ def test_criterion_4_scheduler_properties():
             dist = ClassDistribution.from_labels(labels, 0.3)
             schedule = build_schedule(table, dist, total_epochs)
             rows, sizes = build_queues(table, dist)
-            queues = dict(zip(dist.classes_by_rank(), np.split(rows, np.cumsum(sizes)[:-1])))
+            queues = dict(zip(dist.classes.tolist(), np.split(rows, np.cumsum(sizes)[:-1])))
             # the oracle queue: (-r, sample id) within each class
             for cid, queue in queues.items():
                 members = np.flatnonzero(labels == cid)
@@ -178,10 +178,10 @@ def test_criterion_4_scheduler_properties():
                             else subset_size(plan.t, total_epochs, n))
                 assert sum(plan.counts) == plan.total == expected
                 cursor = 0
-                for cid, k in zip(dist.classes_by_rank(), plan.counts):
+                for cid, cap, k in zip(dist.classes.tolist(), dist.counts, plan.counts):
                     chosen = plan.indices[cursor:cursor + k]
                     cursor += k
-                    assert k <= dist.counts[cid]  # cap respect
+                    assert k <= cap  # cap respect
                     assert np.array_equal(chosen, queues[cid][:k])  # prefix property
             first = schedule.plans[0].counts
             assert max(first) - min(first) <= 1  # epoch-1 balance

@@ -12,7 +12,7 @@ import pytest
 from climd import fileformats as ff
 from climd.cli import main
 from climd.distribution import ClassDistribution
-from climd.measurer import TraceBatch, score_dataset
+from climd.measurer import DifficultyTable, TraceBatch, score_dataset
 from climd.scheduler import build_schedule
 from climd.simlab import FusionModel, SyntheticSpec, collect_traces, generate_dataset
 
@@ -105,6 +105,27 @@ class TestScoreAndSchedule:
         assert last[0] == 5 and sum(last[1:]) == 200
 
 
+    def test_schedule_keeps_the_rank_order_of_the_file(self, tmp_path):
+        # Ranks 1, 2, 3 are classes 1, 0, 2, though class 2 is the largest.
+        dist = tmp_path / "distribution.csv"
+        dist.write_text("# n_min=3\n# gamma=0.3\n# alpha_hat=5.0\n# degenerate=false\n"
+                        "class_id,count,rank\n1,3,1\n2,9,3\n0,6,2\n")
+        labels = np.repeat([0, 1, 2], [6, 3, 9])
+        r = np.linspace(0.9, 0.1, labels.size)
+        ff.write_difficulty(tmp_path / "difficulty.csv", DifficultyTable(
+            ids=[f"s{i}" for i in range(labels.size)], labels=labels,
+            psi=np.column_stack([r, r]), phi=r, r=r))
+        out = tmp_path / "out"
+        assert main(["schedule", "--difficulty", str(tmp_path / "difficulty.csv"),
+                     "--distribution", str(dist), "--epochs", "4", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "schedule.csv").read_text().splitlines()]
+        assert [row[1:3] for row in rows] == [["1", "1"], ["0", "2"], ["2", "3"]] * 4
+        assert [row[3] for row in rows[-3:]] == ["3", "6", "9"]
+        table = (out / "epoch_rank_counts.csv").read_text().splitlines()
+        assert table[0] == "epoch,rank_1,rank_2,rank_3"
+        assert table[-1] == "4,3,6,9"
+
+
 class TestFigure2:
     def test_stdout_table(self, capsys):
         assert main(["figure2"]) == 0
@@ -134,6 +155,21 @@ class TestEval:
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error: --classes ")
+
+    # Numpy rejects a confusion matrix of these sizes before it allocates
+    # anything; a class count much below 1e9 could really try to allocate
+    # the C x C matrix, so none is tested.
+    @pytest.mark.parametrize("rows,flags,classes", [
+        ("a,0,1000000000000\nb,1,1\n", [], "1000000000001"),
+        ("a,0,1\nb,1,1\n", ["--classes", "3000000000"], "3000000000"),
+    ])
+    def test_huge_class_count_exits_1(self, tmp_path, capsys, rows, flags, classes):
+        preds = tmp_path / "preds.csv"
+        preds.write_text(rows)
+        assert main(["eval", "--predictions", str(preds), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no room for a {classes} x {classes} confusion matrix\n"
 
     def test_only_the_exact_header_is_skipped(self, tmp_path, capsys):
         preds = tmp_path / "preds.csv"
@@ -481,6 +517,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not (tmp_path / "x").exists()
+
+
+    @pytest.mark.parametrize("lr,message", [
+        # The curriculum arm's parameters overflow in its third epoch.
+        ("1e20", "training diverged: arm 'climd' at epoch 3 has a non-finite loss"),
+        # The warm-up leaves finite parameters of about 1e200, and the next
+        # forward pass, collecting the traces, overflows.
+        ("1e100", "model outputs are not finite: training diverged"),
+    ])
+    def test_diverged_training_exits_1(self, tmp_path, capsys, lr, message):
+        out = tmp_path / "x"
+        assert main(["simulate", "--seeds", "1", "--epochs", "6", "--warmup", "1",
+                     "--n", "300", "--lr", lr, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def canonical_sha256(payload):

@@ -10,6 +10,7 @@ from climd.distribution import (
     epoch_target,
     fit_alpha,
     powerlaw_pdf,
+    rank_weights,
     subset_size,
 )
 from climd.errors import DomainError, ValidationError
@@ -196,19 +197,28 @@ class TestEpochTarget:
         assert target.subset_size == 1000
 
 
+class TestRankWeights:
+    def test_normalized_power_of_ranks(self):
+        weights = rank_weights(4, 1.5)
+        ranks = np.arange(1, 5, dtype=float)
+        expect = ranks ** -1.5
+        assert np.array_equal(weights, expect / expect.sum())
+        assert math.isclose(weights.sum(), 1.0)
+        assert np.array_equal(rank_weights(3, 0.0), np.full(3, 1 / 3))
+
+
 class TestClassDistribution:
     def test_rank_assignment_with_ties(self):
         dist = ClassDistribution.from_counts({0: 5, 1: 9, 2: 5, 3: 12}, gamma=0.3)
-        assert dist.rank_of_class == {3: 1, 1: 2, 0: 3, 2: 4}
-        assert dist.classes_by_rank() == [3, 1, 0, 2]
-        ranked = dist.counts_by_rank()
+        assert dist.classes.tolist() == [3, 1, 0, 2]
+        ranked = dist.counts
         assert list(ranked) == [12, 9, 5, 5]
         assert all(a >= b for a, b in zip(ranked, ranked[1:]))
 
     def test_from_labels(self):
         labels = [0] * 7 + [1] * 3 + [2] * 5
         dist = ClassDistribution.from_labels(labels, gamma=0.3)
-        assert dist.counts == {0: 7, 1: 3, 2: 5}
+        assert dict(zip(dist.classes.tolist(), dist.counts.tolist())) == {0: 7, 1: 3, 2: 5}
         assert dist.n_min == 3
         assert dist.n_total == 15
 
@@ -222,8 +232,34 @@ class TestClassDistribution:
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.3])
     def test_gamma_must_be_finite_and_positive(self, gamma):
         with pytest.raises(ValidationError, match="gamma must be a finite number > 0"):
-            ClassDistribution(counts={0: 5, 1: 3}, gamma=gamma, alpha_hat=5.0,
+            ClassDistribution(classes=[0, 1], counts=[5, 3], gamma=gamma, alpha_hat=5.0,
                               degenerate=False)
+
+    @pytest.mark.parametrize("classes,counts,match", [
+        ([0, 1], [5], "1-D arrays of one length"),
+        ([[0, 1]], [[5, 3]], "1-D arrays of one length"),
+        ([], [], "at least one class"),
+        ([0, 1], [5, 0], "counts must be >= 1"),
+    ])
+    def test_direct_construction_checks_its_arrays(self, classes, counts, match):
+        with pytest.raises(ValidationError, match=match):
+            ClassDistribution(classes=classes, counts=counts, gamma=0.3, alpha_hat=5.0,
+                              degenerate=False)
+
+    @pytest.mark.parametrize("classes,row", [([0, 0], 1), ([2, 0, 1, 0, 2], 3)])
+    def test_repeated_class_id_names_its_second_occurrence(self, classes, row):
+        with pytest.raises(ValidationError, match="duplicate class_id") as info:
+            ClassDistribution(classes=classes, counts=[5] * len(classes), gamma=0.3,
+                              alpha_hat=5.0, degenerate=True)
+        assert info.value.row == row
+
+    def test_alpha_bound_holds_unless_degenerate(self):
+        with pytest.raises(DomainError, match=r"gamma\*alpha_hat must exceed 1"):
+            ClassDistribution(classes=[0, 1], counts=[5, 3], gamma=0.3, alpha_hat=3.0,
+                              degenerate=False)
+        dist = ClassDistribution(classes=[0, 1], counts=[5, 3], gamma=0.3, alpha_hat=3.0,
+                                 degenerate=True)
+        assert dist.degenerate and dist.classes.dtype == np.int64
 
     def test_degenerate_flag_propagates(self):
         dist = ClassDistribution.from_labels([0, 0, 1, 1], gamma=0.3)

@@ -103,8 +103,8 @@ class TestDistributionFormat:
         path = tmp_path / "distribution.csv"
         ff.write_distribution(path, dist)
         back = ff.read_distribution(path)
-        assert back.counts == dist.counts
-        assert back.rank_of_class == dist.rank_of_class
+        assert np.array_equal(back.counts, dist.counts)
+        assert np.array_equal(back.classes, dist.classes)
         assert back.gamma == dist.gamma
         assert back.alpha_hat == dist.alpha_hat
         assert back.degenerate == dist.degenerate
@@ -125,7 +125,7 @@ class TestDistributionFormat:
     HEADER = "# n_min=10\n# gamma=0.3\n# alpha_hat=5.0\n# degenerate=false\nclass_id,count,rank\n"
 
     @pytest.mark.parametrize("rows,match", [
-        ("0,100,1\n0,50,2\n", "line 7: duplicate class_id 0"),
+        ("0,100,1\n0,50,2\n", r"duplicate class_id 0 \(line 7\)"),
         ("0,100,1\n1,50,1\n", "line 7: duplicate rank 1"),
         ("0,100,1\n1,50,3\n", "line 7: rank 3 outside 1..2"),
         ("0,100,0\n1,50,1\n", "line 6: rank 0 outside 1..2"),
@@ -169,6 +169,19 @@ class TestScheduleFormat:
         assert len(ids) == int(count)
         total = sum(int(line.split(",")[3]) for line in lines if line.startswith("3,"))
         assert total == 60
+
+    def test_writers_reject_another_rank_order(self, tmp_path):
+        schedule, dist = synthetic_powerlaw_schedule(n_samples=60, total_epochs=3,
+                                                     n_classes=4)
+        other = ClassDistribution(classes=dist.classes[[1, 0, 2, 3]],
+                                  counts=dist.counts[[1, 0, 2, 3]], gamma=dist.gamma,
+                                  alpha_hat=dist.alpha_hat, degenerate=False)
+        with pytest.raises(ValidationError, match="rank order"):
+            ff.write_schedule(tmp_path / "schedule.csv", schedule, other,
+                              [f"x{i}" for i in range(60)])
+        with pytest.raises(ValidationError, match="rank order"):
+            ff.write_epoch_rank_table(tmp_path / "counts.csv", schedule, other)
+        assert not list(tmp_path.iterdir())
 
     def test_epoch_rank_table(self, tmp_path):
         schedule, dist = synthetic_powerlaw_schedule()

@@ -48,7 +48,7 @@ def queues_by_class(table, dist, order="high_r_easy"):
     """Each class's queue as a list of sample ids."""
     rows, sizes = build_queues(table, dist, difficulty_order=order)
     chunks = np.split(np.array(table.ids, dtype=object)[rows], np.cumsum(sizes)[:-1])
-    return {cid: list(chunk) for cid, chunk in zip(dist.classes_by_rank(), chunks)}
+    return {cid: list(chunk) for cid, chunk in zip(dist.classes.tolist(), chunks)}
 
 
 def per_class_selections(plan, dist, table):
@@ -56,7 +56,7 @@ def per_class_selections(plan, dist, table):
     ids = np.array(table.ids, dtype=object)[plan.indices]
     out = {}
     cursor = 0
-    for cid, k in zip(dist.classes_by_rank(), plan.counts):
+    for cid, k in zip(dist.classes.tolist(), plan.counts):
         out[cid] = list(ids[cursor:cursor + k])
         cursor += k
     assert cursor == plan.total
@@ -169,7 +169,8 @@ class TestBuildSchedule:
         n = len(table)
         queues = queues_by_class(table, dist)
         assert len(schedule.plans) == total_epochs
-        assert list(schedule.classes) == dist.classes_by_rank()
+        assert list(schedule.classes) == dist.classes.tolist()
+        size_of = dict(zip(dist.classes.tolist(), dist.counts.tolist()))
         for plan in schedule.plans:
             # exact totals
             assert sum(plan.counts) == plan.total
@@ -178,7 +179,7 @@ class TestBuildSchedule:
             selections = per_class_selections(plan, dist, table)
             for cid, chosen in selections.items():
                 # cap respect and prefix property
-                assert len(chosen) <= dist.counts[cid]
+                assert len(chosen) <= size_of[cid]
                 assert chosen == queues[cid][: len(chosen)]
             # rank monotonicity, allowing the +-1 rounding inversion
             by_rank = list(plan.counts)
