@@ -16,13 +16,12 @@ from climd import (
     ClassDistribution,
     DifficultyTable,
     build_schedule,
-    epoch_rank_counts,
     synthetic_powerlaw_schedule,
 )
 
-schedule, dist = synthetic_powerlaw_schedule(
+schedule = synthetic_powerlaw_schedule(
     n_samples=1000, total_epochs=10, n_classes=10, alpha_cap=5.0, gamma=0.3)
-counts = epoch_rank_counts(schedule, dist)
+counts = schedule.counts  # (T, C): rows taken per epoch from each queue, by rank
 
 print("epoch-by-rank subset sizes (rank 1 = largest class):")
 print("epoch " + " ".join(f"r{r:<4}" for r in range(1, 11)))
@@ -32,8 +31,8 @@ print(f"row sums: {counts.sum(axis=1).tolist()}  (= 100*t, full data at T)")
 
 # The same machinery on a small dataset with real difficulty scores:
 # class 0 has four samples scored 0.9 > 0.7 > 0.4 > 0.1, so epochs take
-# prefixes of [a, b, c, d]; class 1 similarly. Plans hold row indices
-# into the table, so its ids name the samples.
+# prefixes of [a, b, c, d]; class 1 similarly. A schedule's queues hold
+# row indices into the table, so its ids name the samples.
 r = np.array([0.9, 0.7, 0.4, 0.1, 0.8, 0.2])
 table = DifficultyTable(ids=["a", "b", "c", "d", "e", "f"],
                         labels=np.array([0, 0, 0, 0, 1, 1]),
@@ -42,6 +41,6 @@ small = ClassDistribution.from_labels(table.labels, gamma=0.3)
 plan = build_schedule(table, small, total_epochs=3)
 
 print("\nsix samples, two classes, three epochs (easy prefixes grow):")
-for p in plan.plans:
-    counts = dict(zip(plan.classes, p.counts.tolist()))
-    print(f"  epoch {p.t}: {[table.ids[i] for i in p.indices]}  counts {counts}")
+for t, rows in enumerate(plan.epochs(), start=1):
+    counts = dict(zip(plan.classes.tolist(), plan.counts[t - 1].tolist()))
+    print(f"  epoch {t}: {[table.ids[i] for i in rows]}  counts {counts}")

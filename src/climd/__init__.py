@@ -34,12 +34,10 @@ from .metrics import (
     weighted_f1,
 )
 from .scheduler import (
-    EpochPlan,
     Schedule,
     apportion,
     build_queues,
     build_schedule,
-    epoch_rank_counts,
     largest_remainder,
     random_baseline_schedule,
     synthetic_powerlaw_schedule,

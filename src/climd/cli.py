@@ -115,24 +115,24 @@ def cmd_schedule(args) -> int:
     dist = ff.read_distribution(args.distribution)
     schedule = build_schedule(table, dist, args.epochs, args.order)
     out = _outdir(args)
-    ff.write_schedule(out / "schedule.csv", schedule, dist, table.ids)
-    ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule, dist)
+    ff.write_schedule(out / "schedule.csv", schedule, table.ids)
+    ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule)
     _write_manifest(out, "schedule",
                     {"epochs": args.epochs, "order": args.order,
                      "gamma": dist.gamma, "alpha_hat": dist.alpha_hat,
                      "config_digest": _schedule_digest(args.order, dist, args.epochs)},
                     {"difficulty": args.difficulty, "distribution": args.distribution},
                     [])
-    print(ff.format_epoch_rank_table(schedule, dist))
+    print(ff.format_epoch_rank_table(schedule))
     return 0
 
 
 def cmd_figure2(args) -> int:
-    schedule, dist = synthetic_powerlaw_schedule()
-    print(ff.format_epoch_rank_table(schedule, dist))
+    schedule = synthetic_powerlaw_schedule()
+    print(ff.format_epoch_rank_table(schedule))
     if args.out:
         out = _outdir(args)
-        ff.write_epoch_rank_table(out / "figure2.csv", schedule, dist)
+        ff.write_epoch_rank_table(out / "figure2.csv", schedule)
         _write_manifest(out, "figure2",
                         {"n_samples": 1000, "epochs": 10, "classes": 10,
                          "alpha_cap": 5.0, "gamma": 0.3}, {}, [])
@@ -239,8 +239,8 @@ def cmd_pipeline(args) -> int:
     out = _outdir(args)
     ff.write_difficulty(out / "difficulty.csv", table)
     ff.write_distribution(out / "distribution.csv", dist)
-    ff.write_schedule(out / "schedule.csv", schedule, dist, table.ids)
-    ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule, dist)
+    ff.write_schedule(out / "schedule.csv", schedule, table.ids)
+    ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule)
     _write_manifest(out, "pipeline",
                     {"epochs": args.epochs, "gamma": args.gamma, "order": args.order,
                      "config_digest": _schedule_digest(args.order, dist, args.epochs)},

@@ -41,6 +41,7 @@ def _round_half_up(x: float) -> int:
 class ClassDistribution:
     """Class ids and their sizes as int64 ``(C,)`` arrays in rank order,
     with the fitted alpha: ``classes[k]`` is the class at rank k + 1.
+    ``alpha_hat`` is at least 1, where the epoch ramp starts.
     :meth:`from_counts` ranks by descending size, ties by ascending id.
     A repeated id is rejected with the ``row`` of its second occurrence.
     """
@@ -61,7 +62,7 @@ class ClassDistribution:
         if np.any(self.counts < 1):
             raise ValidationError("all class counts must be >= 1")
         check_number("gamma", self.gamma, 0.0, strict=True)
-        check_number("alpha_hat", self.alpha_hat, 0.0, strict=True)
+        check_number("alpha_hat", self.alpha_hat, 1.0)
         if not self.degenerate and self.gamma * self.alpha_hat <= 1:
             raise DomainError(f"gamma*alpha_hat must exceed 1 unless degenerate, "
                               f"got {self.gamma * self.alpha_hat!r}")

@@ -51,7 +51,7 @@ import numpy as np
 from .distribution import ClassDistribution
 from .errors import ValidationError
 from .measurer import DifficultyTable, TraceBatch, check_ids
-from .scheduler import Schedule, epoch_rank_counts
+from .scheduler import Schedule
 
 
 def _fmt(x: float) -> str:
@@ -324,28 +324,26 @@ def read_distribution(path) -> ClassDistribution:
 # schedule artifacts
 # ---------------------------------------------------------------------------
 
-def write_schedule(path, schedule: Schedule, dist: ClassDistribution, ids):
+def write_schedule(path, schedule: Schedule, ids):
     """One line per (epoch, class), formatted one epoch at a time; ``ids``
     are the sample ids of the rows the schedule indexes."""
     ids = np.asarray(ids, dtype=object)
-    counts = epoch_rank_counts(schedule, dist)
-    ranks = range(1, counts.shape[1] + 1)
-    write_lines(path, (",".join([str(plan.t), str(cid), str(rank), str(k), *chunk])
-                       for plan, row in zip(schedule.plans, counts)
-                       for cid, rank, k, chunk in zip(
-                           schedule.classes, ranks, row,
-                           np.split(ids[plan.indices], np.cumsum(row)[:-1]))))
+    classes = schedule.classes.tolist()
+    write_lines(path, (",".join([str(t), str(cid), str(rank), str(rows.size), *ids[rows]])
+                       for t in range(1, len(schedule.counts) + 1)
+                       for rank, (cid, rows) in enumerate(zip(classes, schedule.prefixes(t)),
+                                                          start=1)))
 
 
-def write_epoch_rank_table(path, schedule: Schedule, dist: ClassDistribution):
-    counts = epoch_rank_counts(schedule, dist)
+def write_epoch_rank_table(path, schedule: Schedule):
+    counts = schedule.counts
     write_lines(path, ["epoch," + ",".join(f"rank_{r}" for r in range(1, counts.shape[1] + 1)),
                        *(f"{i}," + ",".join(str(int(v)) for v in row)
                          for i, row in enumerate(counts, start=1))])
 
 
-def format_epoch_rank_table(schedule: Schedule, dist: ClassDistribution) -> str:
-    counts = epoch_rank_counts(schedule, dist)
+def format_epoch_rank_table(schedule: Schedule) -> str:
+    counts = schedule.counts
     header = "epoch " + " ".join(f"{f'rank{r}':>6}" for r in range(1, counts.shape[1] + 1))
     rows = [header]
     for i, row in enumerate(counts, start=1):

@@ -8,10 +8,13 @@ apportionment of the epoch target, clamped to class availability. The
 final epoch is overridden to the complete dataset so that every sample
 participates at least once.
 
-Schedules are integer-indexed: every :class:`EpochPlan` holds an index
-array into the rows of the table or dataset it was built from (so into
-that table's ``ids``), plus its per-class counts in the schedule's class
-order, which is rank order for a curriculum.
+A curriculum :class:`Schedule` is its queues plus one count per (epoch,
+class): ``order`` lists the rows of the table it was built from (so
+indices into that table's ``ids``), grouped by class rank and easy to
+hard within a class, and ``counts[t - 1, k]`` is how many rows epoch t
+takes from the head of the queue at rank k + 1. The control schedules
+(:func:`random_baseline_schedule`, :func:`truncate_schedule`) are plain
+lists of per-epoch row arrays, which is also what training consumes.
 
 Everything here is deterministic: ties are broken by sample id
 (lexicographic), largest-remainder ties by rank order, and schedules are
@@ -39,36 +42,31 @@ def _stream(seed: int, purpose: str) -> np.random.Generator:
 
 
 @dataclass(eq=False)
-class EpochPlan:
-    """Concrete subset for one epoch.
+class Schedule:
+    """A curriculum: the class queues and the prefix of each that every
+    epoch takes.
 
-    ``indices`` are rows of the scored table or dataset, listed in rank
-    then queue order for a curriculum; ``counts[j]`` is the number taken
-    from class ``Schedule.classes[j]``.
+    ``classes`` is the (C,) class ids in rank order, ``order`` the (N,)
+    :func:`build_queues` rows, and ``counts`` the (T, C) matrix of how
+    many rows epoch t takes from the head of each queue; its last row is
+    the queue sizes.
     """
 
-    t: int
+    classes: np.ndarray
+    order: np.ndarray
     counts: np.ndarray
-    indices: np.ndarray
 
-    @property
-    def total(self) -> int:
-        return int(self.indices.size)
+    def prefixes(self, t: int) -> list[np.ndarray]:
+        """The rows epoch ``t`` (1-based) takes from each queue, in rank order."""
+        if not 1 <= t <= len(self.counts):
+            raise ValidationError(f"epoch {t} outside [1, {len(self.counts)}]")
+        sizes = self.counts[-1]
+        starts = (np.cumsum(sizes) - sizes).tolist()
+        return [self.order[s:s + k] for s, k in zip(starts, self.counts[t - 1].tolist())]
 
-    def __eq__(self, other):
-        return (isinstance(other, EpochPlan) and self.t == other.t
-                and np.array_equal(self.counts, other.counts)
-                and np.array_equal(self.indices, other.indices))
-
-
-@dataclass
-class Schedule:
-    plans: list[EpochPlan]
-    classes: tuple[int, ...]  # class id of each column of every plan's counts
-
-    @property
-    def total_visits(self) -> int:
-        return sum(p.total for p in self.plans)
+    def epochs(self) -> list[np.ndarray]:
+        """Every epoch's rows: its queue prefixes, concatenated in rank order."""
+        return [np.concatenate(self.prefixes(t)) for t in range(1, len(self.counts) + 1)]
 
 
 def build_queues(table: DifficultyTable, dist: ClassDistribution,
@@ -189,72 +187,43 @@ def build_schedule(table: DifficultyTable, dist: ClassDistribution,
                 f"class {cid}: difficulty table has {size} samples "
                 f"but the distribution says {expected}"
             )
-    starts = np.cumsum(caps) - caps
     n_total = int(caps.sum())
-
-    plans = []
-    for t in range(1, total_epochs + 1):
-        if t == total_epochs:
-            counts = caps.copy()  # full-data final epoch
-        else:
-            target = epoch_target(t, total_epochs, n_total, dist)
-            counts = apportion(target.q, target.subset_size, caps)
-        indices = np.concatenate([order[s:s + k] for s, k in zip(starts, counts)])
-        plans.append(EpochPlan(t=t, counts=counts, indices=indices))
-    return Schedule(plans=plans, classes=tuple(dist.classes.tolist()))
+    counts = np.empty((total_epochs, caps.size), dtype=caps.dtype)
+    for t in range(1, total_epochs):
+        target = epoch_target(t, total_epochs, n_total, dist)
+        counts[t - 1] = apportion(target.q, target.subset_size, caps)
+    counts[-1] = caps  # full-data final epoch
+    return Schedule(classes=dist.classes, order=order, counts=counts)
 
 
-def random_baseline_schedule(labels, total_epochs: int, seed: int) -> Schedule:
-    """Control schedule over the rows of ``labels``: every epoch is an
-    independent shuffle of the full dataset. Deterministic given the seed."""
+def random_baseline_schedule(n_rows: int, total_epochs: int, seed: int) -> list[np.ndarray]:
+    """Control schedule over ``n_rows`` rows: every epoch is an independent
+    shuffle of all of them. Deterministic given the seed."""
     if total_epochs < 1:
         raise ValidationError(f"total_epochs must be >= 1, got {total_epochs}")
-    labels = np.asarray(labels)
-    if labels.size == 0:
+    if n_rows < 1:
         raise ValidationError("cannot schedule an empty dataset")
-    classes, counts = np.unique(labels, return_counts=True)
     rng = _stream(seed, "baseline-shuffle")
-    plans = [EpochPlan(t=t, counts=counts, indices=rng.permutation(labels.size))
-             for t in range(1, total_epochs + 1)]
-    return Schedule(plans=plans, classes=tuple(classes.tolist()))
+    return [rng.permutation(n_rows) for _ in range(total_epochs)]
 
 
-def truncate_schedule(schedule: Schedule, labels, budget: int) -> Schedule:
-    """Trim a schedule to exactly ``budget`` total sample visits.
+def truncate_schedule(epochs: list[np.ndarray], budget: int) -> list[np.ndarray]:
+    """Trim per-epoch rows to exactly ``budget`` total sample visits.
 
     Whole epochs are kept while they fit; the first epoch that would
-    overshoot is cut to a prefix and the rest are dropped. ``labels``
-    gives the class of every row the schedule indexes. Used to give the
-    random baseline the same visit budget as a curriculum run.
+    overshoot is cut to a prefix and the rest are dropped. Used to give
+    the random baseline the same visit budget as a curriculum run.
     """
-    if budget < 0 or budget > schedule.total_visits:
-        raise ValidationError(
-            f"budget {budget} outside [0, {schedule.total_visits}]"
-        )
-    plans = []
-    used = 0
-    for plan in schedule.plans:
-        room = budget - used
-        if room == 0:
+    total = sum(rows.size for rows in epochs)
+    if budget < 0 or budget > total:
+        raise ValidationError(f"budget {budget} outside [0, {total}]")
+    kept, used = [], 0
+    for rows in epochs:
+        if used == budget:
             break
-        if plan.total <= room:
-            plans.append(plan)
-            used += plan.total
-            continue
-        prefix = plan.indices[:room]
-        taken = np.asarray(labels)[prefix]
-        counts = np.array([np.count_nonzero(taken == cid) for cid in schedule.classes])
-        plans.append(EpochPlan(t=plan.t, counts=counts, indices=prefix))
-        used = budget
-        break
-    return Schedule(plans=plans, classes=schedule.classes)
-
-
-def epoch_rank_counts(schedule: Schedule, dist: ClassDistribution) -> np.ndarray:
-    """(T, C) matrix of per-epoch counts ordered by class rank."""
-    if list(schedule.classes) != dist.classes.tolist():
-        raise ValidationError("schedule classes are not the distribution's rank order")
-    return np.array([p.counts for p in schedule.plans], dtype=int)
+        kept.append(rows[:budget - used])
+        used += kept[-1].size
+    return kept
 
 
 def synthetic_powerlaw_schedule(n_samples: int = 1000, total_epochs: int = 10,
@@ -264,8 +233,7 @@ def synthetic_powerlaw_schedule(n_samples: int = 1000, total_epochs: int = 10,
 
     Class sizes are the largest-remainder rounding of the final-epoch
     power-law target (exponent gamma * alpha_cap) scaled to ``n_samples``,
-    so the full-data final epoch lands exactly on that law. Returns
-    (schedule, distribution).
+    so the full-data final epoch lands exactly on that law.
     """
     sizes = largest_remainder(rank_weights(n_classes, gamma * alpha_cap) * n_samples, n_samples)
     counts = {cid: int(sizes[cid]) for cid in range(n_classes)}
@@ -277,4 +245,4 @@ def synthetic_powerlaw_schedule(n_samples: int = 1000, total_epochs: int = 10,
     n = len(ids)
     table = DifficultyTable(ids=ids, labels=labels, psi=np.full((n, 2), 0.5),
                             phi=np.zeros(n), r=np.full(n, 0.5))
-    return build_schedule(table, dist, total_epochs), dist
+    return build_schedule(table, dist, total_epochs)

@@ -15,9 +15,10 @@ block ``FusionModel.columns[m]``. Every parameter lives in one flat
 float64 buffer, laid out in ``FusionModel.params()`` order, and the named
 weights are views into it: copying a model is one buffer copy, and an SGD
 step is one ``flat -= lr * grad`` against a gradient buffer of the same
-layout. Per batch, ``train`` gathers the rows once from the dataset's
-``x`` and applies that one update, starting from a required init model:
-``run_seed`` builds one, and the warm-up and both arms start from it.
+layout. ``train`` takes its schedule as a list of per-epoch row arrays;
+per batch it gathers the rows once from the dataset's ``x`` and applies
+that one update, starting from a required init model: ``run_seed``
+builds one, and the warm-up and both arms start from it.
 The auxiliary heads run as one batched matmul and share one softmax with
 the fused head. The arithmetic (summation axes and order, scale factors)
 is that of the per-modality formulas, so losses and gradients are bitwise
@@ -40,8 +41,6 @@ from .errors import ValidationError, check_number
 from .measurer import TraceBatch, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import (
-    EpochPlan,
-    Schedule,
     _stream,
     apportion,
     build_schedule,
@@ -382,12 +381,13 @@ def evaluate(model: FusionModel, x: np.ndarray, y: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
+def train(dataset: SyntheticDataset, epochs: list[np.ndarray], config: TrainConfig,
           init_model: FusionModel, eval_set=None, arm: str = "train",
-          record_visits: bool = False):
+          record_visits: bool = False, first_epoch: int = 1):
     """SGD from a copy of ``init_model``, which must have the dataset's dims
-    and classes, over the schedule: epoch t visits exactly the rows of plan
-    t, shuffled by a seeded generator. Returns (model, history).
+    and classes, over ``epochs``: each epoch visits exactly the rows of its
+    array, shuffled by a seeded generator. Epochs are numbered from
+    ``first_epoch`` in the history and in errors. Returns (model, history).
 
     Each batch is one gather from ``dataset.x``, one ``loss_and_grads``
     call into a gradient buffer reused by every batch, and one update of
@@ -401,11 +401,11 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
         raise ValidationError(f"init model has (dims, classes) "
                               f"{(init_model.dims, init_model.n_classes)}, the dataset {want}")
     n = dataset.n_samples
-    for plan in schedule.plans:
-        outside = plan.indices[(plan.indices < 0) | (plan.indices >= n)]
+    for t, rows in enumerate(epochs, start=first_epoch):
+        outside = rows[(rows < 0) | (rows >= n)]
         if outside.size:
             raise ValidationError(
-                f"epoch {plan.t} references rows outside the dataset's {n} samples: "
+                f"epoch {t} references rows outside the dataset's {n} samples: "
                 f"{outside[:5].tolist()}"
             )
 
@@ -413,8 +413,8 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
     grad = FusionModel(model.dims, model.hidden, model.n_classes)
     rng = _stream(config.seed, f"shuffle-{arm}")
     history = TrainHistory(visited=[] if record_visits else None)
-    for plan in schedule.plans:
-        idx = plan.indices[rng.permutation(plan.total)]
+    for t, rows in enumerate(epochs, start=first_epoch):
+        idx = rows[rng.permutation(rows.size)]
         if record_visits:
             history.visited.append(idx)
         losses = []
@@ -426,9 +426,9 @@ def train(dataset: SyntheticDataset, schedule: Schedule, config: TrainConfig,
             if config.learning_rate != 0.0:
                 model.flat -= config.learning_rate * grad.flat
         if not (np.isfinite(losses).all() and np.isfinite(model.flat).all()):
-            raise ValidationError(f"training diverged: arm {arm!r} at epoch {plan.t} has a "
+            raise ValidationError(f"training diverged: arm {arm!r} at epoch {t} has a "
                                   f"non-finite loss or parameter (try a smaller learning rate)")
-        stats = EpochStats(t=plan.t, visits=int(idx.size),
+        stats = EpochStats(t=t, visits=int(idx.size),
                            mean_loss=float(np.mean(losses)) if losses else float("nan"))
         if eval_set is not None:
             stats.test_accuracy, stats.test_weighted_f1, stats.test_macro_f1 = \
@@ -493,22 +493,19 @@ def split_balanced_test(dataset: SyntheticDataset, test_fraction: float,
 
 
 def uniform_warmup_schedule(labels, n_epochs: int, epoch_size: int,
-                            seed: int) -> Schedule:
-    """Class-balanced warm-up over the rows of ``labels``: each epoch draws
-    an (approximately) equal number of samples per class, fresh random
+                            seed: int) -> list[np.ndarray]:
+    """Class-balanced warm-up over the rows of ``labels``: each epoch's rows
+    are an (approximately) equal number of samples per class, fresh random
     picks per epoch."""
     labels = np.asarray(labels)
     class_ids, caps = np.unique(labels, return_counts=True)
     members = [np.flatnonzero(labels == cid) for cid in class_ids]
     q = np.full(class_ids.size, 1.0 / class_ids.size)
     rng = _stream(seed, "warmup-order")
-    plans = []
     counts = apportion(q, min(epoch_size, int(caps.sum())), caps)
-    for t in range(1, n_epochs + 1):
-        chosen = [rows[np.sort(rng.choice(rows.size, size=int(k), replace=False))]
-                  for rows, k in zip(members, counts)]
-        plans.append(EpochPlan(t=t, counts=counts, indices=np.concatenate(chosen)))
-    return Schedule(plans=plans, classes=tuple(class_ids.tolist()))
+    return [np.concatenate([rows[np.sort(rng.choice(rows.size, size=int(k), replace=False))]
+                            for rows, k in zip(members, counts)])
+            for _ in range(n_epochs)]
 
 
 def _train_subset_view(dataset: SyntheticDataset, train_idx: np.ndarray) -> SyntheticDataset:
@@ -527,11 +524,10 @@ def _train_curriculum_arm(trainset: SyntheticDataset, dist: ClassDistribution,
     for chunk, start in enumerate(range(0, cfg.epochs, step)):
         if chunk:
             table = score_dataset(collect_traces(model, trainset))
-        schedule = build_schedule(table, dist, cfg.epochs)
-        part = Schedule(plans=schedule.plans[start:start + step], classes=schedule.classes)
-        model, _ = train(trainset, part, cfg, model,
+        part = build_schedule(table, dist, cfg.epochs).epochs()[start:start + step]
+        model, _ = train(trainset, part, cfg, model, first_epoch=start + 1,
                          arm=f"climd-r{chunk}" if cfg.refresh_every else "climd")
-        budget += part.total_visits
+        budget += sum(rows.size for rows in part)
     return model, budget
 
 
@@ -561,15 +557,13 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmR
     climd_model, budget = _train_curriculum_arm(trainset, dist, table, cfg, init)
 
     base_epochs = math.ceil(budget / n_train)
-    baseline = truncate_schedule(
-        random_baseline_schedule(trainset.labels, base_epochs, cfg.seed),
-        trainset.labels, budget,
-    )
+    baseline = truncate_schedule(random_baseline_schedule(n_train, base_epochs, cfg.seed),
+                                 budget)
     base_model, _ = train(trainset, baseline, cfg, init, arm="baseline")
 
     results = []
     for arm, model, visits in (("climd", climd_model, budget),
-                               ("baseline", base_model, baseline.total_visits)):
+                               ("baseline", base_model, sum(rows.size for rows in baseline))):
         acc, wf1, mf1 = evaluate(model, test_x, test_y)
         results.append(ArmResult(seed=offset, arm=arm, accuracy=acc,
                                  weighted_f1=wf1, macro_f1=mf1, visits=visits))

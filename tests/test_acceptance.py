@@ -173,20 +173,20 @@ def test_criterion_4_scheduler_properties():
                 expect = sorted(members, key=lambda i: (-r[i], ids[i]))
                 assert queue.tolist() == expect
 
-            for plan in schedule.plans:
-                expected = (n if plan.t == total_epochs
-                            else subset_size(plan.t, total_epochs, n))
-                assert sum(plan.counts) == plan.total == expected
+            epochs = schedule.epochs()
+            for t, (rows, counts) in enumerate(zip(epochs, schedule.counts), start=1):
+                expected = (n if t == total_epochs
+                            else subset_size(t, total_epochs, n))
+                assert sum(counts) == rows.size == expected
                 cursor = 0
-                for cid, cap, k in zip(dist.classes.tolist(), dist.counts, plan.counts):
-                    chosen = plan.indices[cursor:cursor + k]
+                for cid, cap, k in zip(dist.classes.tolist(), dist.counts, counts):
+                    chosen = rows[cursor:cursor + k]
                     cursor += k
                     assert k <= cap  # cap respect
                     assert np.array_equal(chosen, queues[cid][:k])  # prefix property
-            first = schedule.plans[0].counts
+            first = schedule.counts[0]
             assert max(first) - min(first) <= 1  # epoch-1 balance
-            last = schedule.plans[-1]
-            assert sorted(last.indices) == list(range(n))  # full coverage, exactly once
+            assert sorted(epochs[-1]) == list(range(n))  # full coverage, exactly once
 
 
 def test_criterion_5_gradient_correctness():

@@ -71,6 +71,16 @@ class TestFit:
         assert ff.read_distribution(out / "distribution.csv").degenerate
         assert "degenerate" in capsys.readouterr().out
 
+    def test_alpha_below_one_exits_1_writing_nothing(self, tmp_path, capsys):
+        # gamma 5 on sizes (3, 1) fits alpha_hat = 0.2 * (1 + 2 / ln 3) = 0.564...
+        labels = tmp_path / "labels.csv"
+        ff.write_labels(labels, [("a", 0), ("b", 0), ("c", 0), ("d", 1)])
+        out = tmp_path / "out"
+        assert main(["fit", "--labels", str(labels), "--gamma", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha_hat must be a finite number >= 1, got 0.564")
+        assert not out.exists()
+
     def test_missing_file_exits_3_without_partial_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["fit", "--labels", str(tmp_path / "nope.csv"), "--out", str(out)])
@@ -264,6 +274,16 @@ class TestPipeline:
             assert "sample id contains" in err
             assert not (tmp_path / "out").exists()
 
+    def test_alpha_below_one_fails_at_the_fit_stage(self, tmp_path, capsys):
+        traces = tmp_path / "traces.jsonl"
+        make_traces_file(traces)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--traces", str(traces), "--epochs", "3",
+                     "--gamma", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'fit': alpha_hat must be a finite number >= 1")
+        assert not out.exists()
+
     def test_missing_traces_leave_no_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["pipeline", "--traces", str(tmp_path / "nope.jsonl"),
@@ -426,8 +446,8 @@ class TestStreaming:
         expected.mkdir()
         ff.write_difficulty(expected / "difficulty.csv", table)
         ff.write_distribution(expected / "distribution.csv", dist)
-        ff.write_schedule(expected / "schedule.csv", schedule, dist, table.ids)
-        ff.write_epoch_rank_table(expected / "epoch_rank_counts.csv", schedule, dist)
+        ff.write_schedule(expected / "schedule.csv", schedule, table.ids)
+        ff.write_epoch_rank_table(expected / "epoch_rank_counts.csv", schedule)
 
         assert main(["pipeline", "--traces", str(traces), "--epochs", "5",
                      "--out", str(tmp_path / "pipe")]) == 0
@@ -533,6 +553,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_refreshed_arm_keeps_absolute_epoch_numbers(self, tmp_path, capsys):
+        # The second refresh chunk trains epochs 3 and 4 of the ramp.
+        out = tmp_path / "x"
+        assert main(["simulate", "--seeds", "1", "--epochs", "6", "--warmup", "1",
+                     "--n", "300", "--lr", "1e20", "--refresh", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged: arm 'climd-r1' at epoch 3 ")
         assert not out.exists()
 
 

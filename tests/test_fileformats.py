@@ -1,11 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from climd import fileformats as ff
-from climd.distribution import ClassDistribution
+from climd.distribution import ClassDistribution, subset_size
 from climd.errors import ValidationError
 from climd.measurer import DifficultyTable, TraceBatch, score_dataset
-from climd.scheduler import synthetic_powerlaw_schedule
+from climd.scheduler import EASY_HIGH_R, EASY_LOW_R, build_schedule, synthetic_powerlaw_schedule
 from climd.simlab import FusionModel, SyntheticSpec, collect_traces, generate_dataset
 
 
@@ -155,13 +160,64 @@ class TestDistributionFormat:
                         .replace("degenerate=false", "degenerate=true") + "0,50,1\n1,50,2\n")
         assert ff.read_distribution(path).degenerate
 
+    def test_alpha_below_one_rejected_naming_the_path(self, tmp_path):
+        path = tmp_path / "distribution.csv"
+        path.write_text(self.HEADER.replace("alpha_hat=5.0", "alpha_hat=0.5")
+                        .replace("degenerate=false", "degenerate=true") + "0,50,1\n1,50,2\n")
+        with pytest.raises(ValidationError) as info:
+            ff.read_distribution(path)
+        assert str(info.value) == f"{path}: alpha_hat must be a finite number >= 1, got 0.5"
+
+
+@st.composite
+def scored_tables(draw):
+    """A difficulty table with arbitrary class sizes, rows and ids in a
+    shuffled order, and r drawn from a few values so that ties are common;
+    plus an epoch count and a difficulty order."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=6))
+    n = sum(sizes)
+    perm = np.array(draw(st.permutations(range(n))))
+    labels = np.repeat(np.arange(len(sizes)), sizes)[perm]
+    r = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                               min_size=n, max_size=n)))
+    ids = [f"s{i:02d}" for i in draw(st.permutations(range(n)))]
+    table = DifficultyTable(ids=ids, labels=labels, psi=np.column_stack([r / 2, r / 2]),
+                            phi=r / 2, r=r)
+    return table, draw(st.integers(1, 12)), draw(st.sampled_from([EASY_HIGH_R, EASY_LOW_R]))
+
 
 class TestScheduleFormat:
+    @settings(derandomize=True, database=None)
+    @given(scored_tables())
+    def test_written_schedule_is_the_ramp_of_queue_prefixes(self, case):
+        table, total_epochs, order = case
+        dist = ClassDistribution.from_labels(table.labels, 0.3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "schedule.csv"
+            ff.write_schedule(path, build_schedule(table, dist, total_epochs, order), table.ids)
+            lines = [line.split(",") for line in path.read_text().splitlines()]
+        n = len(table)
+        # The oracle queue of a class: easy to hard by r, ties by sample id.
+        sign = -1 if order == EASY_HIGH_R else 1
+        queues = {cid: sorted((table.ids[i] for i in np.flatnonzero(table.labels == cid)),
+                              key=lambda sid: (sign * table.r[table.ids.index(sid)], sid))
+                  for cid in dist.classes.tolist()}
+        assert len(lines) == total_epochs * dist.n_classes
+        visits = {}
+        for i, (epoch, cid, rank, s_t, *ids) in enumerate(lines):
+            t, k = divmod(i, dist.n_classes)
+            assert (int(epoch), int(cid), int(rank)) == (t + 1, dist.classes[k], k + 1)
+            assert len(ids) == int(s_t)
+            assert ids == queues[int(cid)][:len(ids)]
+            visits.setdefault(t + 1, []).extend(ids)
+        for t, ids in visits.items():
+            assert len(ids) == subset_size(t, total_epochs, n)
+        assert sorted(visits[total_epochs]) == sorted(table.ids)
+
     def test_manifest_lines(self, tmp_path):
-        schedule, dist = synthetic_powerlaw_schedule(n_samples=60, total_epochs=3,
-                                                     n_classes=4)
+        schedule = synthetic_powerlaw_schedule(n_samples=60, total_epochs=3, n_classes=4)
         path = tmp_path / "schedule.csv"
-        ff.write_schedule(path, schedule, dist, [f"x{i}" for i in range(60)])
+        ff.write_schedule(path, schedule, [f"x{i}" for i in range(60)])
         lines = path.read_text().splitlines()
         assert len(lines) == 3 * 4
         epoch, cid, rank, count, *ids = lines[0].split(",")
@@ -170,23 +226,9 @@ class TestScheduleFormat:
         total = sum(int(line.split(",")[3]) for line in lines if line.startswith("3,"))
         assert total == 60
 
-    def test_writers_reject_another_rank_order(self, tmp_path):
-        schedule, dist = synthetic_powerlaw_schedule(n_samples=60, total_epochs=3,
-                                                     n_classes=4)
-        other = ClassDistribution(classes=dist.classes[[1, 0, 2, 3]],
-                                  counts=dist.counts[[1, 0, 2, 3]], gamma=dist.gamma,
-                                  alpha_hat=dist.alpha_hat, degenerate=False)
-        with pytest.raises(ValidationError, match="rank order"):
-            ff.write_schedule(tmp_path / "schedule.csv", schedule, other,
-                              [f"x{i}" for i in range(60)])
-        with pytest.raises(ValidationError, match="rank order"):
-            ff.write_epoch_rank_table(tmp_path / "counts.csv", schedule, other)
-        assert not list(tmp_path.iterdir())
-
     def test_epoch_rank_table(self, tmp_path):
-        schedule, dist = synthetic_powerlaw_schedule()
         path = tmp_path / "counts.csv"
-        ff.write_epoch_rank_table(path, schedule, dist)
+        ff.write_epoch_rank_table(path, synthetic_powerlaw_schedule())
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch," + ",".join(f"rank_{r}" for r in range(1, 11))
         first = [int(v) for v in lines[1].split(",")]

@@ -10,7 +10,6 @@ from climd.scheduler import (
     apportion,
     build_queues,
     build_schedule,
-    epoch_rank_counts,
     largest_remainder,
     random_baseline_schedule,
     synthetic_powerlaw_schedule,
@@ -51,15 +50,15 @@ def queues_by_class(table, dist, order="high_r_easy"):
     return {cid: list(chunk) for cid, chunk in zip(dist.classes.tolist(), chunks)}
 
 
-def per_class_selections(plan, dist, table):
-    """Split a plan's flattened sample list back into per-class chunks."""
-    ids = np.array(table.ids, dtype=object)[plan.indices]
+def per_class_selections(rows, counts, dist, table):
+    """Split an epoch's flattened sample list back into per-class chunks."""
+    ids = np.array(table.ids, dtype=object)[rows]
     out = {}
     cursor = 0
-    for cid, k in zip(dist.classes.tolist(), plan.counts):
+    for cid, k in zip(dist.classes.tolist(), counts):
         out[cid] = list(ids[cursor:cursor + k])
         cursor += k
-    assert cursor == plan.total
+    assert cursor == rows.size
     return out
 
 
@@ -168,43 +167,51 @@ class TestBuildSchedule:
     def check_invariants(schedule, table, dist, total_epochs):
         n = len(table)
         queues = queues_by_class(table, dist)
-        assert len(schedule.plans) == total_epochs
+        epochs = schedule.epochs()
+        assert len(epochs) == len(schedule.counts) == total_epochs
         assert list(schedule.classes) == dist.classes.tolist()
         size_of = dict(zip(dist.classes.tolist(), dist.counts.tolist()))
-        for plan in schedule.plans:
+        for t, (rows, counts) in enumerate(zip(epochs, schedule.counts), start=1):
             # exact totals
-            assert sum(plan.counts) == plan.total
-            assert plan.total == (n if plan.t == total_epochs
-                                  else subset_size(plan.t, total_epochs, n))
-            selections = per_class_selections(plan, dist, table)
+            assert sum(counts) == rows.size
+            assert rows.size == (n if t == total_epochs
+                                 else subset_size(t, total_epochs, n))
+            selections = per_class_selections(rows, counts, dist, table)
             for cid, chosen in selections.items():
                 # cap respect and prefix property
                 assert len(chosen) <= size_of[cid]
                 assert chosen == queues[cid][: len(chosen)]
             # rank monotonicity, allowing the +-1 rounding inversion
-            by_rank = list(plan.counts)
+            by_rank = list(counts)
             assert all(b <= a + 1 for a, b in zip(by_rank, by_rank[1:]))
         # epoch-1 balance
-        first = schedule.plans[0].counts
+        first = schedule.counts[0]
         assert max(first) - min(first) <= 1
         # full coverage, each sample exactly once, at the final epoch
-        last = schedule.plans[-1]
-        assert last.total == n
-        assert sorted(last.indices) == list(range(n))
+        last = epochs[-1]
+        assert last.size == n
+        assert sorted(last) == list(range(n))
 
     def test_deterministic(self):
         rng = np.random.default_rng(41)
         table, dist, total_epochs = random_dataset(rng, max_n=500)
         a = build_schedule(table, dist, total_epochs)
         b = build_schedule(table, dist, total_epochs)
-        assert a == b
+        for field in ("classes", "order", "counts"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_single_epoch_is_the_whole_dataset(self):
         table = make_table("abc", [0, 0, 1], [0.1, 0.7, 0.4])
         dist = ClassDistribution.from_labels([0, 0, 1], 0.3)
         schedule = build_schedule(table, dist, 1)
-        assert len(schedule.plans) == 1
-        assert sorted(table.ids[i] for i in schedule.plans[0].indices) == ["a", "b", "c"]
+        assert len(schedule.epochs()) == 1
+        assert sorted(table.ids[i] for i in schedule.epochs()[0]) == ["a", "b", "c"]
+
+    def test_prefixes_reject_an_epoch_outside_the_schedule(self):
+        schedule = synthetic_powerlaw_schedule(n_samples=60, total_epochs=3, n_classes=4)
+        for t in (0, 4):
+            with pytest.raises(ValidationError, match=rf"epoch {t} outside \[1, 3\]"):
+                schedule.prefixes(t)
 
     def test_mismatched_distribution_rejected(self):
         table = make_table(["a"], [0], [0.1])
@@ -220,45 +227,39 @@ class TestBuildSchedule:
 
 class TestRandomBaseline:
     def test_same_seed_same_schedule(self):
-        labels = np.arange(60) % 3
-        assert (random_baseline_schedule(labels, 4, seed=9)
-                == random_baseline_schedule(labels, 4, seed=9))
+        a = random_baseline_schedule(60, 4, seed=9)
+        b = random_baseline_schedule(60, 4, seed=9)
+        assert len(a) == len(b) == 4
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_each_epoch_is_a_full_permutation(self):
-        labels = np.arange(60) % 3
-        schedule = random_baseline_schedule(labels, 5, seed=1)
-        assert schedule.classes == (0, 1, 2)
-        for plan in schedule.plans:
-            assert sorted(plan.indices) == list(range(60))
-            assert list(plan.counts) == [20, 20, 20]
+        schedule = random_baseline_schedule(60, 5, seed=1)
+        assert len(schedule) == 5
+        for rows in schedule:
+            assert sorted(rows) == list(range(60))
 
     def test_different_seeds_differ(self):
-        labels = np.zeros(100, dtype=int)
-        a = random_baseline_schedule(labels, 1, seed=1)
-        b = random_baseline_schedule(labels, 1, seed=2)
-        assert not np.array_equal(a.plans[0].indices, b.plans[0].indices)
+        a = random_baseline_schedule(100, 1, seed=1)
+        b = random_baseline_schedule(100, 1, seed=2)
+        assert not np.array_equal(a[0], b[0])
 
     def test_truncate_to_budget(self):
-        labels = np.arange(50) % 2
-        schedule = random_baseline_schedule(labels, 4, seed=3)
-        cut = truncate_schedule(schedule, labels, 120)
-        assert cut.total_visits == 120
-        assert len(cut.plans) == 3
-        assert np.array_equal(cut.plans[2].indices, schedule.plans[2].indices[:20])
-        label_counts = np.bincount(labels[cut.plans[2].indices], minlength=2)
-        assert list(cut.plans[2].counts) == list(label_counts)
+        schedule = random_baseline_schedule(50, 4, seed=3)
+        cut = truncate_schedule(schedule, 120)
+        assert sum(rows.size for rows in cut) == 120
+        assert len(cut) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(cut[:2], schedule[:2]))
+        assert np.array_equal(cut[2], schedule[2][:20])
 
     def test_truncate_rejects_overbudget(self):
-        labels = np.array([0, 1])
-        schedule = random_baseline_schedule(labels, 2, seed=0)
+        schedule = random_baseline_schedule(2, 2, seed=0)
         with pytest.raises(ValidationError):
-            truncate_schedule(schedule, labels, 5)
+            truncate_schedule(schedule, 5)
 
 
 class TestSyntheticPowerlawSchedule:
     def test_reference_ramp(self):
-        schedule, dist = synthetic_powerlaw_schedule()
-        counts = epoch_rank_counts(schedule, dist)
+        counts = synthetic_powerlaw_schedule().counts
         assert list(counts[0]) == [10] * 10
         assert [int(v) for v in counts.sum(axis=1)] == [100 * t for t in range(1, 11)]
         assert list(counts[-1]) == [501, 177, 96, 63, 45, 34, 27, 22, 19, 16]

@@ -292,7 +292,7 @@ class TestTrain:
         spec = SyntheticSpec(n_classes=3, dims=(4, 3), n_samples=90,
                              imbalance_exponent=0.8, seed=seed)
         dataset = generate_dataset(spec)
-        schedule = random_baseline_schedule(dataset.labels, epochs, seed=seed)
+        schedule = random_baseline_schedule(dataset.n_samples, epochs, seed=seed)
         config = TrainConfig(learning_rate=lr, epochs=epochs, warmup_epochs=0,
                              batch_size=16, hidden=4, seed=seed)
         return dataset, schedule, config
@@ -309,18 +309,18 @@ class TestTrain:
         spec = SyntheticSpec(n_classes=3, dims=dims, n_samples=70,
                              imbalance_exponent=0.8, seed=4)
         dataset = generate_dataset(spec)
-        schedule = random_baseline_schedule(dataset.labels, 3, seed=4)
+        schedule = random_baseline_schedule(dataset.n_samples, 3, seed=4)
         config = TrainConfig(learning_rate=0.1, epochs=3, warmup_epochs=0,
                              batch_size=16, hidden=hidden, seed=4)
-        assert all(plan.total % config.batch_size for plan in schedule.plans)
+        assert all(rows.size % config.batch_size for rows in schedule)
         init = seed_init(dataset, config)
         model, _ = train(dataset, schedule, config, init, arm="loop")
 
         # Plain loop: one update per parameter.
         ref = init.copy()
         rng = _stream(config.seed, "shuffle-loop")
-        for plan in schedule.plans:
-            idx = plan.indices[rng.permutation(plan.total)]
+        for rows in schedule:
+            idx = rows[rng.permutation(rows.size)]
             for start in range(0, idx.size, config.batch_size):
                 batch = idx[start:start + config.batch_size]
                 _, grads = loss_and_grads(ref, dataset.x[batch], dataset.labels[batch])
@@ -333,7 +333,7 @@ class TestTrain:
         spec = SyntheticSpec(n_classes=2, dims=(3, 3), n_samples=2,
                              imbalance_exponent=0.0, seed=1)
         dataset = generate_dataset(spec)
-        schedule = random_baseline_schedule(dataset.labels[:1], 200, seed=0)
+        schedule = random_baseline_schedule(1, 200, seed=0)
         config = TrainConfig(learning_rate=0.5, epochs=200, warmup_epochs=0,
                              batch_size=1, hidden=4, seed=0)
         _, history = train(dataset, schedule, config, seed_init(dataset, config))
@@ -354,14 +354,14 @@ class TestTrain:
         dataset, schedule, config = self.small_setup()
         _, history = train(dataset, schedule, config, seed_init(dataset, config),
                            record_visits=True)
-        for plan, visited in zip(schedule.plans, history.visited):
-            assert np.array_equal(np.sort(visited), np.sort(plan.indices))
-            assert len(visited) == plan.total
+        for rows, visited in zip(schedule, history.visited):
+            assert np.array_equal(np.sort(visited), np.sort(rows))
+            assert len(visited) == rows.size
 
     def test_unknown_sample_id_rejected_before_training(self):
         dataset, schedule, config = self.small_setup()
         for ghost in (dataset.n_samples, -1):
-            schedule.plans[1].indices[0] = ghost
+            schedule[1][0] = ghost
             with pytest.raises(ValidationError, match=f"epoch 2 .*{ghost}"):
                 train(dataset, schedule, config, seed_init(dataset, config))
 
@@ -435,11 +435,10 @@ class TestWarmupSchedule:
     def test_uniform_counts(self):
         labels = np.arange(80) % 4
         schedule = uniform_warmup_schedule(labels, 3, 20, seed=0)
-        assert schedule.classes == (0, 1, 2, 3)
-        for plan in schedule.plans:
-            assert plan.total == 20
-            assert set(plan.counts.tolist()) == {5}
-            assert np.array_equal(np.bincount(labels[plan.indices], minlength=4), plan.counts)
+        assert len(schedule) == 3
+        for rows in schedule:
+            assert rows.size == 20
+            assert np.bincount(labels[rows], minlength=4).tolist() == [5] * 4
 
 
 class TestExperiment:
@@ -507,7 +506,7 @@ class TestEvaluate:
                              imbalance_exponent=0.0, class_separation=10.0,
                              noise_scale=0.05, seed=3)
         dataset = generate_dataset(spec)
-        schedule = random_baseline_schedule(dataset.labels, 80, seed=0)
+        schedule = random_baseline_schedule(dataset.n_samples, 80, seed=0)
         config = TrainConfig(learning_rate=0.02, epochs=80, warmup_epochs=0,
                              batch_size=8, hidden=6, seed=0)
         model, _ = train(dataset, schedule, config, seed_init(dataset, config))
