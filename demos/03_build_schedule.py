@@ -8,6 +8,9 @@ Within each class, epochs take prefixes of a fixed easy-to-hard queue.
 The classic illustration: N=1000 samples, C=10 classes, T=10 epochs,
 imbalance cap alpha(T)=5, gamma=0.3. Epoch 1 is ten classes x 10
 samples; by epoch 10 the head class holds ~50% of the data.
+
+The ramp is a function of the class distribution alone, so it needs
+no difficulty scores; the scores only order the samples inside a class.
 """
 
 import numpy as np
@@ -16,12 +19,11 @@ from climd import (
     ClassDistribution,
     DifficultyTable,
     build_schedule,
-    synthetic_powerlaw_schedule,
+    reference_ramp,
 )
 
-schedule = synthetic_powerlaw_schedule(
-    n_samples=1000, total_epochs=10, n_classes=10, alpha_cap=5.0, gamma=0.3)
-counts = schedule.counts  # (T, C): rows taken per epoch from each queue, by rank
+counts = reference_ramp(n_samples=1000, total_epochs=10, n_classes=10,
+                        alpha_cap=5.0, gamma=0.3)  # (T, C): rows per epoch per class, by rank
 
 print("epoch-by-rank subset sizes (rank 1 = largest class):")
 print("epoch " + " ".join(f"r{r:<4}" for r in range(1, 11)))

@@ -39,8 +39,9 @@ from .scheduler import (
     build_queues,
     build_schedule,
     largest_remainder,
+    ramp_counts,
     random_baseline_schedule,
-    synthetic_powerlaw_schedule,
+    reference_ramp,
     truncate_schedule,
 )
 from .simlab import (

@@ -23,8 +23,7 @@ from .distribution import ClassDistribution
 from .errors import ClimdError, InfeasibleScheduleError, ValidationError, check_number
 from .measurer import DifficultyTable, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
-from .scheduler import (EASY_HIGH_R, EASY_LOW_R, build_schedule,
-                        synthetic_powerlaw_schedule)
+from .scheduler import EASY_HIGH_R, EASY_LOW_R, build_schedule, reference_ramp
 from .simlab import SyntheticSpec, TrainConfig, run_experiment
 
 
@@ -116,23 +115,23 @@ def cmd_schedule(args) -> int:
     schedule = build_schedule(table, dist, args.epochs, args.order)
     out = _outdir(args)
     ff.write_schedule(out / "schedule.csv", schedule, table.ids)
-    ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule)
+    ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule.counts)
     _write_manifest(out, "schedule",
                     {"epochs": args.epochs, "order": args.order,
                      "gamma": dist.gamma, "alpha_hat": dist.alpha_hat,
                      "config_digest": _schedule_digest(args.order, dist, args.epochs)},
                     {"difficulty": args.difficulty, "distribution": args.distribution},
                     [])
-    print(ff.format_epoch_rank_table(schedule))
+    print(ff.format_epoch_rank_table(schedule.counts))
     return 0
 
 
 def cmd_figure2(args) -> int:
-    schedule = synthetic_powerlaw_schedule()
-    print(ff.format_epoch_rank_table(schedule))
+    counts = reference_ramp()
+    print(ff.format_epoch_rank_table(counts))
     if args.out:
         out = _outdir(args)
-        ff.write_epoch_rank_table(out / "figure2.csv", schedule)
+        ff.write_epoch_rank_table(out / "figure2.csv", counts)
         _write_manifest(out, "figure2",
                         {"n_samples": 1000, "epochs": 10, "classes": 10,
                          "alpha_cap": 5.0, "gamma": 0.3}, {}, [])
@@ -214,7 +213,7 @@ def cmd_simulate(args) -> int:
         "arm,mean_accuracy,mean_weighted_f1,mean_macro_f1,macro_f1_wins",
         *(f"{arm},{report.mean(arm, 'accuracy')!r},{report.mean(arm, 'weighted_f1')!r},"
           f"{report.mean(arm, 'macro_f1')!r},{wins}"
-          for arm, wins in (("climd", report.wins), ("baseline", args.seeds - report.wins)))])
+          for arm, wins in (("climd", report.wins), ("baseline", report.baseline_wins)))])
 
     settings = {"spec": vars(spec), "config": vars(config), "n_seeds": args.seeds}
     _write_manifest(out, "simulate",
@@ -240,7 +239,7 @@ def cmd_pipeline(args) -> int:
     ff.write_difficulty(out / "difficulty.csv", table)
     ff.write_distribution(out / "distribution.csv", dist)
     ff.write_schedule(out / "schedule.csv", schedule, table.ids)
-    ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule)
+    ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule.counts)
     _write_manifest(out, "pipeline",
                     {"epochs": args.epochs, "gamma": args.gamma, "order": args.order,
                      "config_digest": _schedule_digest(args.order, dist, args.epochs)},

@@ -186,8 +186,7 @@ def rank_weights(n_classes: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def epoch_target(t: int, total_epochs: int, n_total: int,
-                 dist: ClassDistribution) -> EpochTarget:
+def epoch_target(t: int, total_epochs: int, dist: ClassDistribution) -> EpochTarget:
     """Per-rank sampling probabilities and subset size for epoch t.
 
     q_t(rank) mixes the uniform distribution and the normalized power law
@@ -204,5 +203,5 @@ def epoch_target(t: int, total_epochs: int, n_total: int,
         t=t,
         alpha_t=alpha_t,
         q=q,
-        subset_size=subset_size(t, total_epochs, n_total),
+        subset_size=subset_size(t, total_epochs, dist.n_total),
     )

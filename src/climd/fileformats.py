@@ -335,15 +335,13 @@ def write_schedule(path, schedule: Schedule, ids):
                                                           start=1)))
 
 
-def write_epoch_rank_table(path, schedule: Schedule):
-    counts = schedule.counts
+def write_epoch_rank_table(path, counts: np.ndarray):
     write_lines(path, ["epoch," + ",".join(f"rank_{r}" for r in range(1, counts.shape[1] + 1)),
                        *(f"{i}," + ",".join(str(int(v)) for v in row)
                          for i, row in enumerate(counts, start=1))])
 
 
-def format_epoch_rank_table(schedule: Schedule) -> str:
-    counts = schedule.counts
+def format_epoch_rank_table(counts: np.ndarray) -> str:
     header = "epoch " + " ".join(f"{f'rank{r}':>6}" for r in range(1, counts.shape[1] + 1))
     rows = [header]
     for i, row in enumerate(counts, start=1):

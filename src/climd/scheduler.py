@@ -1,18 +1,18 @@
-"""Turns difficulty scores and epoch targets into concrete training subsets.
+"""Turns difficulty scores and the class distribution into concrete
+training subsets.
 
-For every class the samples are ordered easy to hard (direction set by
+A curriculum :class:`Schedule` is the queues plus the ramp, two
+independent halves. The queues (:func:`build_queues`) order every class
+easy to hard by its difficulty scores (direction set by
 ``difficulty_order``; by default a larger combined score means easier,
-i.e. confident and complementary). Each epoch takes a prefix of every
-class queue, with integer counts obtained by largest-remainder
-apportionment of the epoch target, clamped to class availability. The
-final epoch is overridden to the complete dataset so that every sample
-participates at least once.
-
-A curriculum :class:`Schedule` is its queues plus one count per (epoch,
-class): ``order`` lists the rows of the table it was built from (so
-indices into that table's ``ids``), grouped by class rank and easy to
-hard within a class, and ``counts[t - 1, k]`` is how many rows epoch t
-takes from the head of the queue at rank k + 1. The control schedules
+i.e. confident and complementary); ``order`` lists the rows of the table
+(so indices into its ``ids``) grouped by class rank. The ramp
+(:func:`ramp_counts`) is a function of the class distribution alone:
+``counts[t - 1, k]`` is the largest-remainder apportionment of the epoch
+t target to the class at rank k + 1, clamped to class availability, and
+epoch t takes that many rows from the head of its queue. The final epoch
+is the complete dataset, so every sample participates at least once. A
+re-score changes only the queues. The control schedules
 (:func:`random_baseline_schedule`, :func:`truncate_schedule`) are plain
 lists of per-epoch row arrays, which is also what training consumes.
 
@@ -70,13 +70,15 @@ class Schedule:
 
 
 def build_queues(table: DifficultyTable, dist: ClassDistribution,
-                 difficulty_order: str = EASY_HIGH_R) -> tuple[np.ndarray, np.ndarray]:
+                 difficulty_order: str = EASY_HIGH_R) -> np.ndarray:
     """Easy-to-hard queues of every class, in rank order.
 
-    Returns ``(order, sizes)``: ``order`` lists all table rows, grouped
-    by class rank and sorted within a class by combined score (descending
-    when a high score means easy), ties by sample id compared as ``str``;
-    ``sizes[k]`` is the length of the queue of the class at rank k + 1.
+    Returns ``order``, all table rows grouped by class rank and sorted
+    within a class by combined score (descending when a high score means
+    easy), ties by sample id compared as ``str``; the queue of the class
+    at rank k + 1 is ``dist.counts[k]`` long. The table must describe the
+    dataset of the distribution: every label one of its classes, with its
+    per-class sizes.
     """
     if difficulty_order not in (EASY_HIGH_R, EASY_LOW_R):
         raise ValidationError(f"difficulty_order must be {EASY_HIGH_R!r} or {EASY_LOW_R!r}, "
@@ -92,11 +94,17 @@ def build_queues(table: DifficultyTable, dist: ClassDistribution,
             f"sample {table.ids[i]!r} has class {table.labels[i]} not present "
             f"in the class distribution"
         )
+    sizes = np.bincount(pos, minlength=classes.size)
+    for cid, size, expected in zip(classes, sizes, dist.counts):
+        if size != expected:
+            raise ValidationError(
+                f"class {cid}: difficulty table has {size} samples "
+                f"but the distribution says {expected}"
+            )
     id_rank = np.empty(len(table), dtype=int)
     id_rank[sorted(range(len(table)), key=table.ids.__getitem__)] = np.arange(len(table))
     r_key = -table.r if difficulty_order == EASY_HIGH_R else table.r
-    order = np.lexsort((id_rank, r_key, pos))
-    return order, np.bincount(pos, minlength=classes.size)
+    return np.lexsort((id_rank, r_key, pos))
 
 
 def largest_remainder(targets, total: int) -> np.ndarray:
@@ -106,8 +114,8 @@ def largest_remainder(targets, total: int) -> np.ndarray:
     parts; ties go to the earlier position. Sums to ``total`` exactly.
     """
     targets = np.asarray(targets, dtype=float)
-    if np.any(targets < 0):
-        raise ValidationError("targets must be non-negative")
+    if not np.all(np.isfinite(targets) & (targets >= 0)):
+        raise ValidationError(f"targets must be finite and non-negative, got {targets.tolist()}")
     floors = np.floor(targets).astype(int)
     leftover = int(total - floors.sum())
     if leftover < 0:
@@ -134,8 +142,8 @@ def apportion(q, total: int, caps) -> np.ndarray:
     caps = np.asarray(caps, dtype=int)
     if q.shape != caps.shape:
         raise ValidationError(f"q and caps length mismatch: {q.size} vs {caps.size}")
-    if np.any(q < 0):
-        raise ValidationError("q must be non-negative")
+    if not np.all(np.isfinite(q) & (q >= 0)):
+        raise ValidationError(f"q must be finite and non-negative, got {q.tolist()}")
     if abs(float(q.sum()) - 1.0) > 1e-9:
         raise ValidationError(f"q must sum to 1, got {q.sum()!r}")
     if total < 0:
@@ -169,31 +177,30 @@ def apportion(q, total: int, caps) -> np.ndarray:
     return counts
 
 
-def build_schedule(table: DifficultyTable, dist: ClassDistribution,
-                   total_epochs: int, difficulty_order: str = EASY_HIGH_R) -> Schedule:
-    """Full curriculum schedule: prefix subsets per epoch, full data at the end.
-
-    The difficulty table and the class distribution must describe the same
-    dataset (identical per-class counts).
-    """
+def ramp_counts(dist: ClassDistribution, total_epochs: int) -> np.ndarray:
+    """The (T, C) class counts of the ramp, in rank order: row t - 1 is
+    epoch t's target apportioned within the class sizes, and the last row
+    is the class sizes (full data). It depends on the distribution alone."""
     if total_epochs < 1:
         raise ValidationError(f"total_epochs must be >= 1, got {total_epochs}")
-    if len(table) == 0:
-        raise ValidationError("cannot schedule an empty dataset")
-    order, caps = build_queues(table, dist, difficulty_order)
-    for cid, size, expected in zip(dist.classes, caps, dist.counts):
-        if size != expected:
-            raise ValidationError(
-                f"class {cid}: difficulty table has {size} samples "
-                f"but the distribution says {expected}"
-            )
-    n_total = int(caps.sum())
-    counts = np.empty((total_epochs, caps.size), dtype=caps.dtype)
+    try:
+        counts = np.empty((total_epochs, dist.n_classes), dtype=np.int64)
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"no room for a {total_epochs} x {dist.n_classes} "
+                              f"epoch count matrix") from exc
     for t in range(1, total_epochs):
-        target = epoch_target(t, total_epochs, n_total, dist)
-        counts[t - 1] = apportion(target.q, target.subset_size, caps)
-    counts[-1] = caps  # full-data final epoch
-    return Schedule(classes=dist.classes, order=order, counts=counts)
+        target = epoch_target(t, total_epochs, dist)
+        counts[t - 1] = apportion(target.q, target.subset_size, dist.counts)
+    counts[-1] = dist.counts  # full-data final epoch
+    return counts
+
+
+def build_schedule(table: DifficultyTable, dist: ClassDistribution,
+                   total_epochs: int, difficulty_order: str = EASY_HIGH_R) -> Schedule:
+    """Full curriculum schedule: the table's class queues under the ramp
+    of its class distribution."""
+    return Schedule(dist.classes, build_queues(table, dist, difficulty_order),
+                    ramp_counts(dist, total_epochs))
 
 
 def random_baseline_schedule(n_rows: int, total_epochs: int, seed: int) -> list[np.ndarray]:
@@ -226,23 +233,16 @@ def truncate_schedule(epochs: list[np.ndarray], budget: int) -> list[np.ndarray]
     return kept
 
 
-def synthetic_powerlaw_schedule(n_samples: int = 1000, total_epochs: int = 10,
-                                n_classes: int = 10, alpha_cap: float = 5.0,
-                                gamma: float = 0.3):
-    """Reference ramp on a synthetic long-tailed dataset.
+def reference_ramp(n_samples: int = 1000, total_epochs: int = 10,
+                   n_classes: int = 10, alpha_cap: float = 5.0,
+                   gamma: float = 0.3) -> np.ndarray:
+    """The (T, C) :func:`ramp_counts` of a synthetic long-tailed dataset.
 
     Class sizes are the largest-remainder rounding of the final-epoch
     power-law target (exponent gamma * alpha_cap) scaled to ``n_samples``,
     so the full-data final epoch lands exactly on that law.
     """
     sizes = largest_remainder(rank_weights(n_classes, gamma * alpha_cap) * n_samples, n_samples)
-    counts = {cid: int(sizes[cid]) for cid in range(n_classes)}
-    dist = ClassDistribution.from_counts(counts, gamma=gamma, alpha=alpha_cap)
-
-    labels = np.repeat(np.arange(n_classes), sizes)
-    width = len(str(n_samples))
-    ids = [f"c{cid}_s{i:0{width}d}" for cid in range(n_classes) for i in range(counts[cid])]
-    n = len(ids)
-    table = DifficultyTable(ids=ids, labels=labels, psi=np.full((n, 2), 0.5),
-                            phi=np.zeros(n), r=np.full(n, 0.5))
-    return build_schedule(table, dist, total_epochs)
+    dist = ClassDistribution.from_counts(dict(enumerate(sizes.tolist())),
+                                         gamma=gamma, alpha=alpha_cap)
+    return ramp_counts(dist, total_epochs)

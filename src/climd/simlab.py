@@ -43,6 +43,7 @@ from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import (
     _stream,
     apportion,
+    build_queues,
     build_schedule,
     largest_remainder,
     random_baseline_schedule,
@@ -464,6 +465,7 @@ class ExperimentReport:
     rows: list[ArmResult]
     seeds: list[int]
     wins: int  # seeds where the curriculum arm's macro F1 beats the baseline's
+    baseline_wins: int  # and where the baseline's beats the curriculum arm's
 
     def mean(self, arm: str, metric: str) -> float:
         return float(np.mean([getattr(r, metric) for r in self.rows if r.arm == arm]))
@@ -521,10 +523,12 @@ def _train_curriculum_arm(trainset: SyntheticDataset, dist: ClassDistribution,
     re-orders the within-class queues and never changes the visit budget."""
     step = cfg.refresh_every or cfg.epochs
     model, budget = init, 0
+    schedule = build_schedule(table, dist, cfg.epochs)
     for chunk, start in enumerate(range(0, cfg.epochs, step)):
         if chunk:
             table = score_dataset(collect_traces(model, trainset))
-        part = build_schedule(table, dist, cfg.epochs).epochs()[start:start + step]
+            schedule = replace(schedule, order=build_queues(table, dist))
+        part = schedule.epochs()[start:start + step]
         model, _ = train(trainset, part, cfg, model, first_epoch=start + 1,
                          arm=f"climd-r{chunk}" if cfg.refresh_every else "climd")
         budget += sum(rows.size for rows in part)
@@ -590,10 +594,7 @@ def run_experiment(spec: SyntheticSpec, config: TrainConfig, n_seeds: int,
     else:
         per_seed = list(map(run_seed, *jobs))
 
-    rows = [r for pair in per_seed for r in pair]
-    wins = 0
-    for pair in per_seed:
-        by_arm = {r.arm: r for r in pair}
-        if by_arm["climd"].macro_f1 > by_arm["baseline"].macro_f1:
-            wins += 1
-    return ExperimentReport(rows=rows, seeds=list(range(n_seeds)), wins=wins)
+    return ExperimentReport(rows=[r for pair in per_seed for r in pair],
+                            seeds=list(range(n_seeds)),
+                            wins=sum(c.macro_f1 > b.macro_f1 for c, b in per_seed),
+                            baseline_wins=sum(b.macro_f1 > c.macro_f1 for c, b in per_seed))

@@ -62,7 +62,7 @@ def test_criterion_1_figure2_reproduction(tmp_path, capsys):
         # epoch-10 target probabilities vs rank^-1.5 / sum, before rounding
         dist = ClassDistribution.from_counts(
             {i: int(table[-1][i]) for i in range(10)}, gamma=0.3, alpha=5.0)
-        q = epoch_target(10, 10, 1000, dist).q
+        q = epoch_target(10, 10, dist).q
         weights = [r ** -1.5 for r in range(1, 11)]
         z = math.fsum(weights)
         expect = np.array([w / z for w in weights])
@@ -165,8 +165,8 @@ def test_criterion_4_scheduler_properties():
                                     phi=r / 2, r=r)
             dist = ClassDistribution.from_labels(labels, 0.3)
             schedule = build_schedule(table, dist, total_epochs)
-            rows, sizes = build_queues(table, dist)
-            queues = dict(zip(dist.classes.tolist(), np.split(rows, np.cumsum(sizes)[:-1])))
+            rows = build_queues(table, dist)
+            queues = dict(zip(dist.classes.tolist(), np.split(rows, np.cumsum(dist.counts)[:-1])))
             # the oracle queue: (-r, sample id) within each class
             for cid, queue in queues.items():
                 members = np.flatnonzero(labels == cid)

@@ -135,6 +135,26 @@ class TestScoreAndSchedule:
         assert table[0] == "epoch,rank_1,rank_2,rank_3"
         assert table[-1] == "4,3,6,9"
 
+    @pytest.mark.parametrize("command", ["pipeline", "schedule"])
+    def test_huge_epoch_count_exits_1(self, tmp_path, capsys, command):
+        # numpy refuses a 2**62-row count matrix before it allocates anything.
+        traces = tmp_path / "traces.jsonl"
+        write_random_traces(traces, 30)
+        scored = tmp_path / "scored"
+        assert main(["pipeline", "--traces", str(traces), "--epochs", "2",
+                     "--out", str(scored)]) == 0
+        inputs = {"pipeline": ["--traces", str(traces)],
+                  "schedule": ["--difficulty", str(scored / "difficulty.csv"),
+                               "--distribution", str(scored / "distribution.csv")]}
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, *inputs[command], "--epochs", str(2 ** 62),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith("no room for a 4611686018427387904 x 3 epoch count matrix\n")
+        assert not out.exists()
+
 
 class TestFigure2:
     def test_stdout_table(self, capsys):
@@ -447,7 +467,7 @@ class TestStreaming:
         ff.write_difficulty(expected / "difficulty.csv", table)
         ff.write_distribution(expected / "distribution.csv", dist)
         ff.write_schedule(expected / "schedule.csv", schedule, table.ids)
-        ff.write_epoch_rank_table(expected / "epoch_rank_counts.csv", schedule)
+        ff.write_epoch_rank_table(expected / "epoch_rank_counts.csv", schedule.counts)
 
         assert main(["pipeline", "--traces", str(traces), "--epochs", "5",
                      "--out", str(tmp_path / "pipe")]) == 0
@@ -554,6 +574,15 @@ class TestSimulate:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_a_tie_is_a_win_for_neither_arm(self, tmp_path):
+        # With a zero learning rate both arms keep the init model, so their
+        # macro F1 is equal on every seed.
+        out = tmp_path / "x"
+        assert main(["simulate", "--seeds", "2", "--lr", "0", "--n", "300", "--epochs", "4",
+                     "--warmup", "1", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
+        assert [(row[0], row[-1]) for row in rows[1:]] == [("climd", "0"), ("baseline", "0")]
 
     def test_refreshed_arm_keeps_absolute_epoch_numbers(self, tmp_path, capsys):
         # The second refresh chunk trains epochs 3 and 4 of the ramp.

@@ -162,20 +162,20 @@ class TestEpochTarget:
 
     def test_first_epoch_is_uniform(self):
         dist = self.fig2_dist()
-        target = epoch_target(1, 10, 1000, dist)
+        target = epoch_target(1, 10, dist)
         assert np.allclose(target.q, 0.1, atol=1e-15)
         assert target.subset_size == 100
 
     def test_probabilities_sum_to_one(self):
         dist = self.fig2_dist()
         for t in range(1, 11):
-            q = epoch_target(t, 10, 1000, dist).q
+            q = epoch_target(t, 10, dist).q
             assert abs(q.sum() - 1.0) <= 1e-12
             assert np.all(np.diff(q) <= 1e-15)  # non-increasing in rank
 
     def test_final_epoch_is_pure_power_law(self):
         dist = self.fig2_dist()
-        q = epoch_target(10, 10, 1000, dist).q
+        q = epoch_target(10, 10, dist).q
         # Independent oracle: direct high-precision summation.
         weights = [r ** -1.5 for r in range(1, 11)]
         z = math.fsum(weights)
@@ -190,7 +190,7 @@ class TestEpochTarget:
 
     def test_single_epoch_uses_final_mixture(self):
         dist = self.fig2_dist()
-        target = epoch_target(1, 1, 1000, dist)
+        target = epoch_target(1, 1, dist)
         weights = [r ** -1.5 for r in range(1, 11)]
         z = math.fsum(weights)
         assert np.allclose(target.q, [w / z for w in weights], atol=1e-12)

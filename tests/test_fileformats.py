@@ -10,7 +10,7 @@ from climd import fileformats as ff
 from climd.distribution import ClassDistribution, subset_size
 from climd.errors import ValidationError
 from climd.measurer import DifficultyTable, TraceBatch, score_dataset
-from climd.scheduler import EASY_HIGH_R, EASY_LOW_R, build_schedule, synthetic_powerlaw_schedule
+from climd.scheduler import EASY_HIGH_R, EASY_LOW_R, build_schedule, reference_ramp
 from climd.simlab import FusionModel, SyntheticSpec, collect_traces, generate_dataset
 
 
@@ -215,9 +215,13 @@ class TestScheduleFormat:
         assert sorted(visits[total_epochs]) == sorted(table.ids)
 
     def test_manifest_lines(self, tmp_path):
-        schedule = synthetic_powerlaw_schedule(n_samples=60, total_epochs=3, n_classes=4)
+        labels = np.repeat(np.arange(4), [30, 15, 10, 5])
+        r = np.full(60, 0.5)
+        table = DifficultyTable(ids=[f"x{i}" for i in range(60)], labels=labels,
+                                psi=np.column_stack([r / 2, r / 2]), phi=r / 2, r=r)
+        schedule = build_schedule(table, ClassDistribution.from_labels(labels, 0.3), 3)
         path = tmp_path / "schedule.csv"
-        ff.write_schedule(path, schedule, [f"x{i}" for i in range(60)])
+        ff.write_schedule(path, schedule, table.ids)
         lines = path.read_text().splitlines()
         assert len(lines) == 3 * 4
         epoch, cid, rank, count, *ids = lines[0].split(",")
@@ -228,7 +232,7 @@ class TestScheduleFormat:
 
     def test_epoch_rank_table(self, tmp_path):
         path = tmp_path / "counts.csv"
-        ff.write_epoch_rank_table(path, synthetic_powerlaw_schedule())
+        ff.write_epoch_rank_table(path, reference_ramp())
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch," + ",".join(f"rank_{r}" for r in range(1, 11))
         first = [int(v) for v in lines[1].split(",")]

@@ -11,8 +11,9 @@ from climd.scheduler import (
     build_queues,
     build_schedule,
     largest_remainder,
+    ramp_counts,
     random_baseline_schedule,
-    synthetic_powerlaw_schedule,
+    reference_ramp,
     truncate_schedule,
 )
 
@@ -45,8 +46,8 @@ def random_dataset(rng, max_n=5000):
 
 def queues_by_class(table, dist, order="high_r_easy"):
     """Each class's queue as a list of sample ids."""
-    rows, sizes = build_queues(table, dist, difficulty_order=order)
-    chunks = np.split(np.array(table.ids, dtype=object)[rows], np.cumsum(sizes)[:-1])
+    rows = build_queues(table, dist, difficulty_order=order)
+    chunks = np.split(np.array(table.ids, dtype=object)[rows], np.cumsum(dist.counts)[:-1])
     return {cid: list(chunk) for cid, chunk in zip(dist.classes.tolist(), chunks)}
 
 
@@ -82,6 +83,11 @@ class TestLargestRemainder:
             assert alloc.sum() == total
             assert np.all(np.abs(alloc - q * total) < 1.0)
 
+    @pytest.mark.parametrize("targets", [[-1.0, 4.0], [np.nan, 1.0], [1.0, -np.inf]])
+    def test_rejects_bad_targets(self, targets):
+        with pytest.raises(ValidationError, match="targets must be finite and non-negative"):
+            largest_remainder(targets, 3)
+
 
 class TestApportion:
     def test_uniform_roomy_caps(self):
@@ -112,6 +118,11 @@ class TestApportion:
     def test_infeasible(self):
         with pytest.raises(InfeasibleScheduleError):
             apportion(np.array([0.5, 0.5]), 10, np.array([4, 5]))
+
+    @pytest.mark.parametrize("q", [[-0.5, 1.0, 0.5], [np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]])
+    def test_rejects_a_bad_q(self, q):
+        with pytest.raises(ValidationError, match="q must be finite and non-negative"):
+            apportion(q, 10, [10, 10, 10])
 
     def test_random_caps_respected(self):
         rng = np.random.default_rng(13)
@@ -146,6 +157,14 @@ class TestBuildQueues:
         table = make_table(["a"], [7], [0.5])
         dist = ClassDistribution.from_labels([0, 1], 0.3)
         with pytest.raises(ValidationError, match="'a' has class 7"):
+            build_queues(table, dist)
+
+    def test_class_size_mismatch_rejected(self):
+        table = make_table(["a", "b"], [0, 1], [0.5, 0.5])
+        dist = ClassDistribution.from_counts({0: 2, 1: 1}, 0.3)
+        with pytest.raises(ValidationError,
+                           match="class 0: difficulty table has 1 samples "
+                                 "but the distribution says 2"):
             build_queues(table, dist)
 
     def test_bad_order_flag(self):
@@ -208,7 +227,8 @@ class TestBuildSchedule:
         assert sorted(table.ids[i] for i in schedule.epochs()[0]) == ["a", "b", "c"]
 
     def test_prefixes_reject_an_epoch_outside_the_schedule(self):
-        schedule = synthetic_powerlaw_schedule(n_samples=60, total_epochs=3, n_classes=4)
+        table = make_table("abcd", [0, 0, 1, 2], [0.5] * 4)
+        schedule = build_schedule(table, ClassDistribution.from_labels(table.labels, 0.3), 3)
         for t in (0, 4):
             with pytest.raises(ValidationError, match=rf"epoch {t} outside \[1, 3\]"):
                 schedule.prefixes(t)
@@ -223,6 +243,25 @@ class TestBuildSchedule:
         dist = ClassDistribution.from_counts({0: 1, 1: 1}, 0.3)
         with pytest.raises(ValidationError):
             build_schedule(make_table([], [], []), dist, 2)
+
+
+class TestRampCounts:
+    def test_is_the_schedule_counts_without_scores(self):
+        table = make_table("abcdef", [0, 0, 0, 0, 1, 1], [0.9, 0.7, 0.4, 0.1, 0.8, 0.2])
+        dist = ClassDistribution.from_labels(table.labels, 0.3)
+        counts = ramp_counts(dist, 3)
+        assert counts.tolist() == [[1, 1], [3, 1], [4, 2]]
+        assert np.array_equal(build_schedule(table, dist, 3).counts, counts)
+
+    @pytest.mark.parametrize("total_epochs, message", [
+        (0, "total_epochs must be >= 1, got 0"),
+        # numpy refuses the size before it allocates anything
+        (2 ** 62, "no room for a 4611686018427387904 x 2 epoch count matrix"),
+    ])
+    def test_rejects_an_epoch_count(self, total_epochs, message):
+        dist = ClassDistribution.from_counts({0: 4, 1: 2}, 0.3)
+        with pytest.raises(ValidationError, match=message):
+            ramp_counts(dist, total_epochs)
 
 
 class TestRandomBaseline:
@@ -257,9 +296,9 @@ class TestRandomBaseline:
             truncate_schedule(schedule, 5)
 
 
-class TestSyntheticPowerlawSchedule:
+class TestReferenceRamp:
     def test_reference_ramp(self):
-        counts = synthetic_powerlaw_schedule().counts
+        counts = reference_ramp()
         assert list(counts[0]) == [10] * 10
         assert [int(v) for v in counts.sum(axis=1)] == [100 * t for t in range(1, 11)]
         assert list(counts[-1]) == [501, 177, 96, 63, 45, 34, 27, 22, 19, 16]

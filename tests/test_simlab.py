@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from climd import scheduler
 from climd.errors import ValidationError
 from climd.measurer import score_dataset
 from climd.scheduler import random_baseline_schedule
@@ -482,9 +483,25 @@ class TestExperiment:
         assert len(report.rows) == 2 * n
         assert {r.arm for r in report.rows} == {"climd", "baseline"}
         assert 0 <= report.wins <= n
+        assert 0 <= report.baseline_wins <= n - report.wins
         for r in report.rows:
             for value in (r.accuracy, r.weighted_f1, r.macro_f1):
                 assert 0.0 <= value <= 1.0
+
+    def test_refresh_computes_the_ramp_once(self, monkeypatch):
+        # The ramp apportions each epoch but the full-data last one; a
+        # refresh only re-orders the queues. The warm-up looks apportion
+        # up in simlab, so its call is not counted here.
+        calls, apportion = [], scheduler.apportion
+
+        def counted(*args):
+            calls.append(args)
+            return apportion(*args)
+
+        monkeypatch.setattr(scheduler, "apportion", counted)
+        spec, config, _ = self.tiny()
+        run_seed(spec, replace(config, epochs=8, refresh_every=2), 0)
+        assert len(calls) == 7
 
     def test_refresh_interval_keeps_budget_and_determinism(self):
         spec, config, _ = self.tiny()
