@@ -43,6 +43,7 @@ small = ClassDistribution.from_labels(table.labels, gamma=0.3)
 plan = build_schedule(table, small, total_epochs=3)
 
 print("\nsix samples, two classes, three epochs (easy prefixes grow):")
-for t, rows in enumerate(plan.epochs(), start=1):
+for t in range(1, len(plan.counts) + 1):
+    rows = plan.epoch(t)
     counts = dict(zip(plan.classes.tolist(), plan.counts[t - 1].tolist()))
     print(f"  epoch {t}: {[table.ids[i] for i in rows]}  counts {counts}")

@@ -30,8 +30,7 @@ config = TrainConfig(learning_rate=0.01, epochs=20, warmup_epochs=3,
 print(f"dataset: N={spec.n_samples}, C={spec.n_classes}, "
       f"imbalance exponent {spec.imbalance_exponent}")
 print(f"training: {config.epochs} epochs, lr {config.learning_rate}, "
-      f"{config.resolved_warmup if config.warmup_epochs is None else config.warmup_epochs} "
-      f"warm-up epochs\n")
+      f"{config.resolved_warmup} warm-up epochs\n")
 
 start = time.perf_counter()
 report = run_experiment(spec, config, n_seeds=5)

@@ -14,7 +14,8 @@ epoch t takes that many rows from the head of its queue. The final epoch
 is the complete dataset, so every sample participates at least once. A
 re-score changes only the queues. The control schedules
 (:func:`random_baseline_schedule`, :func:`truncate_schedule`) are plain
-lists of per-epoch row arrays, which is also what training consumes.
+lists of per-epoch row arrays; training consumes any iterable of such
+arrays, such as ``map(schedule.epoch, range(1, T + 1))``.
 
 Everything here is deterministic: ties are broken by sample id
 (lexicographic), largest-remainder ties by rank order, and schedules are
@@ -64,9 +65,9 @@ class Schedule:
         starts = (np.cumsum(sizes) - sizes).tolist()
         return [self.order[s:s + k] for s, k in zip(starts, self.counts[t - 1].tolist())]
 
-    def epochs(self) -> list[np.ndarray]:
-        """Every epoch's rows: its queue prefixes, concatenated in rank order."""
-        return [np.concatenate(self.prefixes(t)) for t in range(1, len(self.counts) + 1)]
+    def epoch(self, t: int) -> np.ndarray:
+        """Epoch ``t``'s rows: its queue prefixes, concatenated in rank order."""
+        return np.concatenate(self.prefixes(t))
 
 
 def build_queues(table: DifficultyTable, dist: ClassDistribution,

@@ -15,8 +15,9 @@ block ``FusionModel.columns[m]``. Every parameter lives in one flat
 float64 buffer, laid out in ``FusionModel.params()`` order, and the named
 weights are views into it: copying a model is one buffer copy, and an SGD
 step is one ``flat -= lr * grad`` against a gradient buffer of the same
-layout. ``train`` takes its schedule as a list of per-epoch row arrays;
-per batch it gathers the rows once from the dataset's ``x`` and applies
+layout. ``train`` takes its schedule as any iterable of per-epoch row
+arrays, drawn one epoch at a time, and returns the trained model; per
+batch it gathers the rows once from the dataset's ``x`` and applies
 that one update, starting from a required init model: ``run_seed``
 builds one, and the warm-up and both arms start from it.
 The auxiliary heads run as one batched matmul and share one softmax with
@@ -31,8 +32,10 @@ independent seeds can execute in parallel without affecting results.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,8 +206,12 @@ class FusionModel:
         self.columns = _columns(self.dims)
         m, h, c = len(self.dims), self.hidden, self.n_classes
         shapes = [(h, d) for d in self.dims] + [(m, h), (c, m * h), (c,), (m, c, h), (m, c)]
-        ends = np.cumsum([math.prod(shape) for shape in shapes])
-        self.flat = np.zeros(ends[-1]) if flat is None else flat
+        # Python ints: a float64 or int64 cumsum would round or wrap huge sizes.
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+        try:
+            self.flat = np.zeros(ends[-1]) if flat is None else flat
+        except (ValueError, MemoryError) as exc:
+            raise ValidationError(f"no room for a model of {ends[-1]} parameters") from exc
         (*self.enc_w, self.enc_b, self.head_w, self.head_b, self.aux_w, self.aux_b) = [
             part.reshape(shape) for part, shape in zip(np.split(self.flat, ends[:-1]), shapes)]
 
@@ -357,22 +364,6 @@ class TrainConfig:
         return max(1, self.epochs // 10)
 
 
-@dataclass
-class EpochStats:
-    t: int
-    visits: int
-    mean_loss: float
-    test_accuracy: float | None = None
-    test_weighted_f1: float | None = None
-    test_macro_f1: float | None = None
-
-
-@dataclass
-class TrainHistory:
-    epochs: list[EpochStats] = field(default_factory=list)
-    visited: list[np.ndarray] | None = None  # per-epoch row visit order when recorded
-
-
 def evaluate(model: FusionModel, x: np.ndarray, y: np.ndarray):
     """(accuracy, weighted F1, macro F1) of argmax fused predictions."""
     fused, _, _ = model.forward_batch(x)
@@ -382,26 +373,30 @@ def evaluate(model: FusionModel, x: np.ndarray, y: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train(dataset: SyntheticDataset, epochs: list[np.ndarray], config: TrainConfig,
-          init_model: FusionModel, eval_set=None, arm: str = "train",
-          record_visits: bool = False, first_epoch: int = 1):
+def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: TrainConfig,
+          init_model: FusionModel, arm: str = "train", first_epoch: int = 1) -> FusionModel:
     """SGD from a copy of ``init_model``, which must have the dataset's dims
-    and classes, over ``epochs``: each epoch visits exactly the rows of its
-    array, shuffled by a seeded generator. Epochs are numbered from
-    ``first_epoch`` in the history and in errors. Returns (model, history).
+    and classes, over ``epochs``, any iterable of per-epoch row arrays
+    (drawn one at a time, so a generator is never held whole): each epoch
+    visits exactly the rows of its array, shuffled by a seeded generator.
+    Epochs are numbered from ``first_epoch`` in errors. Returns the model.
 
     Each batch is one gather from ``dataset.x``, one ``loss_and_grads``
     call into a gradient buffer reused by every batch, and one update of
     the flat parameters (none when the learning rate is 0).
 
-    ``eval_set`` is an optional (x, y) pair evaluated after every epoch.
-    An epoch that ends with a non-finite batch loss or parameter raises.
+    An epoch raises before its first step if it references a row outside
+    the dataset, and after its last if a batch loss or parameter is not
+    finite.
     """
     want = (tuple(dataset.spec.dims), dataset.spec.n_classes)
     if (init_model.dims, init_model.n_classes) != want:
         raise ValidationError(f"init model has (dims, classes) "
                               f"{(init_model.dims, init_model.n_classes)}, the dataset {want}")
     n = dataset.n_samples
+    model = init_model.copy()
+    grad = FusionModel(model.dims, model.hidden, model.n_classes)
+    rng = _stream(config.seed, f"shuffle-{arm}")
     for t, rows in enumerate(epochs, start=first_epoch):
         outside = rows[(rows < 0) | (rows >= n)]
         if outside.size:
@@ -409,33 +404,19 @@ def train(dataset: SyntheticDataset, epochs: list[np.ndarray], config: TrainConf
                 f"epoch {t} references rows outside the dataset's {n} samples: "
                 f"{outside[:5].tolist()}"
             )
-
-    model = init_model.copy()
-    grad = FusionModel(model.dims, model.hidden, model.n_classes)
-    rng = _stream(config.seed, f"shuffle-{arm}")
-    history = TrainHistory(visited=[] if record_visits else None)
-    for t, rows in enumerate(epochs, start=first_epoch):
         idx = rows[rng.permutation(rows.size)]
-        if record_visits:
-            history.visited.append(idx)
-        losses = []
+        # Batch losses are bounded when finite, so the sum is finite iff all are.
+        loss_sum = 0.0
         for start in range(0, idx.size, config.batch_size):
             batch = idx[start:start + config.batch_size]
-            loss, _ = loss_and_grads(model, dataset.x[batch], dataset.labels[batch],
-                                     out=grad)
-            losses.append(loss)
+            loss_sum += loss_and_grads(model, dataset.x[batch], dataset.labels[batch],
+                                       out=grad)[0]
             if config.learning_rate != 0.0:
                 model.flat -= config.learning_rate * grad.flat
-        if not (np.isfinite(losses).all() and np.isfinite(model.flat).all()):
+        if not (math.isfinite(loss_sum) and np.isfinite(model.flat).all()):
             raise ValidationError(f"training diverged: arm {arm!r} at epoch {t} has a "
                                   f"non-finite loss or parameter (try a smaller learning rate)")
-        stats = EpochStats(t=t, visits=int(idx.size),
-                           mean_loss=float(np.mean(losses)) if losses else float("nan"))
-        if eval_set is not None:
-            stats.test_accuracy, stats.test_weighted_f1, stats.test_macro_f1 = \
-                evaluate(model, *eval_set)
-        history.epochs.append(stats)
-    return model, history
+    return model
 
 
 def collect_traces(model: FusionModel, dataset: SyntheticDataset) -> TraceBatch:
@@ -495,19 +476,19 @@ def split_balanced_test(dataset: SyntheticDataset, test_fraction: float,
 
 
 def uniform_warmup_schedule(labels, n_epochs: int, epoch_size: int,
-                            seed: int) -> list[np.ndarray]:
+                            seed: int) -> Iterator[np.ndarray]:
     """Class-balanced warm-up over the rows of ``labels``: each epoch's rows
     are an (approximately) equal number of samples per class, fresh random
-    picks per epoch."""
+    picks per epoch. The epochs are drawn lazily, one per ``next``."""
     labels = np.asarray(labels)
     class_ids, caps = np.unique(labels, return_counts=True)
     members = [np.flatnonzero(labels == cid) for cid in class_ids]
     q = np.full(class_ids.size, 1.0 / class_ids.size)
     rng = _stream(seed, "warmup-order")
     counts = apportion(q, min(epoch_size, int(caps.sum())), caps)
-    return [np.concatenate([rows[np.sort(rng.choice(rows.size, size=int(k), replace=False))]
+    return (np.concatenate([rows[np.sort(rng.choice(rows.size, size=int(k), replace=False))]
                             for rows, k in zip(members, counts)])
-            for _ in range(n_epochs)]
+            for _ in range(n_epochs))
 
 
 def _train_subset_view(dataset: SyntheticDataset, train_idx: np.ndarray) -> SyntheticDataset:
@@ -522,17 +503,17 @@ def _train_curriculum_arm(trainset: SyntheticDataset, dist: ClassDistribution,
     Class counts are fixed by the distribution, so refreshing only
     re-orders the within-class queues and never changes the visit budget."""
     step = cfg.refresh_every or cfg.epochs
-    model, budget = init, 0
+    model = init
     schedule = build_schedule(table, dist, cfg.epochs)
     for chunk, start in enumerate(range(0, cfg.epochs, step)):
         if chunk:
             table = score_dataset(collect_traces(model, trainset))
             schedule = replace(schedule, order=build_queues(table, dist))
-        part = schedule.epochs()[start:start + step]
-        model, _ = train(trainset, part, cfg, model, first_epoch=start + 1,
-                         arm=f"climd-r{chunk}" if cfg.refresh_every else "climd")
-        budget += sum(rows.size for rows in part)
-    return model, budget
+        stop = min(start + step, cfg.epochs)
+        model = train(trainset, map(schedule.epoch, range(start + 1, stop + 1)), cfg, model,
+                      first_epoch=start + 1,
+                      arm=f"climd-r{chunk}" if cfg.refresh_every else "climd")
+    return model, int(schedule.counts.sum())
 
 
 def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmResult]:
@@ -554,7 +535,7 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmR
     warm_epoch_size = subset_size(1, cfg.epochs, n_train)
     warm_schedule = uniform_warmup_schedule(trainset.labels, cfg.resolved_warmup,
                                             warm_epoch_size, cfg.seed)
-    warm_model, _ = train(trainset, warm_schedule, cfg, init, arm="warmup")
+    warm_model = train(trainset, warm_schedule, cfg, init, arm="warmup")
     table = score_dataset(collect_traces(warm_model, trainset))
     dist = ClassDistribution.from_labels(trainset.labels, cfg.gamma)
 
@@ -563,7 +544,7 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmR
     base_epochs = math.ceil(budget / n_train)
     baseline = truncate_schedule(random_baseline_schedule(n_train, base_epochs, cfg.seed),
                                  budget)
-    base_model, _ = train(trainset, baseline, cfg, init, arm="baseline")
+    base_model = train(trainset, baseline, cfg, init, arm="baseline")
 
     results = []
     for arm, model, visits in (("climd", climd_model, budget),

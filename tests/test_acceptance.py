@@ -173,7 +173,7 @@ def test_criterion_4_scheduler_properties():
                 expect = sorted(members, key=lambda i: (-r[i], ids[i]))
                 assert queue.tolist() == expect
 
-            epochs = schedule.epochs()
+            epochs = [schedule.epoch(t) for t in range(1, total_epochs + 1)]
             for t, (rows, counts) in enumerate(zip(epochs, schedule.counts), start=1):
                 expected = (n if t == total_epochs
                             else subset_size(t, total_epochs, n))

@@ -575,6 +575,17 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    # Both sizes fail in np.zeros before it touches memory. 10**18 overflows
+    # int64 and float64 sums of the block sizes.
+    @pytest.mark.parametrize("hidden", [10**15, 10**18])
+    def test_oversized_model_exits_1(self, tmp_path, capsys, hidden):
+        out = tmp_path / "x"
+        assert main(["simulate", "--seeds", "1", "--epochs", "2", "--hidden", str(hidden),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no room for a model of ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_a_tie_is_a_win_for_neither_arm(self, tmp_path):
         # With a zero learning rate both arms keep the init model, so their
         # macro F1 is equal on every seed.

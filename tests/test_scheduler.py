@@ -186,8 +186,8 @@ class TestBuildSchedule:
     def check_invariants(schedule, table, dist, total_epochs):
         n = len(table)
         queues = queues_by_class(table, dist)
-        epochs = schedule.epochs()
-        assert len(epochs) == len(schedule.counts) == total_epochs
+        epochs = [schedule.epoch(t) for t in range(1, total_epochs + 1)]
+        assert len(schedule.counts) == total_epochs
         assert list(schedule.classes) == dist.classes.tolist()
         size_of = dict(zip(dist.classes.tolist(), dist.counts.tolist()))
         for t, (rows, counts) in enumerate(zip(epochs, schedule.counts), start=1):
@@ -223,8 +223,8 @@ class TestBuildSchedule:
         table = make_table("abc", [0, 0, 1], [0.1, 0.7, 0.4])
         dist = ClassDistribution.from_labels([0, 0, 1], 0.3)
         schedule = build_schedule(table, dist, 1)
-        assert len(schedule.epochs()) == 1
-        assert sorted(table.ids[i] for i in schedule.epochs()[0]) == ["a", "b", "c"]
+        assert len(schedule.counts) == 1
+        assert sorted(table.ids[i] for i in schedule.epoch(1)) == ["a", "b", "c"]
 
     def test_prefixes_reject_an_epoch_outside_the_schedule(self):
         table = make_table("abcd", [0, 0, 1, 2], [0.5] * 4)
