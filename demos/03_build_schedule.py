@@ -11,6 +11,9 @@ samples; by epoch 10 the head class holds ~50% of the data.
 
 The ramp is a function of the class distribution alone, so it needs
 no difficulty scores; the scores only order the samples inside a class.
+Its per-epoch targets come as arrays: ``ramp_targets`` gives alpha_t for
+every epoch and the class mix q_t, one row per epoch, which the counts
+apportion.
 """
 
 import numpy as np
@@ -19,17 +22,26 @@ from climd import (
     ClassDistribution,
     DifficultyTable,
     build_schedule,
+    ramp_targets,
     reference_ramp,
 )
+from climd.scheduler import FIGURE2
 
-counts = reference_ramp(n_samples=1000, total_epochs=10, n_classes=10,
-                        alpha_cap=5.0, gamma=0.3)  # (T, C): rows per epoch per class, by rank
+counts = reference_ramp()  # (T, C): rows per epoch per class, by rank
 
 print("epoch-by-rank subset sizes (rank 1 = largest class):")
 print("epoch " + " ".join(f"r{r:<4}" for r in range(1, 11)))
 for t, row in enumerate(counts, start=1):
     print(f"{t:>5} " + " ".join(f"{v:<5}" for v in row))
 print(f"row sums: {counts.sum(axis=1).tolist()}  (= 100*t, full data at T)")
+
+# The targets behind those counts: the final epoch's class sizes with the
+# alpha cap pinned give back the same distribution.
+dist = ClassDistribution.from_counts(dict(enumerate(counts[-1].tolist())),
+                                     gamma=FIGURE2["gamma"], alpha=FIGURE2["alpha_cap"])
+alpha, q = ramp_targets(dist, FIGURE2["epochs"])  # (T,) and (T, C), by rank
+print(f"\nalpha_t:          {np.round(alpha, 3).tolist()}")
+print(f"rank-1 share q_t: {np.round(q[:, 0], 3).tolist()}")
 
 # The same machinery on a small dataset with real difficulty scores:
 # class 0 has four samples scored 0.9 > 0.7 > 0.4 > 0.1, so epochs take

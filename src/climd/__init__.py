@@ -13,11 +13,9 @@ __version__ = "0.1.0"
 
 from .distribution import (
     ClassDistribution,
-    EpochTarget,
-    alpha_schedule,
-    epoch_target,
     fit_alpha,
     powerlaw_pdf,
+    ramp_targets,
 )
 from .errors import (
     ClimdError,

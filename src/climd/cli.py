@@ -19,11 +19,11 @@ import numpy as np
 
 from . import __version__
 from . import fileformats as ff
-from .distribution import ClassDistribution
+from .distribution import DEFAULT_GAMMA, ClassDistribution
 from .errors import ClimdError, InfeasibleScheduleError, ValidationError, check_number
 from .measurer import DifficultyTable, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
-from .scheduler import EASY_HIGH_R, EASY_LOW_R, build_schedule, reference_ramp
+from .scheduler import EASY_HIGH_R, EASY_LOW_R, FIGURE2, build_schedule, reference_ramp
 from .simlab import SyntheticSpec, TrainConfig, run_experiment
 
 
@@ -132,9 +132,7 @@ def cmd_figure2(args) -> int:
     if args.out:
         out = _outdir(args)
         ff.write_epoch_rank_table(out / "figure2.csv", counts)
-        _write_manifest(out, "figure2",
-                        {"n_samples": 1000, "epochs": 10, "classes": 10,
-                         "alpha_cap": 5.0, "gamma": 0.3}, {}, [])
+        _write_manifest(out, "figure2", FIGURE2, {}, [])
     return 0
 
 
@@ -165,7 +163,10 @@ def _parse_dims(dims: str, n_modalities: int) -> tuple[int, ...]:
     except ValueError:
         raise ValidationError(f"--dims must be integers, got {dims!r}") from None
     if len(parts) == 1:
-        parts = parts * n_modalities
+        try:
+            parts = parts * n_modalities
+        except (MemoryError, OverflowError) as exc:
+            raise ValidationError(f"no room for {n_modalities} modalities") from exc
     if len(parts) != n_modalities:
         raise ValidationError(
             f"--dims lists {len(parts)} dims but --modalities is {n_modalities}"
@@ -258,7 +259,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit the class distribution from a labels file")
     p.add_argument("--labels", required=True)
-    p.add_argument("--gamma", type=float, default=0.3)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -286,21 +287,21 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate", help="end-to-end synthetic comparison")
-    p.add_argument("--classes", type=int, default=5)
+    p.add_argument("--classes", type=int, default=SyntheticSpec.n_classes)
     p.add_argument("--modalities", type=int, default=3)
     p.add_argument("--dims", default="8")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--imbalance", type=float, default=1.5)
-    p.add_argument("--redundancy", type=float, default=0.3)
-    p.add_argument("--separation", type=float, default=2.0)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--gamma", type=float, default=0.3)
-    p.add_argument("--refresh", type=int, default=0,
+    p.add_argument("--n", type=int, default=SyntheticSpec.n_samples)
+    p.add_argument("--imbalance", type=float, default=SyntheticSpec.imbalance_exponent)
+    p.add_argument("--redundancy", type=float, default=SyntheticSpec.redundancy)
+    p.add_argument("--separation", type=float, default=SyntheticSpec.class_separation)
+    p.add_argument("--noise", type=float, default=SyntheticSpec.noise_scale)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--warmup", type=int, default=TrainConfig.warmup_epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    p.add_argument("--refresh", type=int, default=TrainConfig.refresh_every,
                    help="re-score difficulty every k epochs (0 = once, after warm-up)")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--base-seed", type=int, default=0)
@@ -310,7 +311,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="score -> fit -> schedule from a trace file")
     p.add_argument("--traces", required=True)
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--gamma", type=float, default=0.3)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--order", default=EASY_HIGH_R, choices=[EASY_HIGH_R, EASY_LOW_R])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pipeline)

@@ -19,6 +19,8 @@ The epoch ramp interpolates alpha linearly from 1 (epoch 1) to the fitted
 cap (final epoch), and the epoch-t class-sampling target is a convex
 mixture of the uniform distribution and the normalized power law over
 class *ranks* (rank 1 = largest class), :func:`rank_weights`.
+:func:`ramp_targets` gives both for every epoch at once, as a (T,)
+alpha array and a (T, C) target matrix.
 """
 
 from __future__ import annotations
@@ -114,16 +116,6 @@ class AlphaFit:
     degenerate: bool
 
 
-@dataclass
-class EpochTarget:
-    """Sampling target for one epoch: probabilities over ranks plus size."""
-
-    t: int
-    alpha_t: float
-    q: np.ndarray  # indexed by rank-1, non-increasing, sums to 1
-    subset_size: int
-
-
 def powerlaw_pdf(n: float, dist: ClassDistribution, alpha: float) -> float:
     """Density of the smoothed power law at class size ``n``.
 
@@ -161,47 +153,43 @@ def fit_alpha(counts, gamma: float = DEFAULT_GAMMA) -> AlphaFit:
     return AlphaFit(alpha_hat=(1.0 / gamma) * (1.0 + c / denom), degenerate=False)
 
 
-def alpha_schedule(t: int, total_epochs: int, alpha_cap: float) -> float:
-    """Linear ramp of the imbalance parameter: 1 at epoch 1, cap at the end."""
-    if total_epochs < 1:
-        raise ValidationError(f"total_epochs must be >= 1, got {total_epochs}")
-    if not 1 <= t <= total_epochs:
-        raise ValidationError(f"epoch {t} outside [1, {total_epochs}]")
-    if alpha_cap < 1:
-        raise ValidationError(f"alpha cap must be >= 1, got {alpha_cap}")
-    if total_epochs == 1:
-        return float(alpha_cap)
-    return 1.0 + (alpha_cap - 1.0) * (t - 1) / (total_epochs - 1)
-
-
 def subset_size(t: int, total_epochs: int, n_total: int) -> int:
     """Epoch-t subset size: round(t * N / T), half rounded up."""
     return _round_half_up(t * n_total / total_epochs)
 
 
-def rank_weights(n_classes: int, exponent: float) -> np.ndarray:
+def rank_weights(n_classes: int, exponent) -> np.ndarray:
     """The power law rank^(-exponent) over ranks 1..n_classes, normalized
-    to sum to 1."""
-    weights = np.arange(1, n_classes + 1, dtype=float) ** -exponent
-    return weights / weights.sum()
+    to sum to 1: one row per element of an array ``exponent``, each
+    bitwise equal to the row of that exponent alone."""
+    ranks = np.arange(1, n_classes + 1, dtype=float)
+    exponent = np.asarray(exponent)[..., None]
+    weights = ranks ** -exponent
+    # numpy computes a lone ``** -1.0`` as 1 / x, but an array of exponents
+    # with its vector pow, which can be an ulp off; keep the reciprocal.
+    np.copyto(weights, 1.0 / ranks, where=exponent == 1.0)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def epoch_target(t: int, total_epochs: int, dist: ClassDistribution) -> EpochTarget:
-    """Per-rank sampling probabilities and subset size for epoch t.
+def ramp_targets(dist: ClassDistribution, total_epochs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ramp's per-epoch ``(alpha, q)``: alpha (T,) and the class-sampling
+    targets q (T, C) over ranks, row t - 1 for epoch t.
 
-    q_t(rank) mixes the uniform distribution and the normalized power law
+    alpha climbs linearly from 1 at epoch 1 to ``alpha_hat`` at the last.
+    q_t mixes the uniform distribution and the normalized power law
     rank^(-gamma*alpha_t); the mixture weight grows linearly from 0 at
     epoch 1 to 1 at the final epoch. A single-epoch run uses weight 1
     (final-epoch semantics; the scheduler overrides it to full data
     anyway).
     """
-    alpha_t = alpha_schedule(t, total_epochs, dist.alpha_hat)
-    w = 1.0 if total_epochs == 1 else (t - 1) / (total_epochs - 1)
+    if total_epochs < 1:
+        raise ValidationError(f"total_epochs must be >= 1, got {total_epochs}")
+    if total_epochs == 1:
+        alpha, w = np.array([dist.alpha_hat]), np.ones(1)
+    else:
+        u = np.arange(total_epochs)
+        alpha = 1.0 + (dist.alpha_hat - 1.0) * u / (total_epochs - 1)
+        w = u / (total_epochs - 1)
     c = dist.n_classes
-    q = (1.0 - w) / c + w * rank_weights(c, dist.gamma * alpha_t)
-    return EpochTarget(
-        t=t,
-        alpha_t=alpha_t,
-        q=q,
-        subset_size=subset_size(t, total_epochs, dist.n_total),
-    )
+    q = (1.0 - w)[:, None] / c + w[:, None] * rank_weights(c, dist.gamma * alpha)
+    return alpha, q

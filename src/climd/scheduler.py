@@ -29,12 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import ClassDistribution, epoch_target, rank_weights
+from .distribution import ClassDistribution, ramp_targets, rank_weights, subset_size
 from .errors import InfeasibleScheduleError, ValidationError
 from .measurer import DifficultyTable
 
 EASY_HIGH_R = "high_r_easy"
 EASY_LOW_R = "low_r_easy"
+
+# The paper's figure-2 setting, which :func:`reference_ramp` draws.
+FIGURE2 = {"n_samples": 1000, "epochs": 10, "classes": 10, "alpha_cap": 5.0, "gamma": 0.3}
 
 
 def _stream(seed: int, purpose: str) -> np.random.Generator:
@@ -123,10 +126,7 @@ def largest_remainder(targets, total: int) -> np.ndarray:
         raise ValidationError(
             f"targets sum to more than total ({targets.sum()} > {total})"
         )
-    frac = targets - floors
-    order = sorted(range(targets.size), key=lambda i: (-frac[i], i))
-    for i in order[:leftover]:
-        floors[i] += 1
+    floors[np.argsort(floors - targets, kind="stable")[:leftover]] += 1
     return floors
 
 
@@ -186,12 +186,13 @@ def ramp_counts(dist: ClassDistribution, total_epochs: int) -> np.ndarray:
         raise ValidationError(f"total_epochs must be >= 1, got {total_epochs}")
     try:
         counts = np.empty((total_epochs, dist.n_classes), dtype=np.int64)
+        _, q = ramp_targets(dist, total_epochs)
     except (ValueError, MemoryError) as exc:
         raise ValidationError(f"no room for a {total_epochs} x {dist.n_classes} "
                               f"epoch count matrix") from exc
+    n_total = dist.n_total
     for t in range(1, total_epochs):
-        target = epoch_target(t, total_epochs, dist)
-        counts[t - 1] = apportion(target.q, target.subset_size, dist.counts)
+        counts[t - 1] = apportion(q[t - 1], subset_size(t, total_epochs, n_total), dist.counts)
     counts[-1] = dist.counts  # full-data final epoch
     return counts
 
@@ -234,16 +235,16 @@ def truncate_schedule(epochs: list[np.ndarray], budget: int) -> list[np.ndarray]
     return kept
 
 
-def reference_ramp(n_samples: int = 1000, total_epochs: int = 10,
-                   n_classes: int = 10, alpha_cap: float = 5.0,
-                   gamma: float = 0.3) -> np.ndarray:
-    """The (T, C) :func:`ramp_counts` of a synthetic long-tailed dataset.
+def reference_ramp() -> np.ndarray:
+    """The (T, C) :func:`ramp_counts` of the synthetic long-tailed dataset
+    of the :data:`FIGURE2` setting.
 
     Class sizes are the largest-remainder rounding of the final-epoch
     power-law target (exponent gamma * alpha_cap) scaled to ``n_samples``,
     so the full-data final epoch lands exactly on that law.
     """
-    sizes = largest_remainder(rank_weights(n_classes, gamma * alpha_cap) * n_samples, n_samples)
+    n, gamma, alpha_cap = FIGURE2["n_samples"], FIGURE2["gamma"], FIGURE2["alpha_cap"]
+    sizes = largest_remainder(rank_weights(FIGURE2["classes"], gamma * alpha_cap) * n, n)
     dist = ClassDistribution.from_counts(dict(enumerate(sizes.tolist())),
                                          gamma=gamma, alpha=alpha_cap)
-    return ramp_counts(dist, total_epochs)
+    return ramp_counts(dist, FIGURE2["epochs"])

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distribution import ClassDistribution, rank_weights, subset_size
+from .distribution import DEFAULT_GAMMA, ClassDistribution, rank_weights, subset_size
 from .errors import ValidationError, check_number
 from .measurer import TraceBatch, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
@@ -143,9 +143,15 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
     Per-class centroids blend a cross-modality common component and a
     modality-specific one with weights sqrt(redundancy) and
     sqrt(1 - redundancy), then each modality is rescaled so its mean
-    pairwise centroid distance equals ``class_separation``.
+    pairwise centroid distance equals ``class_separation``. The feature
+    matrix is allocated first, so a size with no room fails before any work.
     """
-    sizes = class_sizes(spec.n_samples, spec.n_classes, spec.imbalance_exponent)
+    n, width = spec.n_samples, sum(spec.dims)
+    try:
+        x = np.empty((n, width))
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"no room for a dataset of {n} samples x {width} features") from exc
+    sizes = class_sizes(n, spec.n_classes, spec.imbalance_exponent)
     c = spec.n_classes
     d_max = max(spec.dims)
     common = _stream(spec.seed, "centroids-common").standard_normal((c, d_max))
@@ -163,10 +169,8 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
         centroids.append(raw * (spec.class_separation / mean_dist))
 
     labels = np.repeat(np.arange(c), sizes)
-    n = int(sizes.sum())
-    width = max(5, len(str(n)))
-    sample_ids = [f"s{i:0{width}d}" for i in range(n)]
-    x = np.empty((n, sum(spec.dims)))
+    digits = max(5, len(str(n)))
+    sample_ids = [f"s{i:0{digits}d}" for i in range(n)]
     for mi, col in enumerate(_columns(spec.dims)):
         noise = _stream(spec.seed, f"features-{mi}").standard_normal((n, spec.dims[mi]))
         x[:, col] = centroids[mi][labels] + spec.noise_scale * noise
@@ -333,12 +337,12 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 5e-5
-    epochs: int = 100
+    learning_rate: float = 0.01
+    epochs: int = 20
     warmup_epochs: int | None = None  # None -> max(1, epochs // 10)
     batch_size: int = 32
     hidden: int = 16
-    gamma: float = 0.3
+    gamma: float = DEFAULT_GAMMA
     test_fraction: float = 0.4
     refresh_every: int = 0  # re-score difficulty every k epochs; 0 = once
     seed: int = 0
@@ -565,7 +569,10 @@ def run_experiment(spec: SyntheticSpec, config: TrainConfig, n_seeds: int,
     """
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
-    jobs = ([spec] * n_seeds, [config] * n_seeds, range(n_seeds))
+    try:
+        jobs = ([spec] * n_seeds, [config] * n_seeds, range(n_seeds))
+    except (MemoryError, OverflowError) as exc:
+        raise ValidationError(f"no room for {n_seeds} seeds") from exc
     if max_workers > 1:
         # Imported here: multiprocessing is costly to import, and serial
         # runs never need it.

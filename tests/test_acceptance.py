@@ -11,7 +11,7 @@ import numpy as np
 
 from climd import fileformats as ff
 from climd.cli import main
-from climd.distribution import ClassDistribution, epoch_target, fit_alpha, subset_size
+from climd.distribution import ClassDistribution, fit_alpha, ramp_targets, subset_size
 from climd.measurer import (
     DifficultyTable,
     complementarity,
@@ -62,7 +62,7 @@ def test_criterion_1_figure2_reproduction(tmp_path, capsys):
         # epoch-10 target probabilities vs rank^-1.5 / sum, before rounding
         dist = ClassDistribution.from_counts(
             {i: int(table[-1][i]) for i in range(10)}, gamma=0.3, alpha=5.0)
-        q = epoch_target(10, 10, dist).q
+        q = ramp_targets(dist, 10)[1][-1]
         weights = [r ** -1.5 for r in range(1, 11)]
         z = math.fsum(weights)
         expect = np.array([w / z for w in weights])

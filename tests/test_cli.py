@@ -586,6 +586,28 @@ class TestSimulate:
         assert err.startswith("error: no room for a model of ") and err.count("\n") == 1
         assert not out.exists()
 
+    # Every size fails before it touches memory: the seed and modality
+    # lists overflow a list's size, and the dataset's (N, sum of dims)
+    # feature matrix is refused by numpy, the first thing the lab allocates.
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seeds", 10**18, f"no room for {10**18} seeds"),
+        ("--seeds", 10**20, f"no room for {10**20} seeds"),
+        ("--modalities", 10**18, f"no room for {10**18} modalities"),
+        ("--modalities", 10**20, f"no room for {10**20} modalities"),
+        ("--n", 10**15, f"no room for a dataset of {10**15} samples x 24 features"),
+        ("--n", 10**18, f"no room for a dataset of {10**18} samples x 24 features"),
+        ("--n", 10**20, f"no room for a dataset of {10**20} samples x 24 features"),
+        ("--dims", 10**15, f"no room for a dataset of 2000 samples x {3 * 10**15} features"),
+        ("--dims", 10**18, f"no room for a dataset of 2000 samples x {3 * 10**18} features"),
+    ])
+    def test_oversized_run_exits_1(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x"
+        assert main(["simulate", "--seeds", "1", "--epochs", "2", flag, str(value),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_a_tie_is_a_win_for_neither_arm(self, tmp_path):
         # With a zero learning rate both arms keep the init model, so their
         # macro F1 is equal on every seed.

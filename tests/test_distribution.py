@@ -6,10 +6,9 @@ from scipy.integrate import quad
 
 from climd.distribution import (
     ClassDistribution,
-    alpha_schedule,
-    epoch_target,
     fit_alpha,
     powerlaw_pdf,
+    ramp_targets,
     rank_weights,
     subset_size,
 )
@@ -47,6 +46,19 @@ def grid_search_alpha(counts, gamma, step=1e-3):
 def make_dist(counts, gamma=0.3, alpha=None):
     return ClassDistribution.from_counts(
         {i: c for i, c in enumerate(counts)}, gamma=gamma, alpha=alpha)
+
+
+def scalar_ramp_epoch(t, total_epochs, dist):
+    """Oracle for ``ramp_targets``: (alpha_t, q_t) of epoch t, computed one
+    epoch at a time with scalars, in the ramp's operation order."""
+    if total_epochs == 1:
+        alpha_t, w = float(dist.alpha_hat), 1.0
+    else:
+        alpha_t = 1.0 + (dist.alpha_hat - 1.0) * (t - 1) / (total_epochs - 1)
+        w = (t - 1) / (total_epochs - 1)
+    c = dist.n_classes
+    weights = np.arange(1, c + 1, dtype=float) ** -(dist.gamma * alpha_t)
+    return alpha_t, (1.0 - w) / c + w * (weights / weights.sum())
 
 
 class TestPowerlawPdf:
@@ -129,53 +141,53 @@ class TestFitAlpha:
                 fit_alpha([10, 5], gamma)
 
 
+def fig2_dist(alpha=5.0):
+    # Ten ranks with the final-epoch law as counts; alpha pinned.
+    sizes = [501, 177, 96, 63, 45, 34, 27, 22, 19, 16]
+    return make_dist(sizes, gamma=0.3, alpha=alpha)
+
+
 class TestAlphaSchedule:
     def test_endpoints(self):
-        assert alpha_schedule(1, 10, 5.0) == pytest.approx(1.0, abs=1e-15)
-        assert alpha_schedule(10, 10, 5.0) == pytest.approx(5.0, abs=1e-15)
+        alpha, _ = ramp_targets(fig2_dist(), 10)
+        assert alpha[0] == pytest.approx(1.0, abs=1e-15)
+        assert alpha[9] == pytest.approx(5.0, abs=1e-15)
 
     def test_frozen_midpoint(self):
-        assert alpha_schedule(5, 10, 5.0) == pytest.approx(25.0 / 9.0, abs=1e-12)
+        alpha, _ = ramp_targets(fig2_dist(), 10)
+        assert alpha[4] == pytest.approx(25.0 / 9.0, abs=1e-12)
 
     def test_affine_and_clamped(self):
-        t_vals = np.arange(1, 21)
-        vals = [alpha_schedule(int(t), 20, 3.5) for t in t_vals]
+        vals, _ = ramp_targets(fig2_dist(3.5), 20)
         diffs = np.diff(vals)
         assert np.allclose(diffs, diffs[0], atol=1e-12)
         assert all(1.0 <= v <= 3.5 for v in vals)
 
     def test_single_epoch_returns_cap(self):
-        assert alpha_schedule(1, 1, 4.2) == 4.2
+        alpha, _ = ramp_targets(fig2_dist(4.2), 1)
+        assert alpha.tolist() == [4.2]
 
     def test_bad_epoch(self):
         with pytest.raises(ValidationError):
-            alpha_schedule(0, 10, 5.0)
-        with pytest.raises(ValidationError):
-            alpha_schedule(11, 10, 5.0)
+            ramp_targets(fig2_dist(), 0)
 
 
-class TestEpochTarget:
-    def fig2_dist(self):
-        # Ten ranks with the final-epoch law as counts; alpha pinned at 5.
-        sizes = [501, 177, 96, 63, 45, 34, 27, 22, 19, 16]
-        return make_dist(sizes, gamma=0.3, alpha=5.0)
-
+class TestRampTargets:
     def test_first_epoch_is_uniform(self):
-        dist = self.fig2_dist()
-        target = epoch_target(1, 10, dist)
-        assert np.allclose(target.q, 0.1, atol=1e-15)
-        assert target.subset_size == 100
+        dist = fig2_dist()
+        _, q = ramp_targets(dist, 10)
+        assert np.allclose(q[0], 0.1, atol=1e-15)
+        assert subset_size(1, 10, dist.n_total) == 100
 
     def test_probabilities_sum_to_one(self):
-        dist = self.fig2_dist()
-        for t in range(1, 11):
-            q = epoch_target(t, 10, dist).q
-            assert abs(q.sum() - 1.0) <= 1e-12
-            assert np.all(np.diff(q) <= 1e-15)  # non-increasing in rank
+        _, q = ramp_targets(fig2_dist(), 10)
+        assert q.shape == (10, 10)
+        for row in q:
+            assert abs(row.sum() - 1.0) <= 1e-12
+            assert np.all(np.diff(row) <= 1e-15)  # non-increasing in rank
 
     def test_final_epoch_is_pure_power_law(self):
-        dist = self.fig2_dist()
-        q = epoch_target(10, 10, dist).q
+        q = ramp_targets(fig2_dist(), 10)[1][-1]
         # Independent oracle: direct high-precision summation.
         weights = [r ** -1.5 for r in range(1, 11)]
         z = math.fsum(weights)
@@ -189,12 +201,42 @@ class TestEpochTarget:
         assert subset_size(3, 7, 100) == 43  # round(42.857...)
 
     def test_single_epoch_uses_final_mixture(self):
-        dist = self.fig2_dist()
-        target = epoch_target(1, 1, dist)
+        dist = fig2_dist()
+        _, q = ramp_targets(dist, 1)
         weights = [r ** -1.5 for r in range(1, 11)]
         z = math.fsum(weights)
-        assert np.allclose(target.q, [w / z for w in weights], atol=1e-12)
-        assert target.subset_size == 1000
+        assert np.allclose(q[0], [w / z for w in weights], atol=1e-12)
+        assert subset_size(1, 1, dist.n_total) == 1000
+
+    def test_bitwise_equal_to_the_scalar_ramp(self):
+        rng = np.random.default_rng(12)
+        for case in range(1000):
+            c = int(rng.integers(2, 1201))
+            total_epochs = int(rng.integers(1, 121))
+            counts = rng.integers(1, 5000, c).tolist()
+            if case % 2:
+                # Pinned: any cap >= 1 that keeps gamma * alpha above 1.
+                gamma = float(rng.uniform(0.05, 2.0))
+                alpha = max(1.0, 1.0 / gamma) * float(rng.uniform(1.001, 3.0))
+                dist = make_dist(counts, gamma=gamma, alpha=alpha)
+            else:
+                # Fitted: gamma < 1 keeps the fitted alpha above 1.
+                dist = make_dist(counts, gamma=float(rng.uniform(0.05, 1.0)))
+            alpha, q = ramp_targets(dist, total_epochs)
+            assert alpha.shape == (total_epochs,)
+            assert q.shape == (total_epochs, c)
+            for t in range(1, total_epochs + 1):
+                alpha_t, q_t = scalar_ramp_epoch(t, total_epochs, dist)
+                assert alpha[t - 1] == alpha_t, (case, t)
+                assert np.array_equal(q[t - 1], q_t), (case, t)
+
+    def test_an_epoch_with_unit_exponent_matches_the_scalar_ramp(self):
+        # gamma * alpha_2 = 0.5 * 2.0 = 1, the exponent numpy raises to as 1 / x.
+        dist = make_dist(list(range(1200, 0, -1)), gamma=0.5, alpha=3.0)
+        alpha, q = ramp_targets(dist, 3)
+        assert alpha.tolist() == [1.0, 2.0, 3.0]
+        for t in (1, 2, 3):
+            assert np.array_equal(q[t - 1], scalar_ramp_epoch(t, 3, dist)[1])
 
 
 class TestRankWeights:
@@ -205,6 +247,15 @@ class TestRankWeights:
         assert np.array_equal(weights, expect / expect.sum())
         assert math.isclose(weights.sum(), 1.0)
         assert np.array_equal(rank_weights(3, 0.0), np.full(3, 1 / 3))
+
+    def test_an_exponent_array_gives_the_stacked_scalar_rows(self):
+        rng = np.random.default_rng(3)
+        for n_classes in (1, 2, 10, 1000):
+            exponents = np.concatenate([[0.0, 0.5, 1.0, 2.0], rng.uniform(0.0, 6.0, 60)])
+            weights = rank_weights(n_classes, exponents)
+            assert weights.shape == (exponents.size, n_classes)
+            assert np.array_equal(weights, np.stack([rank_weights(n_classes, float(e))
+                                                     for e in exponents]))
 
 
 class TestClassDistribution:

@@ -83,6 +83,28 @@ class TestLargestRemainder:
             assert alloc.sum() == total
             assert np.all(np.abs(alloc - q * total) < 1.0)
 
+    def test_matches_the_sorted_key_rule(self):
+        def sorted_key_oracle(targets, total):
+            # Largest fractional part first, ties to the earlier position.
+            floors = np.floor(targets).astype(int)
+            frac = targets - floors
+            order = sorted(range(targets.size), key=lambda i: (-frac[i], i))
+            for i in order[:total - int(floors.sum())]:
+                floors[i] += 1
+            return floors
+
+        rng = np.random.default_rng(5)
+        for case in range(5000):
+            k = int(rng.integers(1, 40))
+            if case % 2:
+                # Few distinct fractional parts, so most of them tie.
+                targets = rng.integers(0, 40, k) / float(rng.choice([1, 2, 3, 4, 8]))
+            else:
+                targets = rng.uniform(0.0, 50.0, k)
+            total = int(np.floor(targets).sum()) + int(rng.integers(0, k + 3))
+            assert np.array_equal(largest_remainder(targets, total),
+                                  sorted_key_oracle(targets, total)), case
+
     @pytest.mark.parametrize("targets", [[-1.0, 4.0], [np.nan, 1.0], [1.0, -np.inf]])
     def test_rejects_bad_targets(self, targets):
         with pytest.raises(ValidationError, match="targets must be finite and non-negative"):
