@@ -166,6 +166,9 @@ def read_traces(path, lines=None, shapes=None) -> TraceBatch:
                         f"sample_id must be a JSON string, got {obj['sample_id']!r}")
                 if type(obj["label"]) is not int:
                     raise ValidationError(f"label must be a JSON integer, got {obj['label']!r}")
+                if not -2**63 <= obj["label"] < 2**63:
+                    raise ValidationError(
+                        f"label must be a 64-bit JSON integer, got {obj['label']!r}")
                 chunk_p.append([mod["probs"] for mod in obj["modalities"]])
                 chunk_e.append([mod["embedding"] for mod in obj["modalities"]])
                 shapes = shapes or (np.shape(chunk_p[0]), np.shape(chunk_e[0]))
@@ -181,7 +184,7 @@ def read_traces(path, lines=None, shapes=None) -> TraceBatch:
         return TraceBatch(ids=ids, labels=np.array(labels, dtype=np.int64),
                           probs=np.concatenate(probs) if probs else np.zeros((0, 0, 0)),
                           emb=np.concatenate(emb) if emb else np.zeros((0, 0, 0)))
-    except (ValidationError, OverflowError) as exc:
+    except ValidationError as exc:
         row = getattr(exc, "row", None)
         where = f" at line {linenos[row]}" if row is not None else ""
         raise ValidationError(f"{path}: corrupt trace{where}: {exc}") from exc

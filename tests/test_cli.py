@@ -268,6 +268,22 @@ class TestPipeline:
         assert err.startswith("error: stage 'read-traces': ") and "Traceback" not in err
         assert "s00004" in err or "line 5" in err
 
+    @pytest.mark.parametrize("command", ["pipeline", "score"])
+    @pytest.mark.parametrize("label", [2**63, -2**63 - 1, 10**30])
+    def test_label_outside_int64_names_its_line(self, tmp_path, capsys, command, label):
+        traces = tmp_path / "traces.jsonl"
+        lines = write_random_traces(traces, 10)
+        obj = json.loads(lines[6])
+        obj["label"] = label
+        lines[6] = json.dumps(obj)
+        traces.write_text("\n".join(lines) + "\n")
+        argv = [command, "--traces", str(traces), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--epochs", "3"] if command == "pipeline" else [])) == 1
+        assert capsys.readouterr().err == (
+            f"error: stage 'read-traces': {traces}: corrupt trace at line 7: "
+            f"label must be a 64-bit JSON integer, got {label}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_traces_exit_1(self, tmp_path, capsys):
         traces = tmp_path / "traces.jsonl"
         make_traces_file(traces, n=30)
