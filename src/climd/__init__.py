@@ -17,12 +17,7 @@ from .distribution import (
     powerlaw_pdf,
     ramp_targets,
 )
-from .errors import (
-    ClimdError,
-    DomainError,
-    InfeasibleScheduleError,
-    ValidationError,
-)
+from .errors import DomainError, ValidationError
 from .measurer import DifficultyTable, TraceBatch, score_dataset
 from .metrics import (
     ConfusionMatrix,

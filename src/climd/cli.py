@@ -1,11 +1,10 @@
 """Command-line pipeline: fit, score, schedule, simulate, eval, figure2,
 plus a pipeline command chaining score -> fit -> schedule.
 
-Exit codes: 0 success, 1 validation error, 2 infeasible schedule,
-3 I/O error. Commands read all inputs before writing anything, never
-write outside their --out directory, and leave exactly one manifest.json
-per output directory. ``CLIMD_THREADS`` caps seed-level parallelism for
-``simulate``.
+Exit codes: 0 success, 1 invalid input, 3 I/O error. Commands read all
+inputs before writing anything, never write outside their --out
+directory, and leave exactly one manifest.json per output directory.
+``CLIMD_THREADS`` caps seed-level parallelism for ``simulate``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 from . import __version__
 from . import fileformats as ff
 from .distribution import DEFAULT_GAMMA, ClassDistribution
-from .errors import ClimdError, InfeasibleScheduleError, ValidationError, check_number
+from .errors import ValidationError, check_number, room_for
 from .measurer import DifficultyTable, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import EASY_HIGH_R, EASY_LOW_R, FIGURE2, build_schedule, reference_ramp
@@ -77,7 +76,7 @@ def _stage(name, fn):
     puts in front of the error line."""
     try:
         return fn()
-    except (ClimdError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         exc.stage = name
         raise
 
@@ -163,10 +162,8 @@ def _parse_dims(dims: str, n_modalities: int) -> tuple[int, ...]:
     except ValueError:
         raise ValidationError(f"--dims must be integers, got {dims!r}") from None
     if len(parts) == 1:
-        try:
+        with room_for(f"{n_modalities} modalities"):
             parts = parts * n_modalities
-        except (MemoryError, OverflowError) as exc:
-            raise ValidationError(f"no room for {n_modalities} modalities") from exc
     if len(parts) != n_modalities:
         raise ValidationError(
             f"--dims lists {len(parts)} dims but --modalities is {n_modalities}"
@@ -331,8 +328,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InfeasibleScheduleError as exc:
-        return _fail(exc, 2)
     except ValidationError as exc:
         return _fail(exc, 1)
     except OSError as exc:

@@ -72,9 +72,7 @@ class ClassDistribution:
         repeats = by_id[1:][self.classes[by_id[1:]] == self.classes[by_id[:-1]]]
         if repeats.size:
             row = int(repeats.min())
-            exc = ValidationError(f"duplicate class_id {self.classes[row]}")
-            exc.row = row
-            raise exc
+            raise ValidationError(f"duplicate class_id {self.classes[row]}", row=row)
 
     @classmethod
     def from_counts(cls, counts: dict[int, int], gamma: float = DEFAULT_GAMMA,

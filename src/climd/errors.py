@@ -1,28 +1,29 @@
-"""Exception types shared across the package, and the check of a
-configured number.
+"""The package's error type, the check of a configured number, and the
+guard of an allocation sized by input.
 
-The CLI maps these onto its exit-code contract:
-0 success, 1 validation error, 2 infeasible schedule, 3 I/O error.
+The CLI maps errors onto its exit-code contract: 0 success, 1 invalid
+input (a :class:`ValidationError`), 3 I/O error (an ``OSError``).
 """
 
 import math
+from contextlib import contextmanager
 
 
-class ClimdError(Exception):
-    """Base class for all package errors."""
-
-
-class ValidationError(ClimdError):
+class ValidationError(Exception):
     """Malformed or contract-violating input (bad probability vector,
-    duplicate sample id, unknown class, corrupt file line, ...)."""
+    duplicate sample id, unknown class, corrupt file line, ...).
+
+    ``row``, when not None, is the index of the first offending row, for
+    readers to map onto a line.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class DomainError(ValidationError):
     """Numeric argument outside a function's mathematical domain."""
-
-
-class InfeasibleScheduleError(ClimdError):
-    """Requested subset size cannot be met under the per-class caps."""
 
 
 def check_number(name: str, value: float, low: float, strict: bool = False,
@@ -35,3 +36,14 @@ def check_number(name: str, value: float, low: float, strict: bool = False,
         if below < math.inf:
             bound += f" and < {below:g}"
         raise ValidationError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+@contextmanager
+def room_for(what: str):
+    """Turn the ``ValueError``, ``MemoryError`` or ``OverflowError`` of a
+    size that cannot be allocated into ``ValidationError("no room for
+    <what>")``."""
+    try:
+        yield
+    except (ValueError, MemoryError, OverflowError) as exc:
+        raise ValidationError(f"no room for {what}") from exc

@@ -91,8 +91,7 @@ def _checked(path, linenos: list[int], check):
     try:
         return check()
     except ValidationError as exc:
-        row = getattr(exc, "row", None)
-        where = f" (line {linenos[row]})" if row is not None else ""
+        where = f" (line {linenos[exc.row]})" if exc.row is not None else ""
         raise ValidationError(f"{path}: {exc}{where}") from exc
 
 
@@ -185,8 +184,7 @@ def read_traces(path, lines=None, shapes=None) -> TraceBatch:
                           probs=np.concatenate(probs) if probs else np.zeros((0, 0, 0)),
                           emb=np.concatenate(emb) if emb else np.zeros((0, 0, 0)))
     except ValidationError as exc:
-        row = getattr(exc, "row", None)
-        where = f" at line {linenos[row]}" if row is not None else ""
+        where = f" at line {linenos[exc.row]}" if exc.row is not None else ""
         raise ValidationError(f"{path}: corrupt trace{where}: {exc}") from exc
 
 

@@ -52,9 +52,8 @@ def _reject(ids: list[str], bad, reason: str):
     rows = np.flatnonzero(bad)
     if rows.size:
         names = [ids[i] for i in rows[:5]]
-        exc = ValidationError(f"{reason} in {rows.size} of {len(ids)} samples, first {names}")
-        exc.row = int(rows[0])
-        raise exc
+        raise ValidationError(f"{reason} in {rows.size} of {len(ids)} samples, first {names}",
+                              row=int(rows[0]))
 
 
 def check_ids(ids: list[str]):
@@ -73,9 +72,7 @@ def check_ids(ids: list[str]):
         seen = set()
         row = next(i for i, sid in enumerate(ids) if sid in seen or seen.add(sid))
         dupes = sorted(sid for sid, k in Counter(ids).items() if k > 1)
-        exc = ValidationError(f"duplicate sample ids: {dupes[:5]}")
-        exc.row = row
-        raise exc
+        raise ValidationError(f"duplicate sample ids: {dupes[:5]}", row=row)
 
 
 # Per-sample reference types. score_sample and the functions it calls

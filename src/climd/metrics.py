@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, room_for
 
 
 @dataclass
@@ -51,10 +51,8 @@ def confusion(true_labels, predicted_labels, n_classes: int) -> ConfusionMatrix:
     for name, arr in (("true", true_labels), ("predicted", predicted_labels)):
         if arr.size and (arr.min() < 0 or arr.max() >= n_classes):
             raise ValidationError(f"{name} labels outside [0, {n_classes})")
-    try:
+    with room_for(f"a {n_classes} x {n_classes} confusion matrix"):
         cm = np.zeros((n_classes, n_classes), dtype=int)
-    except (ValueError, MemoryError) as exc:
-        raise ValidationError(f"no room for a {n_classes} x {n_classes} confusion matrix") from exc
     np.add.at(cm, (true_labels, predicted_labels), 1)
     return ConfusionMatrix(cm)
 

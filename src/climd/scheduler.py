@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import ClassDistribution, ramp_targets, rank_weights, subset_size
-from .errors import InfeasibleScheduleError, ValidationError
+from .errors import ValidationError, room_for
 from .measurer import DifficultyTable
 
 EASY_HIGH_R = "high_r_easy"
@@ -137,7 +137,8 @@ def apportion(q, total: int, caps) -> np.ndarray:
     Any class whose allocation exceeds its cap is pinned at the cap and
     the surplus is re-apportioned among the remaining classes; the loop
     repeats until no cap is violated. The result sums to ``total`` exactly
-    and respects every cap.
+    and respects every cap. A ``total`` above the caps' sum is rejected,
+    so some class is always left to absorb the surplus.
     """
     q = np.asarray(q, dtype=float)
     caps = np.asarray(caps, dtype=int)
@@ -150,7 +151,7 @@ def apportion(q, total: int, caps) -> np.ndarray:
     if total < 0:
         raise ValidationError(f"total must be >= 0, got {total}")
     if total > int(caps.sum()):
-        raise InfeasibleScheduleError(
+        raise ValidationError(
             f"cannot draw {total} samples: only {int(caps.sum())} available"
         )
     counts = np.zeros(q.size, dtype=int)
@@ -158,8 +159,6 @@ def apportion(q, total: int, caps) -> np.ndarray:
     remaining = int(total)
     while remaining > 0:
         idx = np.flatnonzero(active)
-        if idx.size == 0:
-            raise InfeasibleScheduleError("no classes left to absorb the surplus")
         weight = q[idx]
         wsum = float(weight.sum())
         if wsum <= 0.0:
@@ -184,12 +183,9 @@ def ramp_counts(dist: ClassDistribution, total_epochs: int) -> np.ndarray:
     is the class sizes (full data). It depends on the distribution alone."""
     if total_epochs < 1:
         raise ValidationError(f"total_epochs must be >= 1, got {total_epochs}")
-    try:
+    with room_for(f"a {total_epochs} x {dist.n_classes} epoch count matrix"):
         counts = np.empty((total_epochs, dist.n_classes), dtype=np.int64)
         _, q = ramp_targets(dist, total_epochs)
-    except (ValueError, MemoryError) as exc:
-        raise ValidationError(f"no room for a {total_epochs} x {dist.n_classes} "
-                              f"epoch count matrix") from exc
     n_total = dist.n_total
     for t in range(1, total_epochs):
         counts[t - 1] = apportion(q[t - 1], subset_size(t, total_epochs, n_total), dist.counts)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distribution import DEFAULT_GAMMA, ClassDistribution, rank_weights, subset_size
-from .errors import ValidationError, check_number
+from .errors import ValidationError, check_number, room_for
 from .measurer import TraceBatch, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import (
@@ -97,10 +97,6 @@ class SyntheticSpec:
         check_number("class_separation", self.class_separation, 0.0, strict=True)
         check_number("noise_scale", self.noise_scale, 0.0)
 
-    @property
-    def n_modalities(self) -> int:
-        return len(self.dims)
-
 
 @dataclass
 class SyntheticDataset:
@@ -147,10 +143,8 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
     matrix is allocated first, so a size with no room fails before any work.
     """
     n, width = spec.n_samples, sum(spec.dims)
-    try:
+    with room_for(f"a dataset of {n} samples x {width} features"):
         x = np.empty((n, width))
-    except (ValueError, MemoryError) as exc:
-        raise ValidationError(f"no room for a dataset of {n} samples x {width} features") from exc
     sizes = class_sizes(n, spec.n_classes, spec.imbalance_exponent)
     c = spec.n_classes
     d_max = max(spec.dims)
@@ -212,10 +206,8 @@ class FusionModel:
         shapes = [(h, d) for d in self.dims] + [(m, h), (c, m * h), (c,), (m, c, h), (m, c)]
         # Python ints: a float64 or int64 cumsum would round or wrap huge sizes.
         ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
-        try:
+        with room_for(f"a model of {ends[-1]} parameters"):
             self.flat = np.zeros(ends[-1]) if flat is None else flat
-        except (ValueError, MemoryError) as exc:
-            raise ValidationError(f"no room for a model of {ends[-1]} parameters") from exc
         (*self.enc_w, self.enc_b, self.head_w, self.head_b, self.aux_w, self.aux_b) = [
             part.reshape(shape) for part, shape in zip(np.split(self.flat, ends[:-1]), shapes)]
 
@@ -569,10 +561,8 @@ def run_experiment(spec: SyntheticSpec, config: TrainConfig, n_seeds: int,
     """
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
-    try:
+    with room_for(f"{n_seeds} seeds"):
         jobs = ([spec] * n_seeds, [config] * n_seeds, range(n_seeds))
-    except (MemoryError, OverflowError) as exc:
-        raise ValidationError(f"no room for {n_seeds} seeds") from exc
     if max_workers > 1:
         # Imported here: multiprocessing is costly to import, and serial
         # runs never need it.

@@ -81,6 +81,14 @@ class TestFit:
         assert err.startswith("error: alpha_hat must be a finite number >= 1, got 0.564")
         assert not out.exists()
 
+    def test_header_only_labels_exit_1(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        ff.write_labels(labels, [])
+        out = tmp_path / "out"
+        assert main(["fit", "--labels", str(labels), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {labels}: no labeled samples found\n"
+        assert not out.exists()
+
     def test_missing_file_exits_3_without_partial_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["fit", "--labels", str(tmp_path / "nope.csv"), "--out", str(out)])
@@ -200,6 +208,12 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: no room for a {classes} x {classes} confusion matrix\n"
+
+    def test_header_only_predictions_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "pred.csv"
+        ff.write_predictions(path, [])
+        assert main(["eval", "--predictions", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no prediction rows found\n"
 
     def test_only_the_exact_header_is_skipped(self, tmp_path, capsys):
         preds = tmp_path / "preds.csv"
@@ -692,6 +706,12 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    def test_non_integer_dims_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["simulate", "--dims", "8,x", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --dims must be integers, got '8,x'\n"
+        assert not out.exists()
 
     def test_bad_dims_list(self, tmp_path):
         code = main(["simulate", "--modalities", "3", "--dims", "4,4",

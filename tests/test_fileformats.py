@@ -69,6 +69,13 @@ class TestDifficultyFormat:
         header = path.read_text().splitlines()[0]
         assert header == "sample_id,label,phi,psi_1,psi_2,r"
 
+    @pytest.mark.parametrize("header", ["", "id,label,phi,r", "sample_id,label,phi,psi_1"])
+    def test_unrecognized_header_rejected(self, tmp_path, header):
+        path = tmp_path / "difficulty.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(ValidationError, match="unrecognized difficulty header"):
+            ff.read_difficulty(path)
+
     def test_mixed_modality_counts_rejected(self):
         with pytest.raises(ValidationError):
             DifficultyTable(ids=["a", "b"], labels=[0, 0], psi=[[0.5, 0.5], [0.5, 0.5, 0.5]],

@@ -227,6 +227,16 @@ class TestTraceBatch:
             TraceBatch(batch.ids, batch.labels, batch.probs[:, :1], batch.emb[:, :1])
 
 
+class TestDifficultyTable:
+    @pytest.mark.parametrize("column", ["labels", "phi", "r"])
+    def test_columns_of_unequal_length_rejected(self, column):
+        cols = {"labels": [0, 1], "psi": np.zeros((2, 2)), "phi": np.zeros(2),
+                "r": np.zeros(2)}
+        cols[column] = cols[column][:1]
+        with pytest.raises(ValidationError, match="inconsistent difficulty table: 2 ids"):
+            DifficultyTable(ids=["a", "b"], **cols)
+
+
 class TestScoreDataset:
     def test_empty(self):
         empty = TraceBatch(ids=[], labels=np.zeros(0, dtype=int),

@@ -34,6 +34,10 @@ class TestConfusion:
         with pytest.raises(ValidationError):
             ConfusionMatrix(np.array([[1, 2, 3]]))
 
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValidationError, match="entries must be >= 0"):
+            ConfusionMatrix(np.array([[1, -1], [0, 2]]))
+
 
 class TestMetricValues:
     def test_hand_example(self):

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from climd.distribution import ClassDistribution, subset_size
-from climd.errors import InfeasibleScheduleError, ValidationError
+from climd.errors import ValidationError
 from climd.measurer import DifficultyTable
 from climd.scheduler import (
     apportion,
@@ -110,6 +111,10 @@ class TestLargestRemainder:
         with pytest.raises(ValidationError, match="targets must be finite and non-negative"):
             largest_remainder(targets, 3)
 
+    def test_rejects_targets_whose_floors_exceed_the_total(self):
+        with pytest.raises(ValidationError, match=re.escape("(7.5 > 6)")):
+            largest_remainder([4.0, 3.5], 6)
+
 
 class TestApportion:
     def test_uniform_roomy_caps(self):
@@ -138,13 +143,28 @@ class TestApportion:
         assert list(counts) == [2, 3, 5]
 
     def test_infeasible(self):
-        with pytest.raises(InfeasibleScheduleError):
+        with pytest.raises(ValidationError, match="cannot draw 10 samples"):
             apportion(np.array([0.5, 0.5]), 10, np.array([4, 5]))
 
     @pytest.mark.parametrize("q", [[-0.5, 1.0, 0.5], [np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]])
     def test_rejects_a_bad_q(self, q):
         with pytest.raises(ValidationError, match="q must be finite and non-negative"):
             apportion(q, 10, [10, 10, 10])
+
+    @pytest.mark.parametrize("q, total, caps, message", [
+        ([0.5, 0.5], 4, [4, 4, 4], "q and caps length mismatch: 2 vs 3"),
+        ([0.5, 0.4], 4, [4, 4], "q must sum to 1, got "),
+        ([0.5, 0.5], -1, [4, 4], "total must be >= 0, got -1"),
+    ])
+    def test_rejects_bad_arguments(self, q, total, caps, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            apportion(q, total, caps)
+
+    def test_zero_weight_classes_share_the_surplus_evenly(self):
+        # The one weighted class is clamped at its cap, so the 5 samples
+        # left go to the zero-weight classes in equal parts, the odd one
+        # to the earlier class.
+        assert list(apportion([1.0, 0.0, 0.0], 6, [1, 10, 10])) == [1, 3, 2]
 
     def test_random_caps_respected(self):
         rng = np.random.default_rng(13)
@@ -303,6 +323,14 @@ class TestRandomBaseline:
         a = random_baseline_schedule(100, 1, seed=1)
         b = random_baseline_schedule(100, 1, seed=2)
         assert not np.array_equal(a[0], b[0])
+
+    @pytest.mark.parametrize("n_rows, epochs, message", [
+        (5, 0, "total_epochs must be >= 1, got 0"),
+        (0, 3, "cannot schedule an empty dataset"),
+    ])
+    def test_rejects_an_empty_schedule(self, n_rows, epochs, message):
+        with pytest.raises(ValidationError, match=message):
+            random_baseline_schedule(n_rows, epochs, seed=0)
 
     def test_truncate_to_budget(self):
         schedule = random_baseline_schedule(50, 4, seed=3)

@@ -118,6 +118,10 @@ class TestClassSizes:
                 assert np.all(np.abs(sizes - w * n) < 1.0)
             assert np.all(sizes[:-1] >= sizes[1:])
 
+    def test_too_few_samples_rejected(self):
+        with pytest.raises(ValidationError, match="2 samples cannot cover 3 classes"):
+            class_sizes(2, 3, 1.0)
+
     def test_min_one_per_class(self):
         sizes = class_sizes(12, 10, 6.0)
         assert sizes.min() >= 1
@@ -167,6 +171,17 @@ class TestGenerateDataset:
     def test_infeasible_spec(self):
         with pytest.raises(ValidationError):
             SyntheticSpec(n_classes=10, dims=(2, 2), n_samples=5)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_classes", 1, "need >= 2 classes, got 1"),
+        ("dims", (4,), "need >= 2 modalities, got 1"),
+        ("dims", (4, 0), "all modality dims must be >= 1"),
+        ("redundancy", 1.5, "redundancy must be in"),
+        ("redundancy", math.nan, "redundancy must be in"),
+    ])
+    def test_bad_spec_rejected(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            replace(SMALL_SPEC, **{field: value})
 
 
 class TestForward:
@@ -432,11 +447,34 @@ class TestSplit:
         b = split_balanced_test(dataset, 0.3, seed=4)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    def test_singleton_minority_class_rejected(self):
+        dataset = generate_dataset(SyntheticSpec(n_classes=3, dims=(2, 2), n_samples=3))
+        with pytest.raises(ValidationError, match="minority class too small"):
+            split_balanced_test(dataset, 0.4, seed=0)
 
     @pytest.mark.parametrize("fraction", [math.nan, -0.2, 0.0, 1.0, 1.5])
     def test_test_fraction_outside_open_unit_interval_rejected(self, fraction):
         with pytest.raises(ValidationError, match="test_fraction"):
             TrainConfig(test_fraction=fraction)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+        ("warmup_epochs", -1, "warmup_epochs must be >= 0"),
+        ("batch_size", 0, "batch_size and hidden must be >= 1"),
+        ("hidden", 0, "batch_size and hidden must be >= 1"),
+        ("refresh_every", -1, "refresh_every must be >= 0"),
+    ])
+    def test_bad_config_rejected(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("epochs, warmup, resolved", [
+        (5, None, 1), (25, None, 2), (25, 0, 0), (25, 7, 7),
+    ])
+    def test_warmup_defaults_to_a_tenth_of_the_epochs(self, epochs, warmup, resolved):
+        assert TrainConfig(epochs=epochs, warmup_epochs=warmup).resolved_warmup == resolved
 
 
 class TestWarmupSchedule:
@@ -479,6 +517,11 @@ class TestExperiment:
         t = config.epochs
         expected = sum(math.floor(e * n / t + 0.5) for e in range(1, t + 1))
         assert by_arm["climd"].visits == expected
+
+    def test_no_seeds_rejected(self):
+        spec, config, _ = self.tiny()
+        with pytest.raises(ValidationError, match="n_seeds must be >= 1, got 0"):
+            run_experiment(spec, config, 0)
 
     def test_rerun_is_identical(self):
         spec, config, n = self.tiny()
