@@ -7,16 +7,16 @@ skipped) and name a rejected line by its number. Writers hand theirs to
 :func:`write_lines`, which writes them through the open file as they are
 made, so a table is formatted a block of rows (a schedule: one epoch) at
 a time. :func:`read_traces` returns a validated
-:class:`~climd.measurer.TraceBatch`, parsed a chunk of lines at a time
-into arrays, and :func:`read_difficulty` a
-:class:`~climd.measurer.DifficultyTable`. :func:`iter_traces` yields the
-traces as one batch per ``TRACE_CHUNK`` lines, so ``climd score`` and
-``climd pipeline`` score them chunk by chunk and never hold the whole
-trace arrays.
+:class:`~climd.measurer.TraceBatch` and :func:`read_difficulty` a
+:class:`~climd.measurer.DifficultyTable`; both write each line into
+arrays as they parse it, so besides the ids a reader holds one line's
+Python objects, not a chunk's. :func:`iter_traces` yields the traces as
+one batch per ``TRACE_CHUNK`` lines, so ``climd score`` and ``climd
+pipeline`` score them chunk by chunk, never the whole trace arrays at once.
 
 * traces: one JSON object per line with a string ``sample_id``, an
   integer ``label`` and a ``modalities`` array of
-  ``{"probs": [...], "embedding": [...]}``;
+  ``{"probs": [...], "embedding": [...]}`` lists of JSON numbers;
 * difficulty table: CSV ``sample_id,label,phi,psi_1..psi_M,r`` in input order;
 * labels: CSV ``sample_id,label``, the header optional;
 * distribution report: ``class_id,count,rank`` CSV, rank order kept, under
@@ -42,8 +42,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -85,14 +86,14 @@ def _fields(path, lineno: int, line: str, width: int) -> list[str]:
     return parts
 
 
-def _checked(path, linenos: list[int], check):
-    """``check()``, with its error prefixed by the path and, when the
-    error names a ``row``, suffixed by that row's line."""
+def _checked(path, linenos, check):
+    """``check()``, its error (of the same class) prefixed by the path and,
+    when it names a ``row``, suffixed by that row's line in ``linenos``."""
     try:
         return check()
     except ValidationError as exc:
         where = f" (line {linenos[exc.row]})" if exc.row is not None else ""
-        raise ValidationError(f"{path}: {exc}{where}") from exc
+        raise type(exc)(f"{path}: {exc}{where}") from exc
 
 
 def _numbers(path, lineno: int, fields, kind=int) -> list:
@@ -108,7 +109,7 @@ def _numbers(path, lineno: int, fields, kind=int) -> list:
 # traces (JSON lines)
 # ---------------------------------------------------------------------------
 
-# Lines parsed into Python lists before they are packed into arrays, the
+# The rows of each array chunk read_traces writes its lines into, the
 # lines per batch of iter_traces, and the rows formatted per block by the
 # difficulty writer.
 TRACE_CHUNK = 1024
@@ -124,23 +125,23 @@ def write_traces(path, batch: TraceBatch):
                                           batch.probs, batch.emb)))
 
 
-def _pack(path, rows: list, linenos: list[int], shape: tuple) -> np.ndarray:
-    """Stack one chunk of per-line nested lists into a float array whose
-    rows have ``shape``, naming the first line that does not fit."""
-    try:
-        arr = np.array(rows, dtype=float)
-        if arr.shape[1:] == shape:
-            return arr
-    except (TypeError, ValueError, OverflowError):
-        pass
-    for lineno, row in zip(linenos, rows):
+def _put_values(out: np.ndarray, key: str, rows: list):
+    """Check one trace's per-modality ``key`` lists, then write them into
+    ``out``, its row of a chunk's array: numpy alone would broadcast a short
+    row and turn a bool, a numeric string or null into a float."""
+    shape = out.shape
+    if (len(shape) == 2 and not {*map(type, rows)} - {list}
+            and [*map(len, rows)] == [shape[1]] * shape[0]):
+        if not {int, float}.issuperset(map(type, chain(*rows))):
+            bad = next(v for v in chain(*rows) if type(v) not in (int, float))
+            raise ValidationError(f"{key} values must be JSON numbers, got {json.dumps(bad)}")
         try:
-            if np.array(row, dtype=float).shape != shape:
-                break
-        except (TypeError, ValueError, OverflowError):
-            break
-    raise ValidationError(f"{path}: corrupt trace at line {lineno}: expected numbers "
-                          f"in shape {shape} (modalities, values), as on the first line")
+            out[...] = rows
+            return
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValidationError(f"expected numbers in shape {shape} (modalities, values), "
+                          "as on the first line")
 
 
 def read_traces(path, lines=None, shapes=None) -> TraceBatch:
@@ -149,40 +150,39 @@ def read_traces(path, lines=None, shapes=None) -> TraceBatch:
     By default the whole file. :func:`iter_traces` passes ``lines``, an
     iterator over some of its (line number, text) pairs, and ``shapes``,
     the (probs, embeddings) shape every trace must have, which is
-    otherwise that of the first trace. Lines are parsed ``TRACE_CHUNK`` at
-    a time into arrays, the batch is validated once, and a rejected trace
-    is named by its line.
+    otherwise that of the first trace. Each line is parsed, checked and
+    written straight into arrays of ``TRACE_CHUNK`` rows, the batch is
+    validated once, and a rejected trace is named by its line.
     """
-    ids, labels, probs, emb, linenos = [], [], [], [], []
-    numbered = _numbered_lines(path) if lines is None else lines
-    while chunk := list(islice(numbered, TRACE_CHUNK)):
-        chunk_p, chunk_e = [], []
-        for lineno, line in chunk:
-            try:
-                obj = json.loads(line)
-                if type(obj["sample_id"]) is not str:
-                    raise ValidationError(
-                        f"sample_id must be a JSON string, got {obj['sample_id']!r}")
-                if type(obj["label"]) is not int:
-                    raise ValidationError(f"label must be a JSON integer, got {obj['label']!r}")
-                if not -2**63 <= obj["label"] < 2**63:
-                    raise ValidationError(
-                        f"label must be a 64-bit JSON integer, got {obj['label']!r}")
-                chunk_p.append([mod["probs"] for mod in obj["modalities"]])
-                chunk_e.append([mod["embedding"] for mod in obj["modalities"]])
-                shapes = shapes or (np.shape(chunk_p[0]), np.shape(chunk_e[0]))
-                ids.append(obj["sample_id"])
-                labels.append(obj["label"])
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}: corrupt trace at line {lineno}: {exc}") from exc
-        chunk_n = [lineno for lineno, _ in chunk]
-        probs.append(_pack(path, chunk_p, chunk_n, shapes[0]))
-        emb.append(_pack(path, chunk_e, chunk_n, shapes[1]))
-        linenos += chunk_n
+    ids, labels, linenos, chunks = [], array("q"), array("q"), []
+    for lineno, line in _numbered_lines(path) if lines is None else lines:
+        n = len(ids) % TRACE_CHUNK
+        try:
+            obj = json.loads(line)
+            if type(obj["sample_id"]) is not str:
+                raise ValidationError(
+                    f"sample_id must be a JSON string, got {obj['sample_id']!r}")
+            if type(obj["label"]) is not int:
+                raise ValidationError(f"label must be a JSON integer, got {obj['label']!r}")
+            if not -2**63 <= obj["label"] < 2**63:
+                raise ValidationError(
+                    f"label must be a 64-bit JSON integer, got {obj['label']!r}")
+            rows = [[mod[key] for mod in obj["modalities"]] for key in ("probs", "embedding")]
+            shapes = shapes or tuple(map(np.shape, rows))
+            if not n:
+                chunks.append(tuple(np.empty((TRACE_CHUNK, *shape)) for shape in shapes))
+            _put_values(chunks[-1][0][n], "probs", rows[0])
+            _put_values(chunks[-1][1][n], "embedding", rows[1])
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise ValidationError(f"{path}: corrupt trace at line {lineno}: {exc}") from exc
+        ids.append(obj["sample_id"])
+        labels.append(obj["label"])
+        linenos.append(lineno)
+    # The first len(ids) rows of each chunked array; a single chunk is not copied.
+    probs, emb = ((col[0] if len(col) == 1 else np.concatenate(col))[:len(ids)]
+                  for col in zip(*chunks or [(np.zeros((0, 0, 0)),) * 2]))
     try:
-        return TraceBatch(ids=ids, labels=np.array(labels, dtype=np.int64),
-                          probs=np.concatenate(probs) if probs else np.zeros((0, 0, 0)),
-                          emb=np.concatenate(emb) if emb else np.zeros((0, 0, 0)))
+        return TraceBatch(ids=ids, labels=np.frombuffer(labels, np.int64), probs=probs, emb=emb)
     except ValidationError as exc:
         where = f" at line {linenos[exc.row]}" if exc.row is not None else ""
         raise ValidationError(f"{path}: corrupt trace{where}: {exc}") from exc
@@ -230,19 +230,19 @@ def read_difficulty(path) -> DifficultyTable:
     cols = header.split(",")
     if cols[:3] != ["sample_id", "label", "phi"] or cols[-1] != "r":
         raise ValidationError(f"{path}: unrecognized difficulty header {header!r}")
-    ids, labels, scores, linenos = [], [], [], []
+    ids, labels, linenos, scores = [], array("q"), array("q"), array("d")
     for lineno, line in lines:
         parts = _fields(path, lineno, line, len(cols))
-        labels += _numbers(path, lineno, parts[1:2])
+        labels.extend(_numbers(path, lineno, parts[1:2]))
         row = _numbers(path, lineno, parts[2:], float)
         if not all(map(math.isfinite, row)):
             raise ValidationError(f"{path}: line {lineno}: non-finite score in {line!r}")
         ids.append(parts[0])
-        scores += row
+        scores.extend(row)
         linenos.append(lineno)
-    scores = np.array(scores, dtype=float).reshape(len(ids), len(cols) - 2)
+    scores = np.frombuffer(scores).reshape(len(ids), len(cols) - 2)
     return _checked(path, linenos, lambda: DifficultyTable(
-        ids=ids, labels=np.array(labels, dtype=int), psi=scores[:, 1:-1],
+        ids=ids, labels=np.frombuffer(labels, np.int64), psi=scores[:, 1:-1],
         phi=scores[:, 0], r=scores[:, -1]))
 
 

@@ -147,7 +147,7 @@ def apportion(q, total: int, caps) -> np.ndarray:
     if not np.all(np.isfinite(q) & (q >= 0)):
         raise ValidationError(f"q must be finite and non-negative, got {q.tolist()}")
     if abs(float(q.sum()) - 1.0) > 1e-9:
-        raise ValidationError(f"q must sum to 1, got {q.sum()!r}")
+        raise ValidationError(f"q must sum to 1, got {float(q.sum())!r}")
     if total < 0:
         raise ValidationError(f"total must be >= 0, got {total}")
     if total > int(caps.sum()):

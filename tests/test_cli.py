@@ -298,6 +298,40 @@ class TestPipeline:
             f"label must be a 64-bit JSON integer, got {label}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["pipeline", "score"])
+    @pytest.mark.parametrize("field,values,shown", [
+        ("probs", [True, False], "true"), ("probs", [0.0, True], "true"),
+        ("probs", ["0.25", "0.75"], '"0.25"'), ("probs", [None, 1.0], "null"),
+        ("probs", [[0.25], 0.75], "[0.25]"), ("embedding", [0.5, False, 1.0], "false"),
+    ])
+    def test_non_number_trace_values_exit_1(self, tmp_path, capsys, command, field,
+                                            values, shown):
+        # Two classes, so that [true, false] and ["0.25", "0.75"] would sum to 1.
+        traces = tmp_path / "traces.jsonl"
+        lines = write_random_traces(traces, 10, c=2)
+        obj = json.loads(lines[6])
+        obj["modalities"][1][field] = values
+        lines[6] = json.dumps(obj)
+        traces.write_text("\n".join(lines) + "\n")
+        argv = [command, "--traces", str(traces), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--epochs", "3"] if command == "pipeline" else [])) == 1
+        assert capsys.readouterr().err == (
+            f"error: stage 'read-traces': {traces}: corrupt trace at line 7: "
+            f"{field} values must be JSON numbers, got {shown}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_json_integer_trace_values_are_numbers(self, tmp_path):
+        traces = tmp_path / "traces.jsonl"
+        lines = write_random_traces(traces, 10, c=2)
+        obj = json.loads(lines[6])
+        obj["modalities"][1] = {"probs": [1, 0], "embedding": [2, 0, -1]}
+        lines[6] = json.dumps(obj)
+        traces.write_text("\n".join(lines) + "\n")
+        batch = ff.read_traces(traces)
+        assert batch.probs[6, 1].tolist() == [1.0, 0.0]
+        assert batch.emb[6, 1].tolist() == [2.0, 0.0, -1.0]
+        assert main(["score", "--traces", str(traces), "--out", str(tmp_path / "out")]) == 0
+
     def test_non_utf8_traces_exit_1(self, tmp_path, capsys):
         traces = tmp_path / "traces.jsonl"
         make_traces_file(traces, n=30)

@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from climd import fileformats as ff
@@ -160,8 +160,20 @@ def run(argv):
     return code, stderr.getvalue()
 
 
+# The one route from the command line to a DomainError: a distribution
+# whose alpha_hat is rewritten so that gamma*alpha_hat <= 1 on a
+# non-degenerate fit (gamma 0.3 times alpha_hat 1.5). Generated damage
+# almost never builds it.
+DOMAIN_ERROR = ({"labels": [0, 0, 0, 1, 1, 2], "seed": 0, "fitted": [0, 0, 0, 1, 1, 2],
+                 "pred": [0] * 6,
+                 "damage": (("keep", 0, ""),) * 4 + (("line", 2, "# alpha_hat=1.5"),)},
+                ["schedule", "--difficulty", "{tmp}/difficulty.csv", "--distribution",
+                 "{tmp}/distribution.csv", "--epochs", "3", "--out", "{tmp}/out"], "out")
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(cases())
+@example(DOMAIN_ERROR)
 def test_exit_code_contract(case):
     files, argv, out = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,4 +1,7 @@
+import json
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from climd import fileformats as ff
 from climd.distribution import ClassDistribution, subset_size
-from climd.errors import ValidationError
+from climd.errors import DomainError, ValidationError
 from climd.measurer import DifficultyTable, TraceBatch, score_dataset
 from climd.scheduler import EASY_HIGH_R, EASY_LOW_R, build_schedule, reference_ramp
 from climd.simlab import FusionModel, SyntheticSpec, collect_traces, generate_dataset
@@ -42,6 +45,21 @@ class TestTraceFormat:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match="line 5"):
             ff.read_traces(path)
+
+    def test_a_trace_missing_a_modality_names_its_line(self, traces, tmp_path):
+        # Its (1, C) probs would broadcast silently over a chunk row's (M, C).
+        path = tmp_path / "traces.jsonl"
+        ff.write_traces(path, traces)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[4])
+        obj["modalities"] = obj["modalities"][:1]
+        lines[4] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as info:
+            ff.read_traces(path)
+        assert str(info.value) == (f"{path}: corrupt trace at line 5: expected numbers in shape "
+                                   f"{traces.probs.shape[1:]} (modalities, values), "
+                                   "as on the first line")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "traces.jsonl"
@@ -93,6 +111,56 @@ class TestDifficultyFormat:
         path.write_text("sample_id,label,phi,psi_1,r\na,0,0.1,nan,0.3\n")
         with pytest.raises(ValidationError, match="line 2"):
             ff.read_difficulty(path)
+
+
+def traced_peak(read):
+    """``read()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = read()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReaderMemory:
+    """The readers write each line straight into arrays, so their peak is
+    set by arrays and not by a chunk (or a file) of parsed Python objects."""
+
+    def test_iter_traces_peak_is_set_by_chunk_arrays(self, tmp_path):
+        n, m, c, d = 2 * ff.TRACE_CHUNK + 10, 2, 3, 64
+        rng = np.random.default_rng(3)
+        path = tmp_path / "traces.jsonl"
+        ff.write_traces(path, TraceBatch(ids=[f"s{i:05d}" for i in range(n)],
+                                         labels=np.arange(n) % c,
+                                         probs=rng.dirichlet(np.ones(c), size=(n, m)),
+                                         emb=rng.standard_normal((n, m, d))))
+        chunk = ff.TRACE_CHUNK * m * (c + d) * np.dtype(float).itemsize
+        # One line's text and its parsed floats, each in a list slot.
+        line = (max(map(len, path.read_text().splitlines()))
+                + m * (c + d) * (sys.getsizeof(1.0) + 8))
+        sizes, peak = traced_peak(lambda: [len(batch) for batch in ff.iter_traces(path)])
+        assert sizes == [ff.TRACE_CHUNK, ff.TRACE_CHUNK, 10]
+        # Four chunks of arrays: the caller's last batch, the chunk being
+        # filled, and the batch check's temporaries (up to a chunk's
+        # embeddings). A chunk's lines and nested lists would add ~6 more.
+        assert peak < 4 * chunk + line, (peak, chunk, line)
+
+    def test_read_difficulty_peak_is_a_small_multiple_of_the_table(self, tmp_path):
+        n = 10_000
+        rng = np.random.default_rng(4)
+        r = rng.uniform(0.0, 2.0, n)
+        path = tmp_path / "difficulty.csv"
+        ff.write_difficulty(path, DifficultyTable(
+            ids=[f"s{i:07d}" for i in range(n)], labels=np.arange(n) % 7,
+            psi=rng.uniform(0.0, 0.5, (n, 3)), phi=r / 2, r=r))
+        table, peak = traced_peak(lambda: ff.read_difficulty(path))
+        size = (sum(a.nbytes for a in (table.labels, table.psi, table.phi, table.r))
+                + sys.getsizeof(table.ids) + sum(map(sys.getsizeof, table.ids)))
+        # The id check's set of ids is not part of the table, and its hash
+        # table grows in steps that make its share depend on n.
+        id_set = sys.getsizeof(set(table.ids))
+        assert peak < 1.5 * size + id_set, (peak, size, id_set)
 
 
 class TestLabelsFormat:
@@ -160,6 +228,15 @@ class TestDistributionFormat:
         path.write_text(self.HEADER.replace(old, new) + "0,100,1\n1,50,2\n")
         with pytest.raises(ValidationError, match=match):
             ff.read_distribution(path)
+
+    def test_a_domain_error_keeps_its_class(self, tmp_path):
+        path = tmp_path / "distribution.csv"
+        path.write_text(self.HEADER.replace("alpha_hat=5.0", "alpha_hat=3.0")
+                        + "0,100,1\n1,50,2\n")
+        with pytest.raises(DomainError) as info:
+            ff.read_distribution(path)
+        assert str(info.value) == (f"{path}: gamma*alpha_hat must exceed 1 unless degenerate, "
+                                   f"got {0.3 * 3.0!r}")
 
     def test_degenerate_flag_waives_the_alpha_bound(self, tmp_path):
         path = tmp_path / "distribution.csv"

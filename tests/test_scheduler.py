@@ -153,11 +153,11 @@ class TestApportion:
 
     @pytest.mark.parametrize("q, total, caps, message", [
         ([0.5, 0.5], 4, [4, 4, 4], "q and caps length mismatch: 2 vs 3"),
-        ([0.5, 0.4], 4, [4, 4], "q must sum to 1, got "),
+        ([0.5, 0.4], 4, [4, 4], "q must sum to 1, got 0.9"),
         ([0.5, 0.5], -1, [4, 4], "total must be >= 0, got -1"),
     ])
     def test_rejects_bad_arguments(self, q, total, caps, message):
-        with pytest.raises(ValidationError, match=re.escape(message)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             apportion(q, total, caps)
 
     def test_zero_weight_classes_share_the_surplus_evenly(self):
