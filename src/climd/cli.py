@@ -4,7 +4,8 @@ plus a pipeline command chaining score -> fit -> schedule.
 Exit codes: 0 success, 1 invalid input, 3 I/O error. Commands read all
 inputs before writing anything, never write outside their --out
 directory, and leave exactly one manifest.json per output directory.
-``CLIMD_THREADS`` caps seed-level parallelism for ``simulate``.
+``simulate --dims`` lists one input dim per modality. ``CLIMD_THREADS``
+caps seed-level parallelism for ``simulate``, up to the CPUs it may use.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import fileformats as ff
 from .distribution import DEFAULT_GAMMA, ClassDistribution
-from .errors import ValidationError, check_number, room_for
+from .errors import ValidationError, check_number
 from .measurer import DifficultyTable, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import EASY_HIGH_R, EASY_LOW_R, FIGURE2, build_schedule, reference_ramp
@@ -156,19 +157,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_dims(dims: str, n_modalities: int) -> tuple[int, ...]:
+def _parse_dims(dims: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(p) for p in dims.split(","))
+        return tuple(int(p) for p in dims.split(","))
     except ValueError:
         raise ValidationError(f"--dims must be integers, got {dims!r}") from None
-    if len(parts) == 1:
-        with room_for(f"{n_modalities} modalities"):
-            parts = parts * n_modalities
-    if len(parts) != n_modalities:
-        raise ValidationError(
-            f"--dims lists {len(parts)} dims but --modalities is {n_modalities}"
-        )
-    return parts
 
 
 def _max_workers() -> int:
@@ -182,7 +175,7 @@ def _max_workers() -> int:
 def cmd_simulate(args) -> int:
     spec = SyntheticSpec(
         n_classes=args.classes,
-        dims=_parse_dims(args.dims, args.modalities),
+        dims=_parse_dims(args.dims),
         n_samples=args.n,
         imbalance_exponent=args.imbalance,
         class_separation=args.separation,
@@ -285,8 +278,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="end-to-end synthetic comparison")
     p.add_argument("--classes", type=int, default=SyntheticSpec.n_classes)
-    p.add_argument("--modalities", type=int, default=3)
-    p.add_argument("--dims", default="8")
+    p.add_argument("--dims", default=",".join(map(str, SyntheticSpec.dims)),
+                   help="one input dim per modality, comma-separated")
     p.add_argument("--n", type=int, default=SyntheticSpec.n_samples)
     p.add_argument("--imbalance", type=float, default=SyntheticSpec.imbalance_exponent)
     p.add_argument("--redundancy", type=float, default=SyntheticSpec.redundancy)

@@ -26,15 +26,11 @@ class DomainError(ValidationError):
     """Numeric argument outside a function's mathematical domain."""
 
 
-def check_number(name: str, value: float, low: float, strict: bool = False,
-                 below: float = math.inf):
-    """Reject a non-finite ``value``, one below ``low`` (or equal to it,
-    when ``strict``) or one not below ``below``, naming the field."""
-    if (not math.isfinite(value) or value < low or (strict and value == low)
-            or value >= below):
+def check_number(name: str, value: float, low: float, strict: bool = False):
+    """Reject a non-finite ``value`` or one below ``low`` (or equal to it,
+    when ``strict``), naming the field."""
+    if not math.isfinite(value) or value < low or (strict and value == low):
         bound = f"> {low:g}" if strict else f">= {low:g}"
-        if below < math.inf:
-            bound += f" and < {below:g}"
         raise ValidationError(f"{name} must be a finite number {bound}, got {value!r}")
 
 

@@ -285,14 +285,14 @@ def write_distribution(path, dist: ClassDistribution):
 
 
 def read_distribution(path) -> ClassDistribution:
-    meta = {}
+    meta = {}  # key -> (value, line)
     rows = {}  # rank -> (class id, count, line)
     for lineno, line in _numbered_lines(path):
         if line == "class_id,count,rank":
             continue
         if line.startswith("#"):
             key, _, value = line.lstrip("# ").partition("=")
-            meta[key.strip()] = value.strip()
+            meta[key.strip()] = value.strip(), lineno
             continue
         cid, count, rank = _numbers(path, lineno, _fields(path, lineno, line, 3))
         if rank in rows:
@@ -301,15 +301,11 @@ def read_distribution(path) -> ClassDistribution:
     for key in ("gamma", "alpha_hat", "degenerate"):
         if key not in meta:
             raise ValidationError(f"{path}: missing '# {key}=' header line")
-    values = {}
-    for key in ("gamma", "alpha_hat"):
-        try:
-            values[key] = float(meta[key])
-        except ValueError:
-            values[key] = math.nan
-    if meta["degenerate"] not in ("true", "false"):
-        raise ValidationError(f"{path}: degenerate must be true or false, "
-                              f"got {meta['degenerate']!r}")
+    [gamma], [alpha_hat] = (_numbers(path, lineno, [text], float)
+                            for text, lineno in (meta["gamma"], meta["alpha_hat"]))
+    degenerate = meta["degenerate"][0]
+    if degenerate not in ("true", "false"):
+        raise ValidationError(f"{path}: degenerate must be true or false, got {degenerate!r}")
     for rank, (_, _, lineno) in rows.items():
         if not 1 <= rank <= len(rows):
             raise ValidationError(f"{path}: line {lineno}: rank {rank} outside "
@@ -317,8 +313,8 @@ def read_distribution(path) -> ClassDistribution:
     classes, counts, linenos = np.array([rows[r] for r in sorted(rows)],
                                         dtype=np.int64).reshape(-1, 3).T
     return _checked(path, linenos.tolist(), lambda: ClassDistribution(
-        classes=classes, counts=counts, gamma=values["gamma"],
-        alpha_hat=values["alpha_hat"], degenerate=meta["degenerate"] == "true"))
+        classes=classes, counts=counts, gamma=gamma, alpha_hat=alpha_hat,
+        degenerate=degenerate == "true"))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
@@ -335,7 +336,6 @@ class TrainConfig:
     batch_size: int = 32
     hidden: int = 16
     gamma: float = DEFAULT_GAMMA
-    test_fraction: float = 0.4
     refresh_every: int = 0  # re-score difficulty every k epochs; 0 = once
     seed: int = 0
 
@@ -347,7 +347,6 @@ class TrainConfig:
             raise ValidationError("warmup_epochs must be >= 0")
         check_number("learning_rate", self.learning_rate, 0.0)
         check_number("gamma", self.gamma, 0.0, strict=True)
-        check_number("test_fraction", self.test_fraction, 0.0, strict=True, below=1.0)
         if self.batch_size < 1 or self.hidden < 1:
             raise ValidationError("batch_size and hidden must be >= 1")
         if self.refresh_every < 0:
@@ -448,6 +447,10 @@ class ExperimentReport:
         return float(np.mean([getattr(r, metric) for r in self.rows if r.arm == arm]))
 
 
+# The share of the minority class that each class holds out for testing.
+TEST_FRACTION = 0.4
+
+
 def split_balanced_test(dataset: SyntheticDataset, test_fraction: float,
                         seed: int):
     """Stratified test split with an equal per-class count bounded by what
@@ -519,7 +522,7 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmR
     dspec = replace(spec, seed=spec.seed + offset)
     cfg = replace(config, seed=config.seed + offset)
     dataset = generate_dataset(dspec)
-    train_idx, test_idx = split_balanced_test(dataset, cfg.test_fraction, cfg.seed)
+    train_idx, test_idx = split_balanced_test(dataset, TEST_FRACTION, cfg.seed)
     trainset = _train_subset_view(dataset, train_idx)
     test_x = dataset.x[test_idx]
     test_y = dataset.labels[test_idx]
@@ -556,18 +559,22 @@ def run_experiment(spec: SyntheticSpec, config: TrainConfig, n_seeds: int,
                    max_workers: int = 1) -> ExperimentReport:
     """Curriculum vs budget-matched random baseline over ``n_seeds`` seeds.
 
-    Seeds fan out to ``max_workers`` processes; results are merged in seed
-    order, so parallelism never changes the report.
+    Seeds fan out to ``max_workers`` processes, capped at one per seed and
+    per CPU this process may use, since a pool starts all of its workers
+    at once. Results are merged in seed order, so parallelism never changes
+    the report.
     """
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
     with room_for(f"{n_seeds} seeds"):
         jobs = ([spec] * n_seeds, [config] * n_seeds, range(n_seeds))
-    if max_workers > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(max_workers, n_seeds, cpus or 1)
+    if workers > 1:
         # Imported here: multiprocessing is costly to import, and serial
         # runs never need it.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(max_workers, n_seeds)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(run_seed, *jobs))
     else:
         per_seed = list(map(run_seed, *jobs))

@@ -236,7 +236,7 @@ def test_criterion_6_curriculum_beats_random_baseline():
 
 def test_criterion_7_rerun_determinism(tmp_path):
     with criterion(7, "byte-identical reruns"):
-        args = ["simulate", "--classes", "3", "--modalities", "2", "--dims", "4",
+        args = ["simulate", "--classes", "3", "--dims", "4,4",
                 "--n", "300", "--imbalance", "1.2", "--epochs", "5",
                 "--warmup", "1", "--lr", "0.05", "--seeds", "2",
                 "--batch", "16", "--hidden", "8"]

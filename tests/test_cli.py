@@ -456,6 +456,25 @@ class TestTextArtifacts:
         assert "['a ']" in err and "(line 2)" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, lineno", [("gamma", "abc", 2),
+                                                     ("alpha_hat", "xyz", 3)])
+    def test_schedule_names_a_non_numeric_header_value(self, tmp_path, capsys,
+                                                        key, value, lineno):
+        distribution = tmp_path / "distribution.csv"
+        header = {"gamma": "0.3", "alpha_hat": "5.0", key: value}
+        distribution.write_text(f"# n_min=3\n# gamma={header['gamma']}\n"
+                                f"# alpha_hat={header['alpha_hat']}\n# degenerate=false\n"
+                                "class_id,count,rank\n0,6,1\n1,3,2\n")
+        difficulty = tmp_path / "difficulty.csv"
+        difficulty.write_text("sample_id,label,phi,psi_1,psi_2,r\n"
+                              "a,0,0.5,0.25,0.25,0.75\nb,1,0.5,0.25,0.25,0.75\n")
+        code = main(["schedule", "--difficulty", str(difficulty), "--distribution",
+                     str(distribution), "--epochs", "2", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {distribution}: line {lineno}: "
+                                           f"could not convert string to float: {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,name", [("fit", "labels.csv"),
                                               ("eval", "predictions.csv")])
     def test_repeated_id_exits_1_naming_its_line(self, tmp_path, capsys, argv,
@@ -569,7 +588,7 @@ class TestStreaming:
 
 
 class TestSimulate:
-    ARGS = ["simulate", "--classes", "3", "--modalities", "2", "--dims", "4",
+    ARGS = ["simulate", "--classes", "3", "--dims", "4,4",
             "--n", "240", "--imbalance", "1.2", "--epochs", "6", "--warmup", "1",
             "--lr", "0.05", "--seeds", "2", "--batch", "16", "--hidden", "8"]
 
@@ -650,19 +669,19 @@ class TestSimulate:
         assert err.startswith("error: no room for a model of ") and err.count("\n") == 1
         assert not out.exists()
 
-    # Every size fails before it touches memory: the seed and modality
-    # lists overflow a list's size, and the dataset's (N, sum of dims)
-    # feature matrix is refused by numpy, the first thing the lab allocates.
+    # Every size fails before it touches memory: the seed list overflows a
+    # list's size, and the dataset's (N, sum of dims) feature matrix is
+    # refused by numpy, the first thing the lab allocates.
     @pytest.mark.parametrize("flag, value, message", [
         ("--seeds", 10**18, f"no room for {10**18} seeds"),
         ("--seeds", 10**20, f"no room for {10**20} seeds"),
-        ("--modalities", 10**18, f"no room for {10**18} modalities"),
-        ("--modalities", 10**20, f"no room for {10**20} modalities"),
         ("--n", 10**15, f"no room for a dataset of {10**15} samples x 24 features"),
         ("--n", 10**18, f"no room for a dataset of {10**18} samples x 24 features"),
         ("--n", 10**20, f"no room for a dataset of {10**20} samples x 24 features"),
-        ("--dims", 10**15, f"no room for a dataset of 2000 samples x {3 * 10**15} features"),
-        ("--dims", 10**18, f"no room for a dataset of 2000 samples x {3 * 10**18} features"),
+        ("--dims", f"{10**15},{10**15},{10**15}",
+         f"no room for a dataset of 2000 samples x {3 * 10**15} features"),
+        ("--dims", f"{10**18},{10**18},{10**18}",
+         f"no room for a dataset of 2000 samples x {3 * 10**18} features"),
     ])
     def test_oversized_run_exits_1(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "x"
@@ -670,6 +689,19 @@ class TestSimulate:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_default_dims_are_three_modalities_of_8(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["simulate", "--seeds", "1", "--n", "200", "--epochs", "2",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["spec"]["dims"] == [8, 8, 8]
+
+    def test_one_modality_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["simulate", "--dims", "8", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: need >= 2 modalities, got 1\n"
         assert not out.exists()
 
     def test_a_tie_is_a_win_for_neither_arm(self, tmp_path):
@@ -726,8 +758,8 @@ class TestConfigDigest:
                 "imbalance_exponent": 1.2, "class_separation": 2.0, "noise_scale": 1.0,
                 "redundancy": 0.3, "seed": 0}
         train = {"learning_rate": 0.05, "epochs": 6, "warmup_epochs": 1,
-                 "batch_size": 16, "hidden": 8, "gamma": 0.3, "test_fraction": 0.4,
-                 "refresh_every": 0, "seed": 0}
+                 "batch_size": 16, "hidden": 8, "gamma": 0.3, "refresh_every": 0,
+                 "seed": 0}
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["spec"], config["train"], config["n_seeds"]) == (spec, train, 2)
         assert config["config_digest"] == canonical_sha256(
@@ -746,8 +778,3 @@ class TestExitCodes:
         assert main(["simulate", "--dims", "8,x", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: --dims must be integers, got '8,x'\n"
         assert not out.exists()
-
-    def test_bad_dims_list(self, tmp_path):
-        code = main(["simulate", "--modalities", "3", "--dims", "4,4",
-                     "--out", str(tmp_path / "x")])
-        assert code == 1

@@ -218,7 +218,7 @@ class TestDistributionFormat:
 
     @pytest.mark.parametrize("old,new,match", [
         ("gamma=0.3", "gamma=nan", "gamma must be a finite number"),
-        ("gamma=0.3", "gamma=abc", "gamma must be a finite number"),
+        ("gamma=0.3", "gamma=abc", "line 2: could not convert string to float: 'abc'"),
         ("alpha_hat=5.0", "alpha_hat=inf", "alpha_hat must be a finite number"),
         ("alpha_hat=5.0", "alpha_hat=3.0", r"gamma\*alpha_hat must exceed 1"),
         ("degenerate=false", "degenerate=no", "degenerate must be true or false"),

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from dataclasses import replace
 from itertools import islice
 
@@ -10,6 +12,7 @@ from climd.errors import ValidationError
 from climd.measurer import score_dataset
 from climd.scheduler import random_baseline_schedule
 from climd.simlab import (
+    TEST_FRACTION,
     ArmResult,
     FusionModel,
     SyntheticSpec,
@@ -452,11 +455,6 @@ class TestSplit:
         with pytest.raises(ValidationError, match="minority class too small"):
             split_balanced_test(dataset, 0.4, seed=0)
 
-    @pytest.mark.parametrize("fraction", [math.nan, -0.2, 0.0, 1.0, 1.5])
-    def test_test_fraction_outside_open_unit_interval_rejected(self, fraction):
-        with pytest.raises(ValidationError, match="test_fraction"):
-            TrainConfig(test_fraction=fraction)
-
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value, message", [
@@ -511,8 +509,7 @@ class TestExperiment:
         assert by_arm["climd"].visits == by_arm["baseline"].visits
         # the curriculum budget is the sum of the per-epoch subset sizes
         dataset = generate_dataset(replace(spec, seed=spec.seed))
-        train_idx, _ = split_balanced_test(dataset, config.test_fraction,
-                                           config.seed)
+        train_idx, _ = split_balanced_test(dataset, TEST_FRACTION, config.seed)
         n = len(train_idx)
         t = config.epochs
         expected = sum(math.floor(e * n / t + 0.5) for e in range(1, t + 1))
@@ -535,6 +532,39 @@ class TestExperiment:
         serial = run_experiment(spec, config, n, max_workers=1)
         parallel = run_experiment(spec, config, n, max_workers=2)
         assert serial.rows == parallel.rows
+
+    # A fake pool records its size and maps in this process, so no real
+    # pool starts, whatever size the case asks for.
+    @pytest.mark.parametrize("max_workers, n_seeds, cpus, pool_size", [
+        (8, 3, 2, 2),  # capped at the CPUs this process may use
+        (2, 3, 4, 2),  # capped at max_workers
+        (8, 2, 4, 2),  # capped at the seeds
+        (8, 3, 1, None),  # one CPU: serial, no pool
+        (2, 1, 4, None),  # one seed: serial, no pool
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, max_workers, n_seeds, cpus, pool_size):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec, config, _ = self.tiny()
+        run_experiment(spec, config, n_seeds, max_workers=max_workers)
+        assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_report_shape(self):
         spec, config, n = self.tiny()
