@@ -190,7 +190,6 @@ def cmd_simulate(args) -> int:
         batch_size=args.batch,
         hidden=args.hidden,
         gamma=args.gamma,
-        refresh_every=args.refresh,
         seed=args.base_seed,
     )
     report = run_experiment(spec, config, args.seeds, max_workers=_max_workers())
@@ -291,8 +290,6 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
     p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p.add_argument("--refresh", type=int, default=TrainConfig.refresh_every,
-                   help="re-score difficulty every k epochs (0 = once, after warm-up)")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -98,7 +98,11 @@ def _checked(path, linenos, check):
 
 def _numbers(path, lineno: int, fields, kind=int) -> list:
     """``fields`` parsed as ``kind``, int (which must fit in 64 bits) or
-    float, naming the line of one that does not parse."""
+    float, naming the line of one that does not parse. Python's digit
+    grouping (``1_0``) and non-ASCII digits are not numbers here."""
+    for v in fields:
+        if "_" in v or not v.isascii():
+            raise ValidationError(f"{path}: line {lineno}: not an ASCII number: {v!r}")
     try:
         return [int(np.int64(v)) if kind is int else float(v) for v in fields]
     except (ValueError, OverflowError) as exc:
@@ -292,7 +296,9 @@ def read_distribution(path) -> ClassDistribution:
             continue
         if line.startswith("#"):
             key, _, value = line.lstrip("# ").partition("=")
-            meta[key.strip()] = value.strip(), lineno
+            if (key := key.strip()) in meta:
+                raise ValidationError(f"{path}: line {lineno}: repeated header key {key!r}")
+            meta[key] = value.strip(), lineno
             continue
         cid, count, rank = _numbers(path, lineno, _fields(path, lineno, line, 3))
         if rank in rows:

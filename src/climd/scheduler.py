@@ -11,11 +11,11 @@ i.e. confident and complementary); ``order`` lists the rows of the table
 ``counts[t - 1, k]`` is the largest-remainder apportionment of the epoch
 t target to the class at rank k + 1, clamped to class availability, and
 epoch t takes that many rows from the head of its queue. The final epoch
-is the complete dataset, so every sample participates at least once. A
-re-score changes only the queues. The control schedules
-(:func:`random_baseline_schedule`, :func:`truncate_schedule`) are plain
-lists of per-epoch row arrays; training consumes any iterable of such
-arrays, such as ``map(schedule.epoch, range(1, T + 1))``.
+is the complete dataset, so every sample participates at least once. The
+control schedules (:func:`random_baseline_schedule`,
+:func:`truncate_schedule`) are plain lists of per-epoch row arrays;
+training consumes any iterable of such arrays, such as
+``map(schedule.epoch, range(1, T + 1))``.
 
 Everything here is deterministic: ties are broken by sample id
 (lexicographic), largest-remainder ties by rank order, and schedules are

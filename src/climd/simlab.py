@@ -47,7 +47,6 @@ from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import (
     _stream,
     apportion,
-    build_queues,
     build_schedule,
     largest_remainder,
     random_baseline_schedule,
@@ -336,7 +335,6 @@ class TrainConfig:
     batch_size: int = 32
     hidden: int = 16
     gamma: float = DEFAULT_GAMMA
-    refresh_every: int = 0  # re-score difficulty every k epochs; 0 = once
     seed: int = 0
 
     def __post_init__(self):
@@ -349,8 +347,6 @@ class TrainConfig:
         check_number("gamma", self.gamma, 0.0, strict=True)
         if self.batch_size < 1 or self.hidden < 1:
             raise ValidationError("batch_size and hidden must be >= 1")
-        if self.refresh_every < 0:
-            raise ValidationError("refresh_every must be >= 0")
 
     @property
     def resolved_warmup(self) -> int:
@@ -369,12 +365,12 @@ def evaluate(model: FusionModel, x: np.ndarray, y: np.ndarray):
 
 @np.errstate(over="ignore", invalid="ignore")
 def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: TrainConfig,
-          init_model: FusionModel, arm: str = "train", first_epoch: int = 1) -> FusionModel:
+          init_model: FusionModel, arm: str = "train") -> FusionModel:
     """SGD from a copy of ``init_model``, which must have the dataset's dims
     and classes, over ``epochs``, any iterable of per-epoch row arrays
     (drawn one at a time, so a generator is never held whole): each epoch
     visits exactly the rows of its array, shuffled by a seeded generator.
-    Epochs are numbered from ``first_epoch`` in errors. Returns the model.
+    Returns the model.
 
     Each batch is one gather from ``dataset.x``, one ``loss_and_grads``
     call into a gradient buffer reused by every batch, and one update of
@@ -392,7 +388,7 @@ def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: Train
     model = init_model.copy()
     grad = FusionModel(model.dims, model.hidden, model.n_classes)
     rng = _stream(config.seed, f"shuffle-{arm}")
-    for t, rows in enumerate(epochs, start=first_epoch):
+    for t, rows in enumerate(epochs, start=1):
         outside = rows[(rows < 0) | (rows >= n)]
         if outside.size:
             raise ValidationError(
@@ -495,26 +491,6 @@ def _train_subset_view(dataset: SyntheticDataset, train_idx: np.ndarray) -> Synt
                    labels=dataset.labels[train_idx], x=dataset.x[train_idx])
 
 
-def _train_curriculum_arm(trainset: SyntheticDataset, dist: ClassDistribution,
-                          table, cfg: TrainConfig, init: FusionModel):
-    """Train under the ramp in chunks of ``refresh_every`` epochs (all of
-    them when 0), re-scoring difficulty before each chunk after the first.
-    Class counts are fixed by the distribution, so refreshing only
-    re-orders the within-class queues and never changes the visit budget."""
-    step = cfg.refresh_every or cfg.epochs
-    model = init
-    schedule = build_schedule(table, dist, cfg.epochs)
-    for chunk, start in enumerate(range(0, cfg.epochs, step)):
-        if chunk:
-            table = score_dataset(collect_traces(model, trainset))
-            schedule = replace(schedule, order=build_queues(table, dist))
-        stop = min(start + step, cfg.epochs)
-        model = train(trainset, map(schedule.epoch, range(start + 1, stop + 1)), cfg, model,
-                      first_epoch=start + 1,
-                      arm=f"climd-r{chunk}" if cfg.refresh_every else "climd")
-    return model, int(schedule.counts.sum())
-
-
 def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmResult]:
     """One full comparison at seed offset ``offset``: generate, warm up,
     score, schedule, then train the curriculum arm and the budget-matched
@@ -538,7 +514,10 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmR
     table = score_dataset(collect_traces(warm_model, trainset))
     dist = ClassDistribution.from_labels(trainset.labels, cfg.gamma)
 
-    climd_model, budget = _train_curriculum_arm(trainset, dist, table, cfg, init)
+    schedule = build_schedule(table, dist, cfg.epochs)
+    climd_model = train(trainset, map(schedule.epoch, range(1, cfg.epochs + 1)), cfg, init,
+                        arm="climd")
+    budget = int(schedule.counts.sum())
 
     base_epochs = math.ceil(budget / n_train)
     baseline = truncate_schedule(random_baseline_schedule(n_train, base_epochs, cfg.seed),

@@ -713,15 +713,6 @@ class TestSimulate:
         rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
         assert [(row[0], row[-1]) for row in rows[1:]] == [("climd", "0"), ("baseline", "0")]
 
-    def test_refreshed_arm_keeps_absolute_epoch_numbers(self, tmp_path, capsys):
-        # The second refresh chunk trains epochs 3 and 4 of the ramp.
-        out = tmp_path / "x"
-        assert main(["simulate", "--seeds", "1", "--epochs", "6", "--warmup", "1",
-                     "--n", "300", "--lr", "1e20", "--refresh", "2", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: training diverged: arm 'climd-r1' at epoch 3 ")
-        assert not out.exists()
-
 
 def canonical_sha256(payload):
     return hashlib.sha256(json.dumps(payload, sort_keys=True,
@@ -758,8 +749,7 @@ class TestConfigDigest:
                 "imbalance_exponent": 1.2, "class_separation": 2.0, "noise_scale": 1.0,
                 "redundancy": 0.3, "seed": 0}
         train = {"learning_rate": 0.05, "epochs": 6, "warmup_epochs": 1,
-                 "batch_size": 16, "hidden": 8, "gamma": 0.3, "refresh_every": 0,
-                 "seed": 0}
+                 "batch_size": 16, "hidden": 8, "gamma": 0.3, "seed": 0}
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["spec"], config["train"], config["n_seeds"]) == (spec, train, 2)
         assert config["config_digest"] == canonical_sha256(

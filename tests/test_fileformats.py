@@ -222,6 +222,7 @@ class TestDistributionFormat:
         ("alpha_hat=5.0", "alpha_hat=inf", "alpha_hat must be a finite number"),
         ("alpha_hat=5.0", "alpha_hat=3.0", r"gamma\*alpha_hat must exceed 1"),
         ("degenerate=false", "degenerate=no", "degenerate must be true or false"),
+        ("gamma=0.3\n", "gamma=0.3\n# gamma=0.9\n", "line 3: repeated header key 'gamma'"),
     ])
     def test_bad_header_values_named(self, tmp_path, old, new, match):
         path = tmp_path / "distribution.csv"
@@ -399,6 +400,27 @@ class TestTextLines:
         back = read(path)
         ids = [row[0] for row in back] if isinstance(back, list) else back.ids
         assert ids == NON_ASCII_IDS
+
+    # Python's int() and float() read digit grouping and any Unicode digit.
+    @pytest.mark.parametrize("read, text, lineno, field", [
+        (ff.read_labels, "sample_id,label\na,0\nb,1_0\n", 3, "1_0"),
+        (ff.read_labels, "a,１２\n", 1, "１２"),
+        (ff.read_predictions, "sample_id,true,pred\na,0,1_1\n", 2, "1_1"),
+        (ff.read_predictions, "a,٣,0\n", 1, "٣"),
+        (ff.read_difficulty, "sample_id,label,phi,psi_1,r\na,0,0.1,0.2,0_3\n", 2, "0_3"),
+        (ff.read_difficulty, "sample_id,label,phi,psi_1,r\na,０,0.1,0.2,0.3\n", 2, "０"),
+        (ff.read_distribution,
+         TestDistributionFormat.HEADER.replace("0.3", "0_3") + "0,100,1\n", 2, "0_3"),
+        (ff.read_distribution, TestDistributionFormat.HEADER + "0,1０0,1\n", 6, "1０0"),
+    ], ids=["labels-grouped", "labels-fullwidth", "predictions-grouped",
+            "predictions-arabic-indic", "difficulty-grouped", "difficulty-fullwidth",
+            "distribution-header-grouped", "distribution-row-fullwidth"])
+    def test_only_plain_ascii_numbers_parse(self, tmp_path, read, text, lineno, field):
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: line {lineno}: not an ASCII number: {field!r}"
 
     def test_non_ascii_trace_ids_round_trip(self, tmp_path):
         path = tmp_path / "traces.jsonl"

@@ -462,7 +462,6 @@ class TestTrainConfig:
         ("warmup_epochs", -1, "warmup_epochs must be >= 0"),
         ("batch_size", 0, "batch_size and hidden must be >= 1"),
         ("hidden", 0, "batch_size and hidden must be >= 1"),
-        ("refresh_every", -1, "refresh_every must be >= 0"),
     ])
     def test_bad_config_rejected(self, field, value, message):
         with pytest.raises(ValidationError, match=message):
@@ -577,10 +576,10 @@ class TestExperiment:
             for value in (r.accuracy, r.weighted_f1, r.macro_f1):
                 assert 0.0 <= value <= 1.0
 
-    def test_refresh_computes_the_ramp_once(self, monkeypatch):
-        # The ramp apportions each epoch but the full-data last one; a
-        # refresh only re-orders the queues. The warm-up looks apportion
-        # up in simlab, so its call is not counted here.
+    def test_curriculum_arm_computes_the_ramp_once(self, monkeypatch):
+        # The ramp apportions each epoch but the full-data last one. The
+        # warm-up looks apportion up in simlab, so its call is not counted
+        # here.
         calls, apportion = [], scheduler.apportion
 
         def counted(*args):
@@ -589,10 +588,10 @@ class TestExperiment:
 
         monkeypatch.setattr(scheduler, "apportion", counted)
         spec, config, _ = self.tiny()
-        run_seed(spec, replace(config, epochs=8, refresh_every=2), 0)
+        run_seed(spec, replace(config, epochs=8), 0)
         assert len(calls) == 7
 
-    def test_refresh_builds_only_the_epochs_it_trains(self, monkeypatch):
+    def test_curriculum_arm_builds_only_the_epochs_it_trains(self, monkeypatch):
         calls, prefixes = [], scheduler.Schedule.prefixes
 
         def counted(schedule, t):
@@ -601,52 +600,26 @@ class TestExperiment:
 
         monkeypatch.setattr(scheduler.Schedule, "prefixes", counted)
         spec, config, _ = self.tiny()
-        run_seed(spec, replace(config, epochs=20, refresh_every=2), 0)
+        run_seed(spec, replace(config, epochs=20), 0)
         assert calls == list(range(1, 21))
-
-    def test_refresh_interval_keeps_budget_and_determinism(self):
-        spec, config, _ = self.tiny()
-        once = run_seed(spec, config, 0)
-        refreshed = run_seed(spec, replace(config, refresh_every=2), 0)
-        again = run_seed(spec, replace(config, refresh_every=2), 0)
-        by_arm = {r.arm: r for r in refreshed}
-        assert by_arm["climd"].visits == by_arm["baseline"].visits
-        assert by_arm["climd"].visits == once[0].visits
-        assert refreshed == again
-        # the baseline arm is untouched by the refresh cadence
-        assert by_arm["baseline"] == {r.arm: r for r in once}["baseline"]
-
 
     # The lab's numbers on the tiny setup, pinned so that a refactor that
     # changes any draw, step or metric shows here and not only in reruns.
-    PINNED = {
-        0: [
-            ArmResult(0, "climd", 0.7555555555555555, 0.7486277163696518,
-                      0.7486277163696519, 684),
-            ArmResult(0, "baseline", 0.6888888888888889, 0.6505531505531505,
-                      0.6505531505531505, 684),
-            ArmResult(1, "climd", 0.7333333333333333, 0.695230217810863,
-                      0.695230217810863, 684),
-            ArmResult(1, "baseline", 0.7333333333333333, 0.695230217810863,
-                      0.695230217810863, 684),
-        ],
-        2: [
-            ArmResult(0, "climd", 0.7333333333333333, 0.7230360531309298,
-                      0.7230360531309298, 684),
-            ArmResult(0, "baseline", 0.6888888888888889, 0.6505531505531505,
-                      0.6505531505531505, 684),
-            ArmResult(1, "climd", 0.7777777777777778, 0.7566510792317244,
-                      0.7566510792317245, 684),
-            ArmResult(1, "baseline", 0.7333333333333333, 0.695230217810863,
-                      0.695230217810863, 684),
-        ],
-    }
+    PINNED = [
+        ArmResult(0, "climd", 0.7555555555555555, 0.7486277163696518,
+                  0.7486277163696519, 684),
+        ArmResult(0, "baseline", 0.6888888888888889, 0.6505531505531505,
+                  0.6505531505531505, 684),
+        ArmResult(1, "climd", 0.7333333333333333, 0.695230217810863,
+                  0.695230217810863, 684),
+        ArmResult(1, "baseline", 0.7333333333333333, 0.695230217810863,
+                  0.695230217810863, 684),
+    ]
 
-    @pytest.mark.parametrize("refresh_every", [0, 2])
-    def test_pinned_rows(self, refresh_every):
+    def test_pinned_rows(self):
         spec, config, n = self.tiny()
-        report = run_experiment(spec, replace(config, refresh_every=refresh_every), n)
-        assert report.rows == self.PINNED[refresh_every]
+        report = run_experiment(spec, config, n)
+        assert report.rows == self.PINNED
 
 
 class TestEvaluate:
