@@ -86,17 +86,17 @@ def _score_traces(path) -> DifficultyTable:
     """Read and score a trace file one chunk at a time, so that only the
     scores of earlier chunks stay resident, never the whole trace arrays.
     Rows are scored independently, so the table equals that of the whole
-    file; joining it rejects an id repeated across chunks."""
+    file; joining it rejects an id repeated across chunks, naming its line."""
     chunks = ff.iter_traces(path)
     tables = []
     while (batch := _stage("read-traces", lambda: next(chunks, None))) is not None:
         tables.append(_stage("score", lambda: score_dataset(batch)))
-    return _stage("read-traces", lambda: DifficultyTable(
+    return _stage("read-traces", lambda: ff.checked_traces(path, lambda: DifficultyTable(
         ids=[sid for table in tables for sid in table.ids],
         labels=np.concatenate([t.labels for t in tables]),
         psi=np.concatenate([t.psi for t in tables]),
         phi=np.concatenate([t.phi for t in tables]),
-        r=np.concatenate([t.r for t in tables])))
+        r=np.concatenate([t.r for t in tables]))))
 
 
 def cmd_score(args) -> int:

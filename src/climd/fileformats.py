@@ -185,10 +185,23 @@ def read_traces(path, lines=None, shapes=None) -> TraceBatch:
     # The first len(ids) rows of each chunked array; a single chunk is not copied.
     probs, emb = ((col[0] if len(col) == 1 else np.concatenate(col))[:len(ids)]
                   for col in zip(*chunks or [(np.zeros((0, 0, 0)),) * 2]))
+    return checked_traces(path, lambda: TraceBatch(
+        ids=ids, labels=np.frombuffer(labels, np.int64), probs=probs, emb=emb), linenos)
+
+
+def checked_traces(path, check, linenos=None):
+    """``check()`` of traces read from ``path``, its error prefixed by the
+    path and, when it names a ``row``, that row's line: ``linenos[row]``,
+    or by default the line of the file's row-th trace, which is found by
+    reading the file again, so no line number is kept per trace."""
     try:
-        return TraceBatch(ids=ids, labels=np.frombuffer(labels, np.int64), probs=probs, emb=emb)
+        return check()
     except ValidationError as exc:
-        where = f" at line {linenos[exc.row]}" if exc.row is not None else ""
+        lineno = None
+        if exc.row is not None:
+            lineno = (linenos[exc.row] if linenos is not None
+                      else next(islice(_numbered_lines(path), exc.row, None), (None,))[0])
+        where = f" at line {lineno}" if lineno is not None else ""
         raise ValidationError(f"{path}: corrupt trace{where}: {exc}") from exc
 
 
@@ -197,7 +210,7 @@ def iter_traces(path) -> Iterator[TraceBatch]:
     up to ``TRACE_CHUNK`` lines, in file order; a file without traces
     yields one empty batch. Each batch is validated on its own, against
     the shapes of the first; the checks that span the file (repeated ids)
-    are left to the caller."""
+    are left to the caller, whose :func:`checked_traces` names their line."""
     numbered = _numbered_lines(path)
     shapes = None
     while True:
@@ -380,10 +393,12 @@ def write_predictions(path, rows):
 # ---------------------------------------------------------------------------
 
 def sha256_file(path) -> str:
+    """SHA-256 of a file, read in blocks into one reused 64 KiB buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    block = memoryview(bytearray(1 << 16))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(block):
+            digest.update(block[:n])
     return digest.hexdigest()
 
 

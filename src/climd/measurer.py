@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, islice
+from operator import eq
 
 import numpy as np
 
@@ -56,23 +56,33 @@ def _reject(ids: list[str], bad, reason: str):
                               row=int(rows[0]))
 
 
+def id_order(ids: list[str]) -> np.ndarray:
+    """The rows of ``ids`` in ``str`` order, repeats in row order: the
+    array of ``sorted(range(len(ids)), key=ids.__getitem__)``. It sorts an
+    array of references to the ids; a fixed-width string array would drop
+    trailing NULs and read ``"a"`` and ``"a\\x00"`` as one id."""
+    return np.argsort(np.array(ids, dtype=object), kind="stable")
+
+
 def check_ids(ids: list[str]):
     """The sample-id rule of every table of samples: ids are unique and
     non-empty, have no leading or trailing whitespace, and contain no
     ``,``, newline, carriage return or lone surrogate. A rejected id's
     error has the ``row`` of the first offender (for a repeat, its second
     occurrence). Readers strip every line, so a padded id would not read
-    back as written."""
+    back as written. Repeats are found by sorting the ids, which makes no
+    per-id object."""
     if _ID_BREAKS.search("".join(ids)) or not all(sid and sid == sid.strip() for sid in ids):
         _reject(ids, [not sid or sid != sid.strip() or bool(_ID_BREAKS.search(sid))
                       for sid in ids],
                 "sample id contains ',', a line break or a lone surrogate (not UTF-8), "
                 "or is empty or padded with whitespace")
-    if len(set(ids)) != len(ids):
-        seen = set()
-        row = next(i for i, sid in enumerate(ids) if sid in seen or seen.add(sid))
-        dupes = sorted(sid for sid, k in Counter(ids).items() if k > 1)
-        raise ValidationError(f"duplicate sample ids: {dupes[:5]}", row=row)
+    ranked = sorted(ids)
+    repeat = np.fromiter(map(eq, islice(ranked, 1, None), ranked), bool)
+    if repeat.any():
+        dupes = list(dict.fromkeys(compress(islice(ranked, 1, None), repeat)))
+        raise ValidationError(f"duplicate sample ids: {dupes[:5]}",
+                              row=int(id_order(ids)[1:][repeat].min()))
 
 
 # Per-sample reference types. score_sample and the functions it calls

@@ -31,7 +31,7 @@ import numpy as np
 
 from .distribution import ClassDistribution, ramp_targets, rank_weights, subset_size
 from .errors import ValidationError, room_for
-from .measurer import DifficultyTable
+from .measurer import DifficultyTable, id_order
 
 EASY_HIGH_R = "high_r_easy"
 EASY_LOW_R = "low_r_easy"
@@ -105,10 +105,10 @@ def build_queues(table: DifficultyTable, dist: ClassDistribution,
                 f"class {cid}: difficulty table has {size} samples "
                 f"but the distribution says {expected}"
             )
-    id_rank = np.empty(len(table), dtype=int)
-    id_rank[sorted(range(len(table)), key=table.ids.__getitem__)] = np.arange(len(table))
-    r_key = -table.r if difficulty_order == EASY_HIGH_R else table.r
-    return np.lexsort((id_rank, r_key, pos))
+    # A stable sort of the rows in id order breaks the ties by id.
+    by_id = id_order(table.ids)
+    sign = -1.0 if difficulty_order == EASY_HIGH_R else 1.0
+    return by_id[np.lexsort((sign * table.r[by_id], pos[by_id]))]
 
 
 def largest_remainder(targets, total: int) -> np.ndarray:

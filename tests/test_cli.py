@@ -520,7 +520,7 @@ class TestStreaming:
         argv = [command, "--traces", str(traces), "--out", str(tmp_path / "out")]
         assert main(argv + (["--epochs", "3"] if command == "pipeline" else [])) == 1
         err = capsys.readouterr().err
-        assert "duplicate sample ids: ['s00000']" in err
+        assert f"at line {ff.TRACE_CHUNK + 1}: duplicate sample ids: ['s00000']" in err
         assert not (tmp_path / "out").exists()
 
     def test_bad_value_in_a_later_chunk_names_its_line(self, tmp_path, capsys):

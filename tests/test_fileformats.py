@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import sys
 import tempfile
 import tracemalloc
@@ -12,8 +14,9 @@ from hypothesis import strategies as st
 from climd import fileformats as ff
 from climd.distribution import ClassDistribution, subset_size
 from climd.errors import DomainError, ValidationError
-from climd.measurer import DifficultyTable, TraceBatch, score_dataset
-from climd.scheduler import EASY_HIGH_R, EASY_LOW_R, build_schedule, reference_ramp
+from climd.measurer import DifficultyTable, TraceBatch, check_ids, score_dataset
+from climd.scheduler import (EASY_HIGH_R, EASY_LOW_R, build_queues, build_schedule,
+                             reference_ramp)
 from climd.simlab import FusionModel, SyntheticSpec, collect_traces, generate_dataset
 
 
@@ -157,10 +160,47 @@ class TestReaderMemory:
         table, peak = traced_peak(lambda: ff.read_difficulty(path))
         size = (sum(a.nbytes for a in (table.labels, table.psi, table.phi, table.r))
                 + sys.getsizeof(table.ids) + sum(map(sys.getsizeof, table.ids)))
-        # The id check's set of ids is not part of the table, and its hash
-        # table grows in steps that make its share depend on n.
-        id_set = sys.getsizeof(set(table.ids))
-        assert peak < 1.5 * size + id_set, (peak, size, id_set)
+        assert peak < 1.5 * size, (peak, size)
+
+
+class TestIdAndDigestMemory:
+    """The id checks, the id tie-break and the input digest make no
+    per-id object and no file-sized buffer."""
+
+    N = 50_000
+
+    def ids(self):
+        return random.Random(6).sample([f"s{i:07d}" for i in range(self.N)], self.N)
+
+    def test_check_ids_peak_is_a_small_multiple_of_the_id_pointers(self):
+        ids = self.ids()
+        scan = sys.getsizeof("".join(ids))
+        _, peak = traced_peak(lambda: check_ids(ids))
+        # A sorted copy of the id list, its merge buffer and a bool per id;
+        # a set of the ids alone would take about 5 * 8 * N.
+        assert peak < 2 * 8 * self.N + scan, (peak, scan)
+
+    def test_build_queues_peak_is_a_small_multiple_of_the_row_count(self):
+        n = self.N
+        labels = np.arange(n) % 7
+        r = np.round(np.random.default_rng(6).uniform(0.0, 2.0, n), 2)
+        table = DifficultyTable(ids=self.ids(), labels=labels, psi=np.zeros((n, 2)),
+                                phi=r, r=r)
+        dist = ClassDistribution.from_labels(labels, 0.3)
+        order, peak = traced_peak(lambda: build_queues(table, dist))
+        rank = {cid: k for k, cid in enumerate(dist.classes.tolist())}
+        assert order.tolist() == sorted(range(n), key=lambda i: (rank[labels[i]], -r[i],
+                                                                 table.ids[i]))
+        # A handful of (N,) index and key arrays; an int object per row for
+        # the id tie-break would add about 5 * 8 * N more.
+        assert peak < 6 * 8 * n, peak
+
+    def test_sha256_file_peak_does_not_grow_with_the_file(self, tmp_path):
+        path = tmp_path / "input.bin"
+        path.write_bytes(np.random.default_rng(6).bytes(4 << 20))
+        digest, peak = traced_peak(lambda: ff.sha256_file(path))
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert peak < 128 << 10, peak
 
 
 class TestLabelsFormat:

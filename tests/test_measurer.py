@@ -1,7 +1,10 @@
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from climd import fileformats as ff
 from climd.errors import ValidationError
@@ -10,7 +13,9 @@ from climd.measurer import (
     ModalityOutput,
     SampleTrace,
     TraceBatch,
+    check_ids,
     complementarity,
+    id_order,
     intra_modal_confidence,
     pairwise_similarity,
     score_dataset,
@@ -225,6 +230,33 @@ class TestTraceBatch:
             TraceBatch(batch.ids, batch.labels, batch.probs, batch.emb[:, :1])
         with pytest.raises(ValidationError, match="modalities"):
             TraceBatch(batch.ids, batch.labels, batch.probs[:, :1], batch.emb[:, :1])
+
+
+# Valid sample ids: any code point but the separators and lone surrogates,
+# astral ones included, and no surrounding whitespace. The fixed ones add
+# prefix pairs and trailing NULs, which a fixed-width string array loses.
+valid_ids = st.one_of(
+    st.sampled_from(["a", "ab", "a\x00", "a\x00\x00", "\x00", "b", "é", "\U0001f600"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"),
+            min_size=1).filter(lambda sid: sid == sid.strip()),
+)
+
+
+class TestIds:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(valid_ids, max_size=40))
+    @example(["a\x00", "ab", "a", "a\x00"])
+    def test_id_order_and_repeat_check_match_the_str_reference(self, ids):
+        assert id_order(ids).tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+        check_ids(list(dict.fromkeys(ids)))
+        repeats = sorted(sid for sid, k in Counter(ids).items() if k > 1)
+        if not repeats:
+            check_ids(ids)
+            return
+        with pytest.raises(ValidationError) as info:
+            check_ids(ids)
+        assert str(info.value) == f"duplicate sample ids: {repeats[:5]}"
+        assert info.value.row == next(i for i, sid in enumerate(ids) if sid in ids[:i])
 
 
 class TestDifficultyTable:
