@@ -15,13 +15,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import fileformats as ff
 from .distribution import DEFAULT_GAMMA, ClassDistribution
 from .errors import ValidationError, check_number
-from .measurer import DifficultyTable, score_dataset
+from .measurer import DifficultyTable, join_tables, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import EASY_HIGH_R, EASY_LOW_R, FIGURE2, build_schedule, reference_ramp
 from .simlab import SyntheticSpec, TrainConfig, run_experiment
@@ -91,12 +89,7 @@ def _score_traces(path) -> DifficultyTable:
     tables = []
     while (batch := _stage("read-traces", lambda: next(chunks, None))) is not None:
         tables.append(_stage("score", lambda: score_dataset(batch)))
-    return _stage("read-traces", lambda: ff.checked_traces(path, lambda: DifficultyTable(
-        ids=[sid for table in tables for sid in table.ids],
-        labels=np.concatenate([t.labels for t in tables]),
-        psi=np.concatenate([t.psi for t in tables]),
-        phi=np.concatenate([t.phi for t in tables]),
-        r=np.concatenate([t.r for t in tables]))))
+    return _stage("read-traces", lambda: ff.checked_traces(path, lambda: join_tables(tables)))
 
 
 def cmd_score(args) -> int:

@@ -114,8 +114,8 @@ def _numbers(path, lineno: int, fields, kind=int) -> list:
 # ---------------------------------------------------------------------------
 
 # The rows of each array chunk read_traces writes its lines into, the
-# lines per batch of iter_traces, and the rows formatted per block by the
-# difficulty writer.
+# lines per batch of iter_traces, the rows the lab traces and scores per
+# block, and the rows formatted per block by the difficulty writer.
 TRACE_CHUNK = 1024
 
 

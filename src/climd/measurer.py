@@ -16,7 +16,8 @@ The production path is columnar: a :class:`TraceBatch` holds the model
 outputs of N samples as arrays and is validated once when built, and
 :func:`score_dataset` turns it into a columnar :class:`DifficultyTable`
 in one vectorized pass. Each row is scored independently, so scoring a
-batch in chunks gives bit-identical rows. The per-sample functions
+batch in chunks gives bit-identical rows, and :func:`join_tables` joins
+the chunks' tables. The per-sample functions
 (:func:`score_sample` and the helpers it calls) state the same formulas
 one sample at a time and serve as the reference the batch path is
 tested against.
@@ -196,8 +197,28 @@ class DifficultyTable:
             )
         check_ids(self.ids)
 
+    @classmethod
+    def _of_batch(cls, batch: TraceBatch, psi, phi, r) -> "DifficultyTable":
+        """The table of a batch's score columns, built without checking the
+        ids again: the batch checked them when it was built."""
+        table = cls.__new__(cls)
+        table.ids, table.labels, table.psi, table.phi, table.r = (
+            batch.ids, batch.labels, psi, phi, r)
+        return table
+
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def join_tables(tables: list[DifficultyTable]) -> DifficultyTable:
+    """The rows of ``tables`` in order as one table, whose ids are checked
+    across the tables once: a repeat's ``row`` counts from the first
+    table's first row."""
+    return DifficultyTable(ids=[sid for table in tables for sid in table.ids],
+                           labels=np.concatenate([t.labels for t in tables]),
+                           psi=np.concatenate([t.psi for t in tables]),
+                           phi=np.concatenate([t.phi for t in tables]),
+                           r=np.concatenate([t.r for t in tables]))
 
 
 def intra_modal_confidence(probs, label: int, n_classes: int | None = None) -> float:
@@ -274,11 +295,12 @@ def score_sample(trace: SampleTrace) -> DifficultyRecord:
 def score_dataset(batch: TraceBatch) -> DifficultyTable:
     """Score every sample of a validated batch in one vectorized pass.
 
-    Row order is kept, and every row depends on that sample alone.
+    Row order is kept, and every row depends on that sample alone. The
+    table shares the batch's ids, which the batch has checked.
     """
     n, m, c = batch.probs.shape
     if n == 0:
-        return DifficultyTable(batch.ids, batch.labels, np.zeros((0, m)), np.zeros(0), np.zeros(0))
+        return DifficultyTable._of_batch(batch, np.zeros((0, m)), np.zeros(0), np.zeros(0))
     p_true = np.take_along_axis(batch.probs, batch.labels.reshape(n, 1, 1), axis=2)[..., 0]
     e = np.exp(np.log(np.maximum(p_true, PROB_EPS)) / c)
     psi = e / (1.0 + e)
@@ -286,5 +308,4 @@ def score_dataset(batch: TraceBatch) -> DifficultyTable:
     total = sum(np.clip((unit[:, i] * unit[:, j]).sum(axis=1), -1.0, 1.0)
                 for i, j in combinations(range(m), 2))
     phi = 1.0 - 2.0 * total / (m * (m - 1))
-    return DifficultyTable(ids=batch.ids, labels=batch.labels, psi=psi, phi=phi,
-                           r=phi + psi.sum(axis=1) / m)
+    return DifficultyTable._of_batch(batch, psi, phi, phi + psi.sum(axis=1) / m)

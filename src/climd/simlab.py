@@ -14,16 +14,18 @@ modalities side by side; the model slices modality m from its column
 block ``FusionModel.columns[m]``. Every parameter lives in one flat
 float64 buffer, laid out in ``FusionModel.params()`` order, and the named
 weights are views into it: copying a model is one buffer copy, and an SGD
-step is one ``flat -= lr * grad`` against a gradient buffer of the same
-layout. ``train`` takes its schedule as any iterable of per-epoch row
-arrays, drawn one epoch at a time, and returns the trained model; per
-batch it gathers the rows once from the dataset's ``x`` and applies
-that one update, starting from a required init model: ``run_seed``
-builds one, and the warm-up and both arms start from it.
-The auxiliary heads run as one batched matmul and share one softmax with
-the fused head. The arithmetic (summation axes and order, scale factors)
-is that of the per-modality formulas, so losses and gradients are bitwise
-those of separate per-modality arrays.
+step scales a gradient buffer of the same layout by the learning rate in
+place and subtracts it from ``flat``. ``train`` takes its schedule as any
+iterable of per-epoch row arrays, drawn one epoch at a time, and returns
+the trained model; per batch it gathers the rows once from the dataset's
+``x`` and applies that one update, starting from a required init model:
+``run_seed`` builds one, and the warm-up and both arms start from it.
+After the warm-up, ``score_traces`` traces and scores the train split
+``TRACE_CHUNK`` rows at a time. The auxiliary heads run as one batched
+matmul and share one softmax with the fused head. The arithmetic
+(summation axes and order, scale factors) is that of the per-modality
+formulas, so losses and gradients are bitwise those of separate
+per-modality arrays.
 
 Determinism: every random draw comes from a named generator derived from
 (seed, purpose), so runs with the same seeds are bit-identical and
@@ -40,9 +42,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import fileformats as ff
 from .distribution import DEFAULT_GAMMA, ClassDistribution, rank_weights, subset_size
 from .errors import ValidationError, check_number, room_for
-from .measurer import TraceBatch, score_dataset
+from .measurer import DifficultyTable, TraceBatch, join_tables, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import (
     _stream,
@@ -287,7 +290,8 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
     zcat, probs = model._forward(x)
 
     # Contiguous, so each head's mean is the pairwise sum over its own row.
-    picked = np.ascontiguousarray(probs[:, np.arange(n), y])
+    rows = np.arange(n)
+    picked = np.ascontiguousarray(probs[:, rows, y])
     log_sums = np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=1).tolist()
     loss = -(log_sums[0] / n)
     for log_sum in log_sums[1:]:
@@ -297,8 +301,9 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
         out = FusionModel(model.dims, h, model.n_classes)
     # d[0] is the fused head's logit gradient, d[1:] the auxiliary heads'.
     d = probs
-    d -= np.eye(model.n_classes)[y]
-    d /= np.array([n] + [n * m] * m, dtype=float)[:, None, None]
+    d[:, rows, y] -= 1.0
+    d[0] /= n
+    d[1:] /= n * m
     np.matmul(d[0].T, zcat, out=out.head_w)
     np.add.reduce(d[0], axis=0, out=out.head_b)
     dz = d[0] @ model.head_w  # (n, M*H)
@@ -374,7 +379,8 @@ def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: Train
 
     Each batch is one gather from ``dataset.x``, one ``loss_and_grads``
     call into a gradient buffer reused by every batch, and one update of
-    the flat parameters (none when the learning rate is 0).
+    the flat parameters by the buffer scaled in place (none when the
+    learning rate is 0).
 
     An epoch raises before its first step if it references a row outside
     the dataset, and after its last if a batch loss or parameter is not
@@ -403,7 +409,8 @@ def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: Train
             loss_sum += loss_and_grads(model, dataset.x[batch], dataset.labels[batch],
                                        out=grad)[0]
             if config.learning_rate != 0.0:
-                model.flat -= config.learning_rate * grad.flat
+                grad.flat *= config.learning_rate
+                model.flat -= grad.flat
         if not (math.isfinite(loss_sum) and np.isfinite(model.flat).all()):
             raise ValidationError(f"training diverged: arm {arm!r} at epoch {t} has a "
                                   f"non-finite loss or parameter (try a smaller learning rate)")
@@ -412,10 +419,33 @@ def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: Train
 
 def collect_traces(model: FusionModel, dataset: SyntheticDataset) -> TraceBatch:
     """Traces of every sample: auxiliary-head probabilities plus the
-    encoder activations as embeddings. Deterministic."""
+    encoder activations as embeddings, the (n, M, H) view of the
+    side-by-side activations rather than a copy. Deterministic."""
     _, aux, z = model.forward_batch(dataset.x)
     return TraceBatch(ids=dataset.sample_ids, labels=dataset.labels,
-                      probs=np.stack(aux, axis=1), emb=np.stack(z, axis=1))
+                      probs=np.stack(aux, axis=1), emb=z.transpose(1, 0, 2))
+
+
+def score_traces(model: FusionModel, dataset: SyntheticDataset) -> DifficultyTable:
+    """The difficulty table of every sample's traces, collected and scored
+    ``TRACE_CHUNK`` rows at a time, as ``climd pipeline`` scores a trace
+    file, so that only the scores of earlier blocks stay resident.
+
+    It equals ``score_dataset(collect_traces(model, dataset))`` bitwise.
+    Rows are scored independently. A BLAS kernel works on blocks of a
+    power-of-two number of rows, and a row's activations can depend on
+    its place in that block; every block here starts at a multiple of
+    ``TRACE_CHUNK``, a power of two, so each row keeps its place. The ids
+    are checked once per block and once across blocks.
+    """
+    size = ff.TRACE_CHUNK
+    tables = []
+    for lo in range(0, dataset.n_samples, size):
+        rows = slice(lo, lo + size)
+        block = replace(dataset, sample_ids=dataset.sample_ids[rows],
+                        labels=dataset.labels[rows], x=dataset.x[rows])
+        tables.append(score_dataset(collect_traces(model, block)))
+    return join_tables(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +541,7 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmR
     warm_schedule = uniform_warmup_schedule(trainset.labels, cfg.resolved_warmup,
                                             warm_epoch_size, cfg.seed)
     warm_model = train(trainset, warm_schedule, cfg, init, arm="warmup")
-    table = score_dataset(collect_traces(warm_model, trainset))
+    table = score_traces(warm_model, trainset)
     dist = ClassDistribution.from_labels(trainset.labels, cfg.gamma)
 
     schedule = build_schedule(table, dist, cfg.epochs)

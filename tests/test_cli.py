@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from climd import fileformats as ff
+from climd import measurer
 from climd.cli import main
 from climd.distribution import ClassDistribution
 from climd.measurer import DifficultyTable, TraceBatch, score_dataset
@@ -522,6 +523,23 @@ class TestStreaming:
         err = capsys.readouterr().err
         assert f"at line {ff.TRACE_CHUNK + 1}: duplicate sample ids: ['s00000']" in err
         assert not (tmp_path / "out").exists()
+
+    def test_each_id_is_checked_once_per_chunk_and_once_across(self, tmp_path, monkeypatch):
+        # A chunk's score table shares the ids its TraceBatch has checked.
+        monkeypatch.setattr(ff, "TRACE_CHUNK", 32)
+        traces = tmp_path / "traces.jsonl"
+        write_random_traces(traces, 2 * 32 + 5)
+        checked = []
+        check_ids = measurer.check_ids
+
+        def counting(ids):
+            checked.append(len(ids))
+            return check_ids(ids)
+
+        monkeypatch.setattr(measurer, "check_ids", counting)
+        assert main(["pipeline", "--traces", str(traces), "--epochs", "3",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert checked == [32, 32, 5, 69]
 
     def test_bad_value_in_a_later_chunk_names_its_line(self, tmp_path, capsys):
         traces = tmp_path / "traces.jsonl"

@@ -5,7 +5,10 @@ error). A nonzero exit prints exactly one ``error:`` line and leaves no
 
 Sizes stay small: at most 12 samples, labels and ``--classes`` below 100
 (``eval`` allocates a C x C matrix), and ``--epochs`` up to 50 or 2**62,
-which numpy refuses at once. ``CLIMD_THREADS`` is never set.
+which numpy refuses at once. ``simulate`` gets at most 60 samples, 2 seeds
+and 4 epochs of training and of warm-up, since a large warm-up trains in
+full before the schedule's size check rejects it. ``CLIMD_THREADS`` is
+never set.
 """
 
 import contextlib
@@ -186,3 +189,57 @@ def test_exit_code_contract(case):
             assert not (Path(tmp) / out).exists(), argv
         else:
             assert err == "", (argv, err)
+
+
+def mostly(good, bad):
+    """A value drawn from ``good`` three times as often as from ``bad``."""
+    good, bad = list(good), list(bad)
+    return st.sampled_from(good * 3 * len(bad) + bad * len(good))
+
+
+def ints(lo, hi):
+    return map(str, range(lo, hi + 1))
+
+
+# The size flags are always given, so no default can make a run large.
+SIMULATE_SIZES = {"--n": mostly(ints(30, 60), ["-1", "0", "1", "3", "x", ""]),
+                  "--seeds": mostly(ints(1, 2), ["0", "-1", "x"]),
+                  "--epochs": mostly(ints(1, 4), ["0", "-1", "x"]),
+                  "--warmup": mostly(ints(0, 4), ["-1", "x"])}
+SIMULATE_FLAGS = {
+    "--classes": mostly(ints(2, 6), ["-1", "0", "1", "8", "x"]),
+    "--dims": mostly(["1,1", "2,9", "9,1", "3,5,4", "8,8,8", "1,2,3,4"],
+                     ["x", "8,,8", "1.5,2", "", "8", "0,3", "-1,2"]),
+    "--batch": mostly(ints(1, 70), ["0", "-1", "x"]),
+    "--hidden": mostly(ints(1, 16), ["0", "-1", "x"]),
+    # Steps of 1e20 and 1e100 diverge in some runs and saturate in others.
+    "--lr": mostly(["0.01", "0.1", "1", "0"],
+                   ["-1", "nan", "inf", "-inf", "1e20", "1e100", "x"]),
+}
+
+
+@st.composite
+def simulate_cases(draw):
+    argv = ["simulate"]
+    for flag, value in SIMULATE_SIZES.items():
+        argv += [flag, draw(value)]
+    for flag, value in SIMULATE_FLAGS.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(value)]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(simulate_cases())
+@example(["simulate", "--n", "60", "--seeds", "2", "--epochs", "4", "--warmup", "1",
+          "--lr", "1e100"])  # the curriculum arm diverges
+def test_simulate_exit_code_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code, err = run(argv + ["--out", str(out)])
+        assert code in (0, 1), (argv, code, err)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert not out.exists(), argv
+        else:
+            assert err == "" and (out / "report.csv").exists(), (argv, err)

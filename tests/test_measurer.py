@@ -17,6 +17,7 @@ from climd.measurer import (
     complementarity,
     id_order,
     intra_modal_confidence,
+    join_tables,
     pairwise_similarity,
     score_dataset,
     score_sample,
@@ -269,6 +270,19 @@ class TestDifficultyTable:
             DifficultyTable(ids=["a", "b"], **cols)
 
 
+class TestJoinTables:
+    def test_repeat_across_tables_names_its_row(self):
+        batch = random_batch(6)
+        ids = [*batch.ids[:5], batch.ids[1]]
+        parts = [score_dataset(TraceBatch(ids[a:b], batch.labels[a:b],
+                                          batch.probs[a:b], batch.emb[a:b]))
+                 for a, b in ((0, 3), (3, 6))]
+        with pytest.raises(ValidationError) as info:
+            join_tables(parts)
+        assert str(info.value) == "duplicate sample ids: ['s001']"
+        assert info.value.row == 5
+
+
 class TestScoreDataset:
     def test_empty(self):
         empty = TraceBatch(ids=[], labels=np.zeros(0, dtype=int),
@@ -338,8 +352,7 @@ class TestScoreDataset:
                              batch.probs[i:i + 16], batch.emb[i:i + 16])
                   for i in range(0, 64, 16)]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            parts = list(pool.map(score_dataset, chunks))
-        assert sum((part.ids for part in parts), []) == sequential.ids
+            joined = join_tables(list(pool.map(score_dataset, chunks)))
+        assert joined.ids == sequential.ids
         for col in ("labels", "psi", "phi", "r"):
-            assert np.array_equal(np.concatenate([getattr(p, col) for p in parts]),
-                                  getattr(sequential, col))
+            assert getattr(joined, col).tobytes() == getattr(sequential, col).tobytes()

@@ -1,13 +1,15 @@
 import concurrent.futures
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from itertools import islice
 
 import numpy as np
 import pytest
 
-from climd import scheduler, simlab
+from climd import fileformats as ff
+from climd import measurer, scheduler, simlab
 from climd.errors import ValidationError
 from climd.measurer import score_dataset
 from climd.scheduler import random_baseline_schedule
@@ -25,6 +27,7 @@ from climd.simlab import (
     loss_and_grads,
     run_experiment,
     run_seed,
+    score_traces,
     split_balanced_test,
     train,
     uniform_warmup_schedule,
@@ -432,6 +435,83 @@ class TestTraces:
         assert a.ids == b.ids
         for col in ("labels", "probs", "emb"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
+
+
+def assert_tables_equal(a, b):
+    assert a.ids == b.ids
+    for col in ("labels", "psi", "phi", "r"):
+        assert getattr(a, col).tobytes() == getattr(b, col).tobytes(), col
+
+
+class TestScoreTraces:
+    """The lab scores its traces in TRACE_CHUNK blocks. Tests set the chunk
+    to 64 rows, a multiple of a BLAS kernel's row block, as the default is."""
+
+    @pytest.mark.parametrize("dims, hidden, n", [
+        ((8, 8, 8), 16, 300),  # four full blocks and a short one
+        ((1, 5), 4, 201),      # a one-wide modality
+        ((3, 5, 4), 1, 130),   # one hidden unit; a last block of 2 rows
+    ])
+    def test_blocks_equal_one_pass_and_check_each_id_once(self, monkeypatch, dims, hidden, n):
+        monkeypatch.setattr(ff, "TRACE_CHUNK", 64)
+        dataset = generate_dataset(SyntheticSpec(n_classes=4, dims=dims, n_samples=n, seed=3))
+        model = FusionModel.init(dims, hidden, 4, np.random.default_rng(1))
+        whole = score_dataset(collect_traces(model, dataset))
+        checked = []
+        check_ids = measurer.check_ids
+
+        def counting(ids):
+            checked.append(len(ids))
+            return check_ids(ids)
+
+        monkeypatch.setattr(measurer, "check_ids", counting)
+        table = score_traces(model, dataset)
+        assert checked == [64] * (n // 64) + [n % 64, n]
+        assert_tables_equal(table, whole)
+
+    def test_run_seed_schedules_the_blockwise_table(self, monkeypatch):
+        monkeypatch.setattr(ff, "TRACE_CHUNK", 64)
+        spec = SyntheticSpec(n_classes=3, dims=(4, 1), n_samples=300, seed=2)
+        config = TrainConfig(epochs=4, warmup_epochs=1, hidden=5, batch_size=16)
+        seen = {"blocks": 0}
+        real_train, real_collect, real_build = train, collect_traces, simlab.build_schedule
+
+        def spy_train(dataset, epochs, config, init_model, arm="train"):
+            model = real_train(dataset, epochs, config, init_model, arm)
+            seen.setdefault(arm, (dataset, model))
+            return model
+
+        def spy_collect(model, dataset):
+            seen["blocks"] += 1
+            return real_collect(model, dataset)
+
+        def spy_build(table, *args):
+            seen["table"] = table
+            return real_build(table, *args)
+
+        monkeypatch.setattr(simlab, "train", spy_train)
+        monkeypatch.setattr(simlab, "collect_traces", spy_collect)
+        monkeypatch.setattr(simlab, "build_schedule", spy_build)
+        run_seed(spec, config, 0)
+        trainset, warm_model = seen["warmup"]
+        assert seen["blocks"] == math.ceil(trainset.n_samples / 64) > 1
+        assert_tables_equal(seen["table"], score_dataset(collect_traces(warm_model, trainset)))
+
+    def test_peak_is_a_few_blocks_not_the_split(self, monkeypatch):
+        # Wide embeddings, so a block's trace arrays dwarf its score columns.
+        # One pass over the 5.3 blocks of rows peaks at about 13.5 blocks.
+        monkeypatch.setattr(ff, "TRACE_CHUNK", 64)
+        n, dims, hidden, c = 5 * 64 + 17, (8, 8, 8), 64, 3
+        dataset = generate_dataset(SyntheticSpec(n_classes=c, dims=dims, n_samples=n, seed=1))
+        model = FusionModel.init(dims, hidden, c, np.random.default_rng(0))
+        block = 64 * len(dims) * (c + hidden) * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            score_traces(model, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * block, (peak, block)
 
 
 class TestSplit:
