@@ -52,10 +52,10 @@ def _schedule_digest(order: str, dist: ClassDistribution, epochs: int) -> str:
 
 
 def cmd_fit(args) -> int:
-    pairs = ff.read_labels(args.labels)
-    if not pairs:
+    _, labels = ff.read_labels(args.labels)
+    if not labels.size:
         raise ValidationError(f"{args.labels}: no labeled samples found")
-    dist = ClassDistribution.from_labels([label for _, label in pairs], args.gamma)
+    dist = ClassDistribution.from_labels(labels, args.gamma)
     out = _outdir(args)
     ff.write_distribution(out / "distribution.csv", dist)
     _write_manifest(out, "fit", {"gamma": args.gamma, "labels": str(args.labels)},
@@ -89,7 +89,7 @@ def _score_traces(path) -> DifficultyTable:
     tables = []
     while (batch := _stage("read-traces", lambda: next(chunks, None))) is not None:
         tables.append(_stage("score", lambda: score_dataset(batch)))
-    return _stage("read-traces", lambda: ff.checked_traces(path, lambda: join_tables(tables)))
+    return _stage("read-traces", lambda: ff.checked(path, lambda: join_tables(tables)))
 
 
 def cmd_score(args) -> int:
@@ -130,13 +130,11 @@ def cmd_figure2(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    rows = ff.read_predictions(args.predictions)
-    if not rows:
+    _, true, pred = ff.read_predictions(args.predictions)
+    if not true.size:
         raise ValidationError(f"{args.predictions}: no prediction rows found")
-    true = [t for _, t, _ in rows]
-    pred = [p for _, _, p in rows]
     if args.classes is None:
-        n_classes = max(max(true), max(pred)) + 1
+        n_classes = int(max(true.max(), pred.max())) + 1
     else:
         check_number("--classes", args.classes, 1)
         n_classes = args.classes

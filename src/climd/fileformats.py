@@ -3,16 +3,16 @@
 Every artifact is line-delimited UTF-8 text so pipeline stages stay
 diffable and independently inspectable. Readers take their lines from
 :func:`_numbered_lines` (decoded as UTF-8, stripped, blank lines
-skipped) and name a rejected line by its number. Writers hand theirs to
-:func:`write_lines`, which writes them through the open file as they are
-made, so a table is formatted a block of rows (a schedule: one epoch) at
-a time. :func:`read_traces` returns a validated
-:class:`~climd.measurer.TraceBatch` and :func:`read_difficulty` a
-:class:`~climd.measurer.DifficultyTable`; both write each line into
-arrays as they parse it, so besides the ids a reader holds one line's
-Python objects, not a chunk's. :func:`iter_traces` yields the traces as
-one batch per ``TRACE_CHUNK`` lines, so ``climd score`` and ``climd
-pipeline`` score them chunk by chunk, never the whole trace arrays at once.
+skipped) and name a rejected row one way, ``<path>: line <n>: <reason>``
+(:func:`checked` for a check of all the rows read). Writers hand theirs
+to :func:`write_lines`, which writes them through the open file as they
+are made, so a table is formatted a block of rows (a schedule: one
+epoch) at a time. Each reader writes its lines into arrays as it parses
+them, the id-keyed CSV tables through one row loop, so besides the ids
+it holds one line's Python objects, not a chunk's. :func:`iter_traces`
+yields the traces as one batch per ``TRACE_CHUNK`` lines, so ``climd
+score`` and ``climd pipeline`` score them chunk by chunk, never the
+whole trace arrays at once.
 
 * traces: one JSON object per line with a string ``sample_id``, an
   integer ``label`` and a ``modalities`` array of
@@ -63,7 +63,7 @@ def write_lines(path, lines: Iterable[str]):
     """Write each of ``lines`` and a newline to a UTF-8 text file, through
     the open file as the lines are made."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _numbered_lines(path) -> Iterator[tuple[int, str]]:
@@ -86,14 +86,21 @@ def _fields(path, lineno: int, line: str, width: int) -> list[str]:
     return parts
 
 
-def _checked(path, linenos, check):
-    """``check()``, its error (of the same class) prefixed by the path and,
-    when it names a ``row``, suffixed by that row's line in ``linenos``."""
+def checked(path, check, linenos=None):
+    """``check()`` of rows read from ``path``, its error (of the same class)
+    prefixed by the path and, when it names a ``row``, by that row's line
+    number: ``linenos[row]``, or by default that of the file's row-th
+    non-blank line, found by reading the file again, so that a caller need
+    keep no line number per row."""
     try:
         return check()
     except ValidationError as exc:
-        where = f" (line {linenos[exc.row]})" if exc.row is not None else ""
-        raise type(exc)(f"{path}: {exc}{where}") from exc
+        lineno = None
+        if exc.row is not None:
+            lineno = (linenos[exc.row] if linenos is not None
+                      else next(islice(_numbered_lines(path), exc.row, None), (None,))[0])
+        where = f"line {lineno}: " if lineno is not None else ""
+        raise type(exc)(f"{path}: {where}{exc}") from exc
 
 
 def _numbers(path, lineno: int, fields, kind=int) -> list:
@@ -152,9 +159,9 @@ def read_traces(path, lines=None, shapes=None) -> TraceBatch:
     """The traces of a JSONL file as one validated :class:`TraceBatch`.
 
     By default the whole file. :func:`iter_traces` passes ``lines``, an
-    iterator over some of its (line number, text) pairs, and ``shapes``,
-    the (probs, embeddings) shape every trace must have, which is
-    otherwise that of the first trace. Each line is parsed, checked and
+    iterator over some of its numbered lines as (number, text) pairs, and
+    ``shapes``, the (probs, embeddings) shape every trace must have, which
+    is otherwise that of the first trace. Each line is parsed, checked and
     written straight into arrays of ``TRACE_CHUNK`` rows, the batch is
     validated once, and a rejected trace is named by its line.
     """
@@ -178,31 +185,15 @@ def read_traces(path, lines=None, shapes=None) -> TraceBatch:
             _put_values(chunks[-1][0][n], "probs", rows[0])
             _put_values(chunks[-1][1][n], "embedding", rows[1])
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise ValidationError(f"{path}: corrupt trace at line {lineno}: {exc}") from exc
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
         ids.append(obj["sample_id"])
         labels.append(obj["label"])
         linenos.append(lineno)
     # The first len(ids) rows of each chunked array; a single chunk is not copied.
     probs, emb = ((col[0] if len(col) == 1 else np.concatenate(col))[:len(ids)]
                   for col in zip(*chunks or [(np.zeros((0, 0, 0)),) * 2]))
-    return checked_traces(path, lambda: TraceBatch(
+    return checked(path, lambda: TraceBatch(
         ids=ids, labels=np.frombuffer(labels, np.int64), probs=probs, emb=emb), linenos)
-
-
-def checked_traces(path, check, linenos=None):
-    """``check()`` of traces read from ``path``, its error prefixed by the
-    path and, when it names a ``row``, that row's line: ``linenos[row]``,
-    or by default the line of the file's row-th trace, which is found by
-    reading the file again, so no line number is kept per trace."""
-    try:
-        return check()
-    except ValidationError as exc:
-        lineno = None
-        if exc.row is not None:
-            lineno = (linenos[exc.row] if linenos is not None
-                      else next(islice(_numbered_lines(path), exc.row, None), (None,))[0])
-        where = f" at line {lineno}" if lineno is not None else ""
-        raise ValidationError(f"{path}: corrupt trace{where}: {exc}") from exc
 
 
 def iter_traces(path) -> Iterator[TraceBatch]:
@@ -210,7 +201,7 @@ def iter_traces(path) -> Iterator[TraceBatch]:
     up to ``TRACE_CHUNK`` lines, in file order; a file without traces
     yields one empty batch. Each batch is validated on its own, against
     the shapes of the first; the checks that span the file (repeated ids)
-    are left to the caller, whose :func:`checked_traces` names their line."""
+    are left to the caller, whose :func:`checked` names their line."""
     numbered = _numbered_lines(path)
     shapes = None
     while True:
@@ -241,26 +232,39 @@ def write_difficulty(path, table: DifficultyTable):
     write_lines(path, _difficulty_lines(table))
 
 
+def _rows(path, lines, header: str, n_ints: int):
+    """The ids, the (N, ``n_ints``) int64 columns, the (N, rest) finite
+    float columns and the line numbers of the CSV rows in ``lines``, whose
+    fields ``header`` names; each line is packed into arrays as it is read.
+    A first line equal to ``header`` is skipped."""
+    width = header.count(",") + 1
+    ids, ints, floats, linenos = [], array("q"), array("d"), array("q")
+    for lineno, line in lines:
+        if lineno == 1 and line == header:
+            continue
+        parts = _fields(path, lineno, line, width)
+        ints.extend(_numbers(path, lineno, parts[1:1 + n_ints]))
+        row = _numbers(path, lineno, parts[1 + n_ints:], float)
+        if not all(map(math.isfinite, row)):
+            raise ValidationError(f"{path}: line {lineno}: non-finite score in {line!r}")
+        ids.append(parts[0])
+        floats.extend(row)
+        linenos.append(lineno)
+    n = len(ids)
+    return (ids, np.frombuffer(ints, np.int64).reshape(n, n_ints),
+            np.frombuffer(floats).reshape(n, width - 1 - n_ints), linenos)
+
+
 def read_difficulty(path) -> DifficultyTable:
     lines = _numbered_lines(path)
     _, header = next(lines, (1, ""))
     cols = header.split(",")
     if cols[:3] != ["sample_id", "label", "phi"] or cols[-1] != "r":
         raise ValidationError(f"{path}: unrecognized difficulty header {header!r}")
-    ids, labels, linenos, scores = [], array("q"), array("q"), array("d")
-    for lineno, line in lines:
-        parts = _fields(path, lineno, line, len(cols))
-        labels.extend(_numbers(path, lineno, parts[1:2]))
-        row = _numbers(path, lineno, parts[2:], float)
-        if not all(map(math.isfinite, row)):
-            raise ValidationError(f"{path}: line {lineno}: non-finite score in {line!r}")
-        ids.append(parts[0])
-        scores.extend(row)
-        linenos.append(lineno)
-    scores = np.frombuffer(scores).reshape(len(ids), len(cols) - 2)
-    return _checked(path, linenos, lambda: DifficultyTable(
-        ids=ids, labels=np.frombuffer(labels, np.int64), psi=scores[:, 1:-1],
-        phi=scores[:, 0], r=scores[:, -1]))
+    ids, labels, scores, linenos = _rows(path, lines, header, 1)
+    return checked(path, lambda: DifficultyTable(
+        ids=ids, labels=labels[:, 0], psi=scores[:, 1:-1], phi=scores[:, 0], r=scores[:, -1]),
+        linenos)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +275,12 @@ def write_labels(path, pairs):
     write_lines(path, ["sample_id,label", *(f"{sid},{int(label)}" for sid, label in pairs)])
 
 
-def read_labels(path) -> list[tuple[str, int]]:
-    """The (sample id, label) pairs of a labels file; the header is optional
-    and the ids follow :func:`~climd.measurer.check_ids`."""
-    pairs, linenos = [], []
-    for lineno, line in _numbered_lines(path):
-        if lineno == 1 and line == "sample_id,label":
-            continue
-        sid, label = _fields(path, lineno, line, 2)
-        pairs.append((sid, *_numbers(path, lineno, [label])))
-        linenos.append(lineno)
-    _checked(path, linenos, lambda: check_ids([sid for sid, _ in pairs]))
-    return pairs
+def read_labels(path) -> tuple[list[str], np.ndarray]:
+    """The sample ids and (N,) int64 labels of a labels file; the header
+    is optional and the ids follow :func:`~climd.measurer.check_ids`."""
+    ids, labels, _, linenos = _rows(path, _numbered_lines(path), "sample_id,label", 1)
+    checked(path, lambda: check_ids(ids), linenos)
+    return ids, labels[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +329,9 @@ def read_distribution(path) -> ClassDistribution:
                                   f"1..{len(rows)}; ranks must be a permutation")
     classes, counts, linenos = np.array([rows[r] for r in sorted(rows)],
                                         dtype=np.int64).reshape(-1, 3).T
-    return _checked(path, linenos.tolist(), lambda: ClassDistribution(
+    return checked(path, lambda: ClassDistribution(
         classes=classes, counts=counts, gamma=gamma, alpha_hat=alpha_hat,
-        degenerate=degenerate == "true"))
+        degenerate=degenerate == "true"), linenos.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +367,13 @@ def format_epoch_rank_table(counts: np.ndarray) -> str:
 # predictions
 # ---------------------------------------------------------------------------
 
-def read_predictions(path) -> list[tuple[str, int, int]]:
-    """The (sample id, true, pred) rows of a predictions file; the header
-    is optional and the ids follow :func:`~climd.measurer.check_ids`."""
-    rows, linenos = [], []
-    for lineno, line in _numbered_lines(path):
-        if lineno == 1 and line == "sample_id,true,pred":
-            continue
-        sid, *labels = _fields(path, lineno, line, 3)
-        rows.append((sid, *_numbers(path, lineno, labels)))
-        linenos.append(lineno)
-    _checked(path, linenos, lambda: check_ids([sid for sid, _, _ in rows]))
-    return rows
+def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The sample ids and (N,) int64 true and predicted labels of a
+    predictions file; the header is optional and the ids follow
+    :func:`~climd.measurer.check_ids`."""
+    ids, labels, _, linenos = _rows(path, _numbered_lines(path), "sample_id,true,pred", 2)
+    checked(path, lambda: check_ids(ids), linenos)
+    return ids, labels[:, 0], labels[:, 1]
 
 
 def write_predictions(path, rows):

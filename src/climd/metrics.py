@@ -8,6 +8,7 @@ its true support, which naturally excludes absent classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,8 @@ def macro_f1(cm: ConfusionMatrix) -> float:
 
 
 def weighted_f1(cm: ConfusionMatrix) -> float:
+    """The support-weighted mean of the per-class F1, summed exactly by
+    ``math.fsum``: BLAS's dot product sums in an order set by its kernel."""
     f1 = per_class_f1(cm)
     weights = cm.support / cm.total
-    return float(np.dot(weights, f1))
+    return math.fsum((weights * f1).tolist())

@@ -295,7 +295,7 @@ class TestPipeline:
         argv = [command, "--traces", str(traces), "--out", str(tmp_path / "out")]
         assert main(argv + (["--epochs", "3"] if command == "pipeline" else [])) == 1
         assert capsys.readouterr().err == (
-            f"error: stage 'read-traces': {traces}: corrupt trace at line 7: "
+            f"error: stage 'read-traces': {traces}: line 7: "
             f"label must be a 64-bit JSON integer, got {label}\n")
         assert not (tmp_path / "out").exists()
 
@@ -317,7 +317,7 @@ class TestPipeline:
         argv = [command, "--traces", str(traces), "--out", str(tmp_path / "out")]
         assert main(argv + (["--epochs", "3"] if command == "pipeline" else [])) == 1
         assert capsys.readouterr().err == (
-            f"error: stage 'read-traces': {traces}: corrupt trace at line 7: "
+            f"error: stage 'read-traces': {traces}: line 7: "
             f"{field} values must be JSON numbers, got {shown}\n")
         assert not (tmp_path / "out").exists()
 
@@ -440,7 +440,7 @@ class TestTextArtifacts:
                      str(distribution), "--epochs", "2", "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {difficulty}: duplicate sample ids: ['a']")
+        assert err.startswith(f"error: {difficulty}: line 4: duplicate sample ids: ['a']")
         assert not (tmp_path / "out").exists()
 
     def test_schedule_rejects_a_padded_id(self, tmp_path, capsys):
@@ -453,8 +453,8 @@ class TestTextArtifacts:
                      str(distribution), "--epochs", "2", "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {difficulty}: sample id contains")
-        assert "['a ']" in err and "(line 2)" in err
+        assert err.startswith(f"error: {difficulty}: line 2: sample id contains")
+        assert "['a ']" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value, lineno", [("gamma", "abc", 2),
@@ -487,7 +487,7 @@ class TestTextArtifacts:
         assert main(argv[command]) == 1
         err = capsys.readouterr().err
         sid = lines[2].split(",")[0]
-        assert err.startswith(f"error: {path}: duplicate sample ids: [{sid!r}] (line 6)")
+        assert err.startswith(f"error: {path}: line 6: duplicate sample ids: [{sid!r}]")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,value", [
@@ -521,7 +521,7 @@ class TestStreaming:
         argv = [command, "--traces", str(traces), "--out", str(tmp_path / "out")]
         assert main(argv + (["--epochs", "3"] if command == "pipeline" else [])) == 1
         err = capsys.readouterr().err
-        assert f"at line {ff.TRACE_CHUNK + 1}: duplicate sample ids: ['s00000']" in err
+        assert f"{traces}: line {ff.TRACE_CHUNK + 1}: duplicate sample ids: ['s00000']" in err
         assert not (tmp_path / "out").exists()
 
     def test_each_id_is_checked_once_per_chunk_and_once_across(self, tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from climd import cli
 from climd import fileformats as ff
 from climd.distribution import ClassDistribution, subset_size
 from climd.errors import DomainError, ValidationError
@@ -60,7 +61,7 @@ class TestTraceFormat:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError) as info:
             ff.read_traces(path)
-        assert str(info.value) == (f"{path}: corrupt trace at line 5: expected numbers in shape "
+        assert str(info.value) == (f"{path}: line 5: expected numbers in shape "
                                    f"{traces.probs.shape[1:]} (modalities, values), "
                                    "as on the first line")
 
@@ -162,6 +163,17 @@ class TestReaderMemory:
                 + sys.getsizeof(table.ids) + sum(map(sys.getsizeof, table.ids)))
         assert peak < 1.5 * size, (peak, size)
 
+    @pytest.mark.parametrize("name", ["labels", "predictions"])
+    def test_label_readers_peak_below_130_bytes_per_row(self, tmp_path, name):
+        n = 50_000
+        write, read = CSV_PAIRS[name]
+        path = tmp_path / f"{name}.csv"
+        write(path, [f"s{i:08d}" for i in range(n)])
+        _, peak = traced_peak(lambda: read(path))
+        # A 9-character id is a 58-byte str and a list slot, a label 8 bytes
+        # in an array; a tuple per row would add about 80 bytes more.
+        assert peak < 130 * n, peak / n
+
 
 class TestIdAndDigestMemory:
     """The id checks, the id tie-break and the input digest make no
@@ -208,7 +220,9 @@ class TestLabelsFormat:
         pairs = [(f"s{i}", i % 3) for i in range(10)]
         path = tmp_path / "labels.csv"
         ff.write_labels(path, pairs)
-        assert ff.read_labels(path) == pairs
+        ids, labels = ff.read_labels(path)
+        assert labels.dtype == np.int64
+        assert list(zip(ids, labels.tolist())) == pairs
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -245,7 +259,7 @@ class TestDistributionFormat:
     HEADER = "# n_min=10\n# gamma=0.3\n# alpha_hat=5.0\n# degenerate=false\nclass_id,count,rank\n"
 
     @pytest.mark.parametrize("rows,match", [
-        ("0,100,1\n0,50,2\n", r"duplicate class_id 0 \(line 7\)"),
+        ("0,100,1\n0,50,2\n", "line 7: duplicate class_id 0"),
         ("0,100,1\n1,50,1\n", "line 7: duplicate rank 1"),
         ("0,100,1\n1,50,3\n", "line 7: rank 3 outside 1..2"),
         ("0,100,0\n1,50,1\n", "line 6: rank 0 outside 1..2"),
@@ -369,7 +383,9 @@ class TestPredictionsFormat:
         rows = [("a", 0, 0), ("b", 0, 1), ("c", 1, 1)]
         path = tmp_path / "preds.csv"
         ff.write_predictions(path, rows)
-        assert ff.read_predictions(path) == rows
+        ids, true, pred = ff.read_predictions(path)
+        assert true.dtype == pred.dtype == np.int64
+        assert list(zip(ids, true.tolist(), pred.tolist())) == rows
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -383,8 +399,8 @@ NON_ASCII_IDS = ["é", "Ωmega", "日本語", "😀", "a b"]
 
 def plain(result):
     """A reader's result as plain Python values, comparable with ==."""
-    if isinstance(result, list):
-        return result
+    if isinstance(result, tuple):
+        return [v.tolist() if isinstance(v, np.ndarray) else v for v in result]
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(result).items()}
 
 
@@ -429,7 +445,7 @@ class TestTextLines:
         write(path, [f"s{i}" for i in range(7)])
         expected = read(path)
         path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
-        assert read(path) == expected and len(expected) == 7
+        assert plain(read(path)) == plain(expected) and len(expected[0]) == 7
 
     @pytest.mark.parametrize("name", sorted(set(CSV_PAIRS) - {"distribution"}))
     def test_non_ascii_ids_round_trip(self, tmp_path, name):
@@ -438,7 +454,7 @@ class TestTextLines:
         write(path, NON_ASCII_IDS)
         assert "日本語" in path.read_bytes().decode("utf-8")
         back = read(path)
-        ids = [row[0] for row in back] if isinstance(back, list) else back.ids
+        ids = back[0] if isinstance(back, tuple) else back.ids
         assert ids == NON_ASCII_IDS
 
     # Python's int() and float() read digit grouping and any Unicode digit.
@@ -466,6 +482,60 @@ class TestTextLines:
         path = tmp_path / "traces.jsonl"
         ff.write_traces(path, random_batch(NON_ASCII_IDS))
         assert ff.read_traces(path).ids == NON_ASCII_IDS
+
+
+def text(content):
+    return lambda path: path.write_text(content)
+
+
+def eight_traces(lineno, old, new):
+    """A writer of traces s0..s7 (s4's label is 1) with a blank third line,
+    whose line ``lineno`` has ``old`` replaced by ``new``."""
+    def write(path):
+        ff.write_traces(path, random_batch([f"s{i}" for i in range(8)]))
+        lines = path.read_text().splitlines()
+        lines.insert(2, "")
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+        path.write_text("\n".join(lines) + "\n")
+    return write
+
+
+class TestRejectedLines:
+    """Every reader names a rejected row as ``<path>: line <n>: <reason>``,
+    whether one line or a check of all the rows read rejects it."""
+
+    @pytest.mark.parametrize("read, write, lineno, reason", [
+        (ff.read_traces, eight_traces(4, '{"sample_id"', 'not-json{"sample_id"'), 4,
+         "Expecting value: line 1 column 1 (char 0)"),
+        (ff.read_traces, eight_traces(6, '"label":1,', '"label":7,'), 6,
+         "label outside [0, 3) in 1 of 8 samples, first ['s4']"),
+        # Chunks of four traces: s5's line repeats s0, an id of the first chunk,
+        # and is found by reading the file again, past its blank line.
+        (cli._score_traces, eight_traces(7, '"s5"', '"s0"'), 7,
+         "duplicate sample ids: ['s0']"),
+        (ff.read_difficulty, text("sample_id,label,phi,psi_1,r\na,0,0.1,0.2,0.3\n"
+                                  "b,0,0.1,0.2,inf\n"), 3,
+         "non-finite score in 'b,0,0.1,0.2,inf'"),
+        (ff.read_difficulty, text("sample_id,label,phi,psi_1,r\na,0,0.1,0.2,0.3\n\n"
+                                  "b,0,0.1,0.2,0.3\na,1,0.1,0.2,0.3\n"), 5,
+         "duplicate sample ids: ['a']"),
+        (ff.read_labels, text("sample_id,label\na,0\nb,1\n\na,2\n"), 5,
+         "duplicate sample ids: ['a']"),
+        (ff.read_predictions, text("a,0,1\nb,1,1\na,1,0\n"), 3,
+         "duplicate sample ids: ['a']"),
+        (ff.read_distribution, text(TestDistributionFormat.HEADER + "0,100,1\n0,50,2\n"), 7,
+         "duplicate class_id 0"),
+    ], ids=["traces-bad-line", "traces-batch-check", "traces-repeat-across-chunks",
+            "difficulty-non-finite", "difficulty-repeated-id", "labels-repeated-id",
+            "predictions-repeated-id", "distribution-repeated-class"])
+    def test_a_rejected_row_is_named_by_path_and_line(self, tmp_path, monkeypatch, read,
+                                                      write, lineno, reason):
+        monkeypatch.setattr(ff, "TRACE_CHUNK", 4)
+        path = tmp_path / "input.txt"
+        write(path)
+        with pytest.raises(ValidationError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: line {lineno}: {reason}"
 
 
 class TestManifest:

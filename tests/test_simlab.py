@@ -1,15 +1,21 @@
 import concurrent.futures
+import json
 import math
 import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from climd import fileformats as ff
 from climd import measurer, scheduler, simlab
+from climd.cli import main
 from climd.errors import ValidationError
 from climd.measurer import score_dataset
 from climd.scheduler import random_baseline_schedule
@@ -700,6 +706,47 @@ class TestExperiment:
         spec, config, n = self.tiny()
         report = run_experiment(spec, config, n)
         assert report.rows == self.PINNED
+
+    # tiny()'s setup and a two-seed criterion-6 setup as simulate flags.
+    RUNS = {"tiny": ["--classes", "3", "--dims", "4,4", "--n", "240", "--imbalance", "1.2",
+                     "--base-seed", "11", "--lr", "0.05", "--epochs", "6", "--warmup", "1",
+                     "--batch", "16", "--hidden", "8", "--seeds", "2"],
+            "criterion-6": ["--seeds", "2", "--epochs", "20", "--warmup", "3", "--lr", "0.01"]}
+
+    def test_other_blas_kernels_give_the_same_reports(self, tmp_path):
+        """The pinned rows hold and both reports are byte-identical when a
+        child process runs OpenBLAS's Haswell or Prescott kernel instead of
+        this process's. OPENBLAS_CORETYPE acts on the child alone."""
+        if np.lib.NumpyVersion(np.__version__) < "1.26.0":
+            pytest.skip("numpy < 1.26 has no show_config(mode='dicts') to name its BLAS")
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        machine = platform.machine()
+        if "openblas" not in blas.lower() or machine.lower() not in ("x86_64", "amd64"):
+            pytest.skip(f"the kernels are OpenBLAS's on x86-64, not {blas} on {machine}")
+
+        def argvs(root):
+            return [["simulate", *flags, "--out", str(root / name)]
+                    for name, flags in self.RUNS.items()]
+
+        for argv in argvs(tmp_path / "here"):
+            assert main(argv) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "here" / "tiny" / "report.csv").read_text().splitlines()[1:]]
+        assert [ArmResult(int(s), arm, float(a), float(w), float(m), int(v))
+                for s, arm, a, w, m, v in rows] == self.PINNED
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        for core in ("Haswell", "Prescott"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            env.pop("CLIMD_THREADS", None)
+            proc = subprocess.run([sys.executable, "-c", "import json, sys; from climd.cli "
+                                   "import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))",
+                                   json.dumps(argvs(tmp_path / core))],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            for name in self.RUNS:
+                assert ((tmp_path / core / name / "report.csv").read_bytes()
+                        == (tmp_path / "here" / name / "report.csv").read_bytes()), (core, name)
 
 
 class TestEvaluate:
