@@ -83,13 +83,17 @@ def _stage(name, fn):
 def _score_traces(path) -> DifficultyTable:
     """Read and score a trace file one chunk at a time, so that only the
     scores of earlier chunks stay resident, never the whole trace arrays.
-    Rows are scored independently, so the table equals that of the whole
-    file; joining it rejects an id repeated across chunks, naming its line."""
+    Rows are scored independently, so the table equals the whole file's. A
+    repeated id is named by its line, and a file with no traces rejected."""
     chunks = ff.iter_traces(path)
     tables = []
     while (batch := _stage("read-traces", lambda: next(chunks, None))) is not None:
         tables.append(_stage("score", lambda: score_dataset(batch)))
-    return _stage("read-traces", lambda: ff.checked(path, lambda: join_tables(tables)))
+    def join() -> DifficultyTable:
+        if not len(table := ff.checked(path, lambda: join_tables(tables))):
+            raise ValidationError(f"{path}: no traces found")
+        return table
+    return _stage("read-traces", join)
 
 
 def cmd_score(args) -> int:

@@ -9,7 +9,8 @@ to :func:`write_lines`, which writes them through the open file as they
 are made, so a table is formatted a block of rows (a schedule: one
 epoch) at a time. Each reader writes its lines into arrays as it parses
 them, the id-keyed CSV tables through one row loop, so besides the ids
-it holds one line's Python objects, not a chunk's. :func:`iter_traces`
+it holds one line's Python objects, not a chunk's; one row writer takes
+those arrays back once they pass their reader's checks. :func:`iter_traces`
 yields the traces as one batch per ``TRACE_CHUNK`` lines, so ``climd
 score`` and ``climd pipeline`` score them chunk by chunk, never the
 whole trace arrays at once.
@@ -51,7 +52,7 @@ import numpy as np
 
 from .distribution import ClassDistribution
 from .errors import ValidationError
-from .measurer import DifficultyTable, TraceBatch, check_ids
+from .measurer import DifficultyTable, TraceBatch, check_ids, check_int64
 from .scheduler import Schedule
 
 
@@ -122,7 +123,7 @@ def _numbers(path, lineno: int, fields, kind=int) -> list:
 
 # The rows of each array chunk read_traces writes its lines into, the
 # lines per batch of iter_traces, the rows the lab traces and scores per
-# block, and the rows formatted per block by the difficulty writer.
+# block, and the rows formatted per block by the row writer.
 TRACE_CHUNK = 1024
 
 
@@ -217,19 +218,33 @@ def iter_traces(path) -> Iterator[TraceBatch]:
 # difficulty table (CSV)
 # ---------------------------------------------------------------------------
 
-def _difficulty_lines(table: DifficultyTable) -> Iterator[str]:
-    m = table.psi.shape[1]
-    yield ",".join(["sample_id", "label", "phi", *(f"psi_{i}" for i in range(1, m + 1)), "r"])
-    for lo in range(0, len(table), TRACE_CHUNK):
-        hi = lo + TRACE_CHUNK
-        scores = np.column_stack([table.phi[lo:hi], table.psi[lo:hi], table.r[lo:hi]])
-        yield from (f"{sid},{label}," + ",".join(map(repr, row))
-                    for sid, label, row in zip(table.ids[lo:hi], table.labels[lo:hi].tolist(),
-                                               scores.tolist()))
+def _write_rows(path, header: str, ids, columns: list):
+    """The mirror of :func:`_rows`: ``header``, then per id a line of the id and
+    its values in ``columns``, (N,) or (N, m) arrays stacked a block at a time as
+    Python objects, so that an int stays an int and a float keeps its ``repr``."""
+    write_lines(path, chain([header], (
+        ",".join([sid, *map(repr, row)]) for lo in range(0, len(ids), TRACE_CHUNK)
+        for sid, row in zip(ids[lo:lo + TRACE_CHUNK], np.column_stack(
+            [col[lo:lo + TRACE_CHUNK].astype(object) for col in columns]).tolist()))))
+
+
+def _write_ints(path, header: str, ids, columns):
+    """Write ``ids`` and (N,) integer ``columns`` once they pass their reader's
+    checks, before a file is opened; a rejected row is named by the line it
+    would have been written on."""
+    def check():
+        check_ids(ids)
+        cols = [check_int64(name, col) for name, col in zip(header.split(",")[1:], columns)]
+        if any(col.shape != (len(ids),) for col in cols):
+            raise ValidationError(f"{len(ids)} ids, columns of shapes {[c.shape for c in cols]}")
+        return cols
+    _write_rows(path, header, ids, checked(path, check, range(2, len(ids) + 2)))
 
 
 def write_difficulty(path, table: DifficultyTable):
-    write_lines(path, _difficulty_lines(table))
+    psi = [f"psi_{i}" for i in range(1, table.psi.shape[1] + 1)]
+    _write_rows(path, ",".join(["sample_id", "label", "phi", *psi, "r"]), table.ids,
+                [table.labels, table.phi, table.psi, table.r])
 
 
 def _rows(path, lines, header: str, n_ints: int):
@@ -271,8 +286,8 @@ def read_difficulty(path) -> DifficultyTable:
 # labels (CSV)
 # ---------------------------------------------------------------------------
 
-def write_labels(path, pairs):
-    write_lines(path, ["sample_id,label", *(f"{sid},{int(label)}" for sid, label in pairs)])
+def write_labels(path, ids, labels):
+    _write_ints(path, "sample_id,label", ids, [labels])
 
 
 def read_labels(path) -> tuple[list[str], np.ndarray]:
@@ -376,9 +391,8 @@ def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     return ids, labels[:, 0], labels[:, 1]
 
 
-def write_predictions(path, rows):
-    write_lines(path, ["sample_id,true,pred",
-                       *(f"{sid},{int(t)},{int(p)}" for sid, t, p in rows)])
+def write_predictions(path, ids, true, pred):
+    _write_ints(path, "sample_id,true,pred", ids, [true, pred])
 
 
 # ---------------------------------------------------------------------------

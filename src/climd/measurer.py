@@ -86,6 +86,15 @@ def check_ids(ids: list[str]):
                               row=int(id_order(ids)[1:][repeat].min()))
 
 
+def check_int64(name: str, values) -> np.ndarray:
+    """``values`` as int64, which must be integers that fit in it (or none)."""
+    values = np.asarray(values)
+    if values.size and (values.dtype.kind not in "iu"
+                        or values.dtype.kind == "u" and values.max() >= 2**63):
+        raise ValidationError(f"{name} must be integers that fit in 64 bits, got {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 # Per-sample reference types. score_sample and the functions it calls
 # check their inputs and state the formulas one sample at a time.
 
@@ -145,24 +154,20 @@ class TraceBatch:
             )
         if n == 0:
             return
-        if self.labels.dtype.kind not in "iu":
-            raise ValidationError(f"labels must be integers, got dtype {self.labels.dtype}")
+        check_int64("labels", self.labels)
         _, m, c = self.probs.shape
         if m < 2 or c < 2:
             raise ValidationError(f"need >= 2 modalities and >= 2 classes, got {m} and {c}")
-        self._reject((self.labels < 0) | (self.labels >= c), f"label outside [0, {c})")
-        self._reject(~np.isfinite(self.probs).all(axis=(1, 2)), "probs contain NaN or inf")
-        self._reject((self.probs < 0).any(axis=(1, 2)), "probs have negative entries")
-        self._reject((np.abs(self.probs.sum(axis=2) - 1.0) > PROB_SUM_TOL).any(axis=1),
-                     f"probs do not sum to 1 within {PROB_SUM_TOL}")
+        _reject(self.ids, (self.labels < 0) | (self.labels >= c), f"label outside [0, {c})")
+        _reject(self.ids, ~np.isfinite(self.probs).all(axis=(1, 2)), "probs contain NaN or inf")
+        _reject(self.ids, (self.probs < 0).any(axis=(1, 2)), "probs have negative entries")
+        _reject(self.ids, (np.abs(self.probs.sum(axis=2) - 1.0) > PROB_SUM_TOL).any(axis=1),
+                f"probs do not sum to 1 within {PROB_SUM_TOL}")
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.linalg.norm(self.emb, axis=2)
-        self._reject(~((norms > 0) & np.isfinite(norms)).all(axis=1),
-                     "an embedding norm is zero, NaN or inf")
+        _reject(self.ids, ~((norms > 0) & np.isfinite(norms)).all(axis=1),
+                "an embedding norm is zero, NaN or inf")
         check_ids(self.ids)
-
-    def _reject(self, bad: np.ndarray, reason: str):
-        _reject(self.ids, bad, reason)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -186,7 +191,7 @@ class DifficultyTable:
             self.psi = np.asarray(self.psi, dtype=float)
         except ValueError as exc:
             raise ValidationError(f"psi must be one (N, M) array: {exc}") from exc
-        self.labels = np.asarray(self.labels)
+        self.labels = check_int64("labels", self.labels)
         self.phi = np.asarray(self.phi, dtype=float)
         self.r = np.asarray(self.r, dtype=float)
         if (self.labels.shape != (n,) or self.phi.shape != (n,) or self.r.shape != (n,)
@@ -195,6 +200,8 @@ class DifficultyTable:
                 f"inconsistent difficulty table: {n} ids, labels {self.labels.shape}, "
                 f"psi {self.psi.shape}, phi {self.phi.shape}, r {self.r.shape}"
             )
+        _reject(self.ids, ~(np.isfinite(self.phi) & np.isfinite(self.r)
+                            & np.isfinite(self.psi).all(axis=1)), "score is NaN or inf")
         check_ids(self.ids)
 
     @classmethod

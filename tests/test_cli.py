@@ -28,7 +28,7 @@ def make_labels_file(path, counts):
         for _ in range(k):
             pairs.append((f"s{i:05d}", cid))
             i += 1
-    ff.write_labels(path, pairs)
+    ff.write_labels(path, *map(list, zip(*pairs)))
 
 
 def make_traces_file(path, n=200, seed=5):
@@ -75,7 +75,7 @@ class TestFit:
     def test_alpha_below_one_exits_1_writing_nothing(self, tmp_path, capsys):
         # gamma 5 on sizes (3, 1) fits alpha_hat = 0.2 * (1 + 2 / ln 3) = 0.564...
         labels = tmp_path / "labels.csv"
-        ff.write_labels(labels, [("a", 0), ("b", 0), ("c", 0), ("d", 1)])
+        ff.write_labels(labels, ["a", "b", "c", "d"], [0, 0, 0, 1])
         out = tmp_path / "out"
         assert main(["fit", "--labels", str(labels), "--gamma", "5", "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -84,7 +84,7 @@ class TestFit:
 
     def test_header_only_labels_exit_1(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
-        ff.write_labels(labels, [])
+        ff.write_labels(labels, [], [])
         out = tmp_path / "out"
         assert main(["fit", "--labels", str(labels), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {labels}: no labeled samples found\n"
@@ -108,7 +108,7 @@ class TestScoreAndSchedule:
         assert len(table) == 200
 
         labels = tmp_path / "labels.csv"
-        ff.write_labels(labels, zip(table.ids, table.labels))
+        ff.write_labels(labels, table.ids, table.labels)
         fit_out = tmp_path / "fitted"
         assert main(["fit", "--labels", str(labels), "--out", str(fit_out)]) == 0
 
@@ -183,7 +183,7 @@ class TestFigure2:
 class TestEval:
     def test_hand_example(self, tmp_path, capsys):
         preds = tmp_path / "preds.csv"
-        ff.write_predictions(preds, [("a", 0, 0), ("b", 0, 1), ("c", 1, 1)])
+        ff.write_predictions(preds, ["a", "b", "c"], [0, 0, 1], [0, 1, 1])
         assert main(["eval", "--predictions", str(preds)]) == 0
         out = capsys.readouterr().out
         assert "accuracy     0.666667" in out
@@ -212,7 +212,7 @@ class TestEval:
 
     def test_header_only_predictions_exit_1(self, tmp_path, capsys):
         path = tmp_path / "pred.csv"
-        ff.write_predictions(path, [])
+        ff.write_predictions(path, [], [], [])
         assert main(["eval", "--predictions", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: no prediction rows found\n"
 
@@ -369,6 +369,17 @@ class TestPipeline:
         assert err.startswith("error: stage 'fit': alpha_hat must be a finite number >= 1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pipeline", "score"])
+    @pytest.mark.parametrize("content", ["", "\n  \n\r\n"])
+    def test_trace_file_without_traces_exits_1(self, tmp_path, capsys, command, content):
+        traces = tmp_path / "traces.jsonl"
+        traces.write_text(content)
+        argv = [command, "--traces", str(traces), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--epochs", "3"] if command == "pipeline" else [])) == 1
+        assert capsys.readouterr().err == (
+            f"error: stage 'read-traces': {traces}: no traces found\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_traces_leave_no_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["pipeline", "--traces", str(tmp_path / "nope.jsonl"),
@@ -389,9 +400,9 @@ class TestTextArtifacts:
         ff.write_difficulty(tmp_path / "difficulty.csv", table)
         ff.write_distribution(tmp_path / "distribution.csv",
                               ClassDistribution.from_labels(table.labels))
-        ff.write_labels(tmp_path / "labels.csv", zip(table.ids, table.labels))
+        ff.write_labels(tmp_path / "labels.csv", table.ids, table.labels)
         ff.write_predictions(tmp_path / "predictions.csv",
-                             zip(table.ids, table.labels, table.labels[::-1]))
+                             table.ids, table.labels, table.labels[::-1])
         out = ["--out", str(tmp_path / "out")]
         return {
             "schedule": ["schedule", "--difficulty", str(tmp_path / "difficulty.csv"),

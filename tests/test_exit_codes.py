@@ -142,9 +142,9 @@ def write_inputs(tmp: Path, files):
     traces, table = dataset(files["labels"], files["seed"])
     ff.write_traces(tmp / "traces.jsonl", traces)
     ff.write_difficulty(tmp / "difficulty.csv", table)
-    ff.write_labels(tmp / "labels.csv", zip(table.ids, files["labels"]))
+    ff.write_labels(tmp / "labels.csv", table.ids, files["labels"])
     ff.write_predictions(tmp / "predictions.csv",
-                         zip(table.ids, files["labels"], files["pred"]))
+                         table.ids, files["labels"], files["pred"])
     ff.write_distribution(tmp / "distribution.csv", distribution(files["fitted"]))
     for name, damage in zip(INPUTS, files["damage"]):
         apply_damage(tmp / name, damage)

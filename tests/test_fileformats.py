@@ -219,7 +219,7 @@ class TestLabelsFormat:
     def test_round_trip(self, tmp_path):
         pairs = [(f"s{i}", i % 3) for i in range(10)]
         path = tmp_path / "labels.csv"
-        ff.write_labels(path, pairs)
+        ff.write_labels(path, *map(list, zip(*pairs)))
         ids, labels = ff.read_labels(path)
         assert labels.dtype == np.int64
         assert list(zip(ids, labels.tolist())) == pairs
@@ -382,7 +382,7 @@ class TestPredictionsFormat:
     def test_round_trip(self, tmp_path):
         rows = [("a", 0, 0), ("b", 0, 1), ("c", 1, 1)]
         path = tmp_path / "preds.csv"
-        ff.write_predictions(path, rows)
+        ff.write_predictions(path, *map(list, zip(*rows)))
         ids, true, pred = ff.read_predictions(path)
         assert true.dtype == pred.dtype == np.int64
         assert list(zip(ids, true.tolist(), pred.tolist())) == rows
@@ -415,10 +415,10 @@ def random_batch(ids):
 CSV_PAIRS = {
     "difficulty": (lambda path, ids: ff.write_difficulty(path, score_dataset(random_batch(ids))),
                    ff.read_difficulty),
-    "labels": (lambda path, ids: ff.write_labels(path, [(sid, i % 3) for i, sid in enumerate(ids)]),
+    "labels": (lambda path, ids: ff.write_labels(path, ids, np.arange(len(ids)) % 3),
                ff.read_labels),
     "predictions": (lambda path, ids: ff.write_predictions(
-        path, [(sid, i % 3, (i + 1) % 3) for i, sid in enumerate(ids)]), ff.read_predictions),
+        path, ids, np.arange(len(ids)) % 3, (np.arange(len(ids)) + 1) % 3), ff.read_predictions),
     "distribution": (lambda path, ids: ff.write_distribution(
         path, ClassDistribution.from_labels(np.arange(len(ids)) % 3)), ff.read_distribution),
 }
@@ -555,3 +555,134 @@ class TestManifest:
         d1 = ff.sha256_file(src)
         src.write_text("changed")
         assert ff.sha256_file(src) != d1
+
+
+# Valid sample ids: any code point but the separators and lone surrogates,
+# non-ASCII ones included, and no surrounding whitespace.
+VALID_IDS = st.lists(st.sampled_from(NON_ASCII_IDS) | st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"),
+    min_size=1, max_size=6).filter(lambda sid: sid == sid.strip()), unique=True, max_size=8)
+INT64S = st.integers(-2**63, 2**63 - 1) | st.sampled_from([-2**63, 2**63 - 1, 0, -1])
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308])
+
+
+@st.composite
+def id_tables(draw):
+    """A table name and its ids, integer columns (labels; or true and
+    pred) and, for a difficulty table, its phi, psi (N, M) and r."""
+    name = draw(st.sampled_from(["difficulty", "labels", "predictions"]))
+    ids = draw(VALID_IDS)
+    n = len(ids)
+    ints = [np.array(draw(st.lists(INT64S, min_size=n, max_size=n)), dtype=np.int64)
+            for _ in range(2 if name == "predictions" else 1)]
+    m = draw(st.integers(0, 3))
+    floats = [np.array(draw(st.lists(FLOATS, min_size=n * k, max_size=n * k))).reshape(shape)
+              for k, shape in ((1, n), (m, (n, m)), (1, n))]
+    return name, ids, ints, floats
+
+
+def write_table(name, path, ids, ints, floats):
+    """Write an id-keyed table: a difficulty table is built from its columns."""
+    if name == "difficulty":
+        phi, psi, r = floats
+        ff.write_difficulty(path, DifficultyTable(ids=ids, labels=ints[0], psi=psi, phi=phi, r=r))
+    else:
+        {"labels": ff.write_labels, "predictions": ff.write_predictions}[name](path, ids, *ints)
+
+
+def read_table(name, path):
+    """The ids, integer columns and float columns of an id-keyed table."""
+    if name == "difficulty":
+        table = ff.read_difficulty(path)
+        return table.ids, [table.labels], [table.phi, table.psi, table.r]
+    ids, *ints = {"labels": ff.read_labels, "predictions": ff.read_predictions}[name](path)
+    return ids, ints, []
+
+
+class TestRowWriter:
+    """The difficulty, labels and predictions writers take the arrays their
+    readers return, and write only what those readers read back."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(id_tables())
+    def test_write_read_write_is_exact(self, case):
+        name, ids, ints, floats = case
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.csv", Path(tmp) / "second.csv"
+            write_table(name, first, ids, ints, floats)
+            back_ids, back_ints, back_floats = read_table(name, first)
+            write_table(name, second, back_ids, back_ints, back_floats)
+            assert second.read_bytes() == first.read_bytes()
+        assert back_ids == ids
+        for col, back in zip(ints, back_ints):
+            assert back.dtype == np.int64 and back.tobytes() == col.tobytes()
+        if name == "difficulty":
+            for col, back in zip(floats, back_floats):
+                assert back.shape == col.shape and back.tobytes() == col.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(id_tables().filter(lambda case: case[1]), st.data())
+    def test_invalid_input_is_refused_and_writes_no_file(self, case, data):
+        name, ids, ints, floats = case
+        ids, ints, floats = list(ids), [*ints], [f.copy() for f in floats]
+        n = len(ids)
+        row = data.draw(st.integers(0, n - 1))
+        kinds = ["comma", "newline", "padded", "empty", "float-label", "bool-label",
+                 "label-2**63", "label-below-int64"] + ["repeat"] * (n > 1)
+        kinds += ["nan", "inf"] * (name == "difficulty")
+        kind = data.draw(st.sampled_from(kinds))
+        column = data.draw(st.integers(0, len(ints) - 1))
+        if kind in ("comma", "newline", "padded", "empty"):
+            ids[row] = {"comma": "a,b", "newline": "a\nb", "padded": f" {ids[row]}",
+                        "empty": ""}[kind]
+        elif kind == "repeat":
+            ids[row] = ids[row - 1]
+        elif kind == "float-label":
+            ints[column] = ints[column].astype(float)
+        elif kind == "bool-label":
+            ints[column] = ints[column] % 2 == 0
+        elif kind in ("label-2**63", "label-below-int64"):
+            values = ints[column].tolist()
+            values[row] = 2**63 if kind == "label-2**63" else -2**63 - 1
+            ints[column] = values
+        else:
+            value = np.nan if kind == "nan" else data.draw(st.sampled_from([np.inf, -np.inf]))
+            k = data.draw(st.sampled_from([k for k, f in enumerate(floats) if f.size]))
+            floats[k][row] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            with pytest.raises(ValidationError):
+                write_table(name, path, ids, ints, floats)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda p: ff.write_labels(p, ["a,b"], [0]), "line 2: sample id contains"),
+        (lambda p: ff.write_labels(p, ["a", "a"], [0, 1]),
+         "line 3: duplicate sample ids: ['a']"),
+        (lambda p: ff.write_labels(p, ["a"], [2**63]),
+         "label must be integers that fit in 64 bits, got uint64"),
+        (lambda p: ff.write_labels(p, [" a"], [0]), "line 2: sample id contains"),
+        (lambda p: ff.write_labels(p, ["a"], [1.7]),
+         "label must be integers that fit in 64 bits, got float64"),
+        (lambda p: ff.write_labels(p, ["a", "b"], [0]), "2 ids, columns of shapes [(1,)]"),
+        (lambda p: ff.write_predictions(p, ["x\ny"], [0], [1]), "line 2: sample id contains"),
+        (lambda p: ff.write_predictions(p, ["x"], [0], [True]),
+         "pred must be integers that fit in 64 bits, got bool"),
+    ], ids=["comma", "repeat", "2**63", "padded", "float", "short-column",
+            "newline", "bool"])
+    def test_refusal_names_the_path(self, tmp_path, write, message):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValidationError) as info:
+            write(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+        assert not path.exists()
+
+    def test_write_difficulty_does_not_check_the_ids_again(self, tmp_path, monkeypatch):
+        table = score_dataset(random_batch(["a", "b", "c"]))
+
+        def refuse(ids):
+            raise AssertionError("ids checked again")
+        monkeypatch.setattr(ff, "check_ids", refuse)
+        ff.write_difficulty(tmp_path / "difficulty.csv", table)

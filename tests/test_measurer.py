@@ -269,6 +269,29 @@ class TestDifficultyTable:
         with pytest.raises(ValidationError, match="inconsistent difficulty table: 2 ids"):
             DifficultyTable(ids=["a", "b"], **cols)
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.0, 0.0, 1.0], [True, False, True, False],
+                                        [0, 1, 2**63, 1], ["0", "1", "0", "1"]])
+    def test_labels_must_be_int64_integers(self, labels):
+        r = np.full(4, 0.5)
+        with pytest.raises(ValidationError, match="labels must be integers that fit in 64 bits"):
+            DifficultyTable(ids=list("abcd"), labels=labels, psi=np.zeros((4, 2)), phi=r, r=r)
+
+    @pytest.mark.parametrize("column", ["phi", "psi", "r"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected_naming_the_row(self, column, value):
+        # Unchecked, build_schedule ranked r = [nan, 0.2, 0.1, inf] over
+        # classes [0, 0, 1, 1] and took the inf row as class 1's easiest.
+        cols = {"psi": np.zeros((4, 2)), "phi": np.zeros(4), "r": np.array([0.3, 0.2, 0.1, 0.4])}
+        cols[column][3] = value
+        with pytest.raises(ValidationError) as info:
+            DifficultyTable(ids=list("abcd"), labels=[0, 0, 1, 1], **cols)
+        assert str(info.value) == "score is NaN or inf in 1 of 4 samples, first ['d']"
+        assert info.value.row == 3
+
+    def test_empty_table_is_valid(self):
+        table = DifficultyTable(ids=[], labels=[], psi=np.zeros((0, 2)), phi=[], r=[])
+        assert len(table) == 0 and table.labels.dtype == np.int64
+
 
 class TestJoinTables:
     def test_repeat_across_tables_names_its_row(self):
