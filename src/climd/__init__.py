@@ -20,7 +20,6 @@ from .distribution import (
 from .errors import DomainError, ValidationError
 from .measurer import DifficultyTable, TraceBatch, score_dataset
 from .metrics import (
-    ConfusionMatrix,
     accuracy,
     confusion,
     macro_f1,

@@ -147,7 +147,7 @@ def cmd_eval(args) -> int:
     print(f"weighted_f1  {weighted_f1(cm):.6f}")
     print(f"macro_f1     {macro_f1(cm):.6f}")
     print("confusion (rows = true, cols = predicted):")
-    for row in cm.counts:
+    for row in cm:
         print("  " + " ".join(f"{int(v):>6}" for v in row))
     return 0
 

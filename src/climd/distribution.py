@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError, check_number
+from .measurer import check_int64
 
 DEFAULT_GAMMA = 0.3
 
@@ -55,8 +56,8 @@ class ClassDistribution:
     degenerate: bool
 
     def __post_init__(self):
-        self.classes = np.asarray(self.classes, dtype=np.int64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.classes = check_int64("class ids", self.classes)
+        self.counts = check_int64("class counts", self.counts)
         if self.classes.ndim != 1 or self.classes.shape != self.counts.shape:
             raise ValidationError("classes and counts must be 1-D arrays of one length")
         if not self.classes.size:
@@ -82,7 +83,7 @@ class ClassDistribution:
         Pass ``alpha`` to pin the imbalance parameter instead of fitting
         (used e.g. when reproducing a schedule with a known cap).
         """
-        ids, sizes = np.array(list(counts.items()), dtype=np.int64).reshape(-1, 2).T
+        ids, sizes = check_int64("class ids and counts", list(counts.items())).reshape(-1, 2).T
         fit = fit_alpha(sizes, gamma) if alpha is None else AlphaFit(float(alpha), False)
         rank = np.lexsort((ids, -sizes))
         return cls(classes=ids[rank], counts=sizes[rank], gamma=gamma,
@@ -90,7 +91,7 @@ class ClassDistribution:
 
     @classmethod
     def from_labels(cls, labels, gamma: float = DEFAULT_GAMMA) -> "ClassDistribution":
-        ids, counts = np.unique(np.asarray(labels, dtype=int), return_counts=True)
+        ids, counts = np.unique(check_int64("labels", labels), return_counts=True)
         return cls.from_counts({int(c): int(n) for c, n in zip(ids, counts)}, gamma)
 
     @property

@@ -72,8 +72,13 @@ def check_ids(ids: list[str]):
     error has the ``row`` of the first offender (for a repeat, its second
     occurrence). Readers strip every line, so a padded id would not read
     back as written. Repeats are found by sorting the ids, which makes no
-    per-id object."""
-    if _ID_BREAKS.search("".join(ids)) or not all(sid and sid == sid.strip() for sid in ids):
+    per-id object. An id that is not a ``str`` is rejected like a bad one."""
+    try:
+        joined = "".join(ids)
+    except TypeError:
+        _reject(ids, [not isinstance(sid, str) for sid in ids], "sample id is not a string")
+        raise
+    if _ID_BREAKS.search(joined) or not all(sid and sid == sid.strip() for sid in ids):
         _reject(ids, [not sid or sid != sid.strip() or bool(_ID_BREAKS.search(sid))
                       for sid in ids],
                 "sample id contains ',', a line break or a lone surrogate (not UTF-8), "

@@ -291,11 +291,22 @@ class TestClassDistribution:
         ([[0, 1]], [[5, 3]], "1-D arrays of one length"),
         ([], [], "at least one class"),
         ([0, 1], [5, 0], "counts must be >= 1"),
+        ([0.5, 1.7], [3, 1], "^class ids must be integers that fit in 64 bits, got float64$"),
+        ([0, 1], [3.9, 1.2], "^class counts must be integers that fit in 64 bits, got float64$"),
     ])
     def test_direct_construction_checks_its_arrays(self, classes, counts, match):
         with pytest.raises(ValidationError, match=match):
             ClassDistribution(classes=classes, counts=counts, gamma=0.3, alpha_hat=5.0,
                               degenerate=False)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: ClassDistribution.from_labels([0.2, 0.9, 1.5, 1.1, 0.4]), "labels"),
+        (lambda: ClassDistribution.from_counts({0: 3.7, 1: 1}), "class ids and counts"),
+    ], ids=["from_labels", "from_counts"])
+    def test_labels_and_counts_are_never_truncated(self, build, name):
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be integers that fit in 64 bits, got float64$"):
+            build()
 
     @pytest.mark.parametrize("classes,row", [([0, 0], 1), ([2, 0, 1, 0, 2], 3)])
     def test_repeated_class_id_names_its_second_occurrence(self, classes, row):

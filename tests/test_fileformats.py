@@ -667,10 +667,12 @@ class TestRowWriter:
         (lambda p: ff.write_labels(p, ["a"], [1.7]),
          "label must be integers that fit in 64 bits, got float64"),
         (lambda p: ff.write_labels(p, ["a", "b"], [0]), "2 ids, columns of shapes [(1,)]"),
+        (lambda p: ff.write_labels(p, ["a", 2], [0, 1]),
+         "line 3: sample id is not a string in 1 of 2 samples, first [2]"),
         (lambda p: ff.write_predictions(p, ["x\ny"], [0], [1]), "line 2: sample id contains"),
         (lambda p: ff.write_predictions(p, ["x"], [0], [True]),
          "pred must be integers that fit in 64 bits, got bool"),
-    ], ids=["comma", "repeat", "2**63", "padded", "float", "short-column",
+    ], ids=["comma", "repeat", "2**63", "padded", "float", "short-column", "non-str",
             "newline", "bool"])
     def test_refusal_names_the_path(self, tmp_path, write, message):
         path = tmp_path / "table.csv"

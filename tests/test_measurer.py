@@ -223,6 +223,14 @@ class TestTraceBatch:
             TraceBatch(ids, batch.labels, batch.probs, batch.emb)
         assert info.value.row == 2
 
+    def test_a_non_str_id_is_rejected(self):
+        batch = random_batch(2)
+        with pytest.raises(ValidationError) as info:
+            TraceBatch(["a", None], batch.labels, batch.probs, batch.emb)
+        assert str(info.value) == "sample id is not a string in 1 of 2 samples, first [None]"
+        assert info.value.row == 1
+        assert TraceBatch([np.str_("a"), "b"], batch.labels, batch.probs, batch.emb).ids[0] == "a"
+
     def test_shapes_and_dtypes(self):
         batch = random_batch(3, m=2)
         with pytest.raises(ValidationError, match="integers"):
@@ -287,6 +295,13 @@ class TestDifficultyTable:
             DifficultyTable(ids=list("abcd"), labels=[0, 0, 1, 1], **cols)
         assert str(info.value) == "score is NaN or inf in 1 of 4 samples, first ['d']"
         assert info.value.row == 3
+
+    def test_non_str_ids_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            DifficultyTable(ids=[1, 2], labels=[0, 1], psi=np.zeros((2, 2)), phi=np.zeros(2),
+                            r=np.zeros(2))
+        assert str(info.value) == "sample id is not a string in 2 of 2 samples, first [1, 2]"
+        assert info.value.row == 0
 
     def test_empty_table_is_valid(self):
         table = DifficultyTable(ids=[], labels=[], psi=np.zeros((0, 2)), phi=[], r=[])
