@@ -20,6 +20,7 @@ Equivalent CLI: climd simulate --seeds 5 --out <dir>
 import time
 
 from climd import SyntheticSpec, TrainConfig, run_experiment
+from climd.simlab import ARMS, summarize
 
 spec = SyntheticSpec(n_classes=5, dims=(8, 8, 8), n_samples=2000,
                      imbalance_exponent=1.5, class_separation=2.0,
@@ -33,15 +34,17 @@ print(f"training: {config.epochs} epochs, lr {config.learning_rate}, "
       f"{config.resolved_warmup} warm-up epochs\n")
 
 start = time.perf_counter()
-report = run_experiment(spec, config, n_seeds=5)
+scores, visits = run_experiment(spec, config, n_seeds=5)
 elapsed = time.perf_counter() - start
+means, wins = summarize(scores)
 
 print("seed  arm        accuracy  weighted_f1  macro_f1   visits")
-for row in report.rows:
-    print(f"{row.seed:>4}  {row.arm:<9} {row.accuracy:9.4f} {row.weighted_f1:12.4f} "
-          f"{row.macro_f1:9.4f} {row.visits:8d}")
+for seed, (arm_scores, arm_visits) in enumerate(zip(scores, visits)):
+    for arm, (acc, wf1, mf1), v in zip(ARMS, arm_scores, arm_visits):
+        print(f"{seed:>4}  {arm:<9} {acc:9.4f} {wf1:12.4f} {mf1:9.4f} {v:8d}")
 
-print(f"\nmeans:     curriculum macro F1 {report.mean('climd', 'macro_f1'):.4f}  "
-      f"vs baseline {report.mean('baseline', 'macro_f1'):.4f}")
-print(f"curriculum wins {report.wins} of {len(report.seeds)} seeds "
+climd, baseline = ARMS.index("climd"), ARMS.index("baseline")
+print(f"\nmeans:     curriculum macro F1 {means[climd, 2]:.4f}  "
+      f"vs baseline {means[baseline, 2]:.4f}")
+print(f"curriculum wins {wins[climd]} of {len(scores)} seeds "
       f"({elapsed:.1f}s total)")

@@ -37,7 +37,6 @@ from .scheduler import (
     truncate_schedule,
 )
 from .simlab import (
-    ExperimentReport,
     FusionModel,
     SyntheticDataset,
     SyntheticSpec,

@@ -22,7 +22,7 @@ from .errors import ValidationError, check_number
 from .measurer import DifficultyTable, join_tables, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import EASY_HIGH_R, EASY_LOW_R, FIGURE2, build_schedule, reference_ramp
-from .simlab import SyntheticSpec, TrainConfig, run_experiment
+from .simlab import ARMS, SyntheticSpec, TrainConfig, run_experiment, summarize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,18 +187,19 @@ def cmd_simulate(args) -> int:
         gamma=args.gamma,
         seed=args.base_seed,
     )
-    report = run_experiment(spec, config, args.seeds, max_workers=_max_workers())
+    scores, visits = run_experiment(spec, config, args.seeds, max_workers=_max_workers())
+    means, wins = summarize(scores)
 
     out = _outdir(args)
     ff.write_lines(out / "report.csv", [
         "seed,arm,accuracy,weighted_f1,macro_f1,visits",
-        *(f"{r.seed},{r.arm},{r.accuracy!r},{r.weighted_f1!r},{r.macro_f1!r},{r.visits}"
-          for r in report.rows)])
+        *(f"{seed},{arm},{acc!r},{wf1!r},{mf1!r},{v}"
+          for seed, (arm_scores, arm_visits) in enumerate(zip(scores.tolist(), visits.tolist()))
+          for arm, (acc, wf1, mf1), v in zip(ARMS, arm_scores, arm_visits))])
     ff.write_lines(out / "summary.csv", [
         "arm,mean_accuracy,mean_weighted_f1,mean_macro_f1,macro_f1_wins",
-        *(f"{arm},{report.mean(arm, 'accuracy')!r},{report.mean(arm, 'weighted_f1')!r},"
-          f"{report.mean(arm, 'macro_f1')!r},{wins}"
-          for arm, wins in (("climd", report.wins), ("baseline", report.baseline_wins)))])
+        *(f"{arm},{acc!r},{wf1!r},{mf1!r},{w}"
+          for arm, (acc, wf1, mf1), w in zip(ARMS, means.tolist(), wins.tolist()))])
 
     settings = {"spec": vars(spec), "config": vars(config), "n_seeds": args.seeds}
     _write_manifest(out, "simulate",
@@ -206,11 +207,9 @@ def cmd_simulate(args) -> int:
                      "n_seeds": args.seeds, "config_digest": ff.config_digest(settings)},
                     {}, list(range(args.seeds)))
 
-    for arm in ("climd", "baseline"):
-        print(f"{arm:>9}: acc {report.mean(arm, 'accuracy'):.4f}  "
-              f"wF1 {report.mean(arm, 'weighted_f1'):.4f}  "
-              f"mF1 {report.mean(arm, 'macro_f1'):.4f}")
-    print(f"curriculum wins {report.wins} of {args.seeds} seeds on macro F1")
+    for arm, (acc, wf1, mf1) in zip(ARMS, means.tolist()):
+        print(f"{arm:>9}: acc {acc:.4f}  wF1 {wf1:.4f}  mF1 {mf1:.4f}")
+    print(f"curriculum wins {wins[ARMS.index('climd')]} of {args.seeds} seeds on macro F1")
     return 0
 
 

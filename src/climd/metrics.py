@@ -39,7 +39,8 @@ def confusion(true_labels, predicted_labels, n_classes: int) -> np.ndarray:
 
 def _counts(cm) -> np.ndarray:
     """``cm`` as an array once it is square, of int or float counts that are
-    finite and >= 0, and not all zero."""
+    finite and >= 0, not all zero, and of a total that float64 holds
+    exactly: past 2**53 an int64 sum can wrap and a float sum can overflow."""
     cm = np.asarray(cm)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
         raise ValidationError(f"confusion matrix must be square, got {cm.shape}")
@@ -47,6 +48,10 @@ def _counts(cm) -> np.ndarray:
         raise ValidationError("confusion matrix entries must be >= 0 and finite")
     if not cm.any():
         raise ValidationError("metrics are undefined on an empty confusion matrix")
+    with np.errstate(over="ignore"):
+        total = cm.sum(dtype=np.float64)
+    if not total <= 2.0**53:
+        raise ValidationError(f"confusion matrix total {total} is above 2**53")
     return cm
 
 

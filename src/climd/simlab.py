@@ -19,7 +19,7 @@ place and subtracts it from ``flat``. ``train`` takes its schedule as any
 iterable of per-epoch row arrays, drawn one epoch at a time, and returns
 the trained model; per batch it gathers the rows once from the dataset's
 ``x`` and applies that one update, starting from a required init model:
-``run_seed`` builds one, and the warm-up and both arms start from it.
+``run_seed`` builds one, and the warm-up and each of ``ARMS`` start from it.
 After the warm-up, ``score_traces`` traces and scores the train split
 ``TRACE_CHUNK`` rows at a time. The auxiliary heads run as one batched
 matmul and share one softmax with the fused head. The arithmetic
@@ -452,26 +452,9 @@ def score_traces(model: FusionModel, dataset: SyntheticDataset) -> DifficultyTab
 # experiment harness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ArmResult:
-    seed: int
-    arm: str
-    accuracy: float
-    weighted_f1: float
-    macro_f1: float
-    visits: int
-
-
-@dataclass
-class ExperimentReport:
-    rows: list[ArmResult]
-    seeds: list[int]
-    wins: int  # seeds where the curriculum arm's macro F1 beats the baseline's
-    baseline_wins: int  # and where the baseline's beats the curriculum arm's
-
-    def mean(self, arm: str, metric: str) -> float:
-        return float(np.mean([getattr(r, metric) for r in self.rows if r.arm == arm]))
-
+# The arms every seed trains: the curriculum, and the random baseline with
+# its visit budget. Their order is that of the arm axis of every result.
+ARMS = ("climd", "baseline")
 
 # The share of the minority class that each class holds out for testing.
 TEST_FRACTION = 0.4
@@ -521,10 +504,12 @@ def _train_subset_view(dataset: SyntheticDataset, train_idx: np.ndarray) -> Synt
                    labels=dataset.labels[train_idx], x=dataset.x[train_idx])
 
 
-def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmResult]:
+def run_seed(spec: SyntheticSpec, config: TrainConfig,
+             offset: int) -> tuple[np.ndarray, np.ndarray]:
     """One full comparison at seed offset ``offset``: generate, warm up,
-    score, schedule, then train the curriculum arm and the budget-matched
-    random baseline. The warm-up and both arms start from one init model."""
+    score, schedule, then train and evaluate each of ``ARMS``, all from the
+    warm-up's one init model. Returns the arms' (A, 3) test scores and
+    (A,) visits, each counted from the arm's own epochs."""
     dspec = replace(spec, seed=spec.seed + offset)
     cfg = replace(config, seed=config.seed + offset)
     dataset = generate_dataset(dspec)
@@ -545,28 +530,26 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig, offset: int) -> list[ArmR
     dist = ClassDistribution.from_labels(trainset.labels, cfg.gamma)
 
     schedule = build_schedule(table, dist, cfg.epochs)
-    climd_model = train(trainset, map(schedule.epoch, range(1, cfg.epochs + 1)), cfg, init,
-                        arm="climd")
     budget = int(schedule.counts.sum())
+    baseline = truncate_schedule(
+        random_baseline_schedule(n_train, math.ceil(budget / n_train), cfg.seed), budget)
+    arms = {"climd": (map(schedule.epoch, range(1, cfg.epochs + 1)), budget),
+            "baseline": (baseline, sum(rows.size for rows in baseline))}
 
-    base_epochs = math.ceil(budget / n_train)
-    baseline = truncate_schedule(random_baseline_schedule(n_train, base_epochs, cfg.seed),
-                                 budget)
-    base_model = train(trainset, baseline, cfg, init, arm="baseline")
-
-    results = []
-    for arm, model, visits in (("climd", climd_model, budget),
-                               ("baseline", base_model, sum(rows.size for rows in baseline))):
-        acc, wf1, mf1 = evaluate(model, test_x, test_y)
-        results.append(ArmResult(seed=offset, arm=arm, accuracy=acc,
-                                 weighted_f1=wf1, macro_f1=mf1, visits=visits))
-    assert results[0].visits == results[1].visits
-    return results
+    scores = np.empty((len(ARMS), 3))
+    visits = np.empty(len(ARMS), dtype=np.int64)
+    for a, arm in enumerate(ARMS):
+        epochs, visits[a] = arms[arm]
+        scores[a] = evaluate(train(trainset, epochs, cfg, init, arm=arm), test_x, test_y)
+    assert (visits == budget).all()
+    return scores, visits
 
 
 def run_experiment(spec: SyntheticSpec, config: TrainConfig, n_seeds: int,
-                   max_workers: int = 1) -> ExperimentReport:
-    """Curriculum vs budget-matched random baseline over ``n_seeds`` seeds.
+                   max_workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``ARMS`` over ``n_seeds`` seeds: the (S, A, 3) float64 test
+    scores (accuracy, weighted F1, macro F1) and the (S, A) int64 visits,
+    indexed by seed offset, then arm in ``ARMS`` order.
 
     Seeds fan out to ``max_workers`` processes, capped at one per seed and
     per CPU this process may use, since a pool starts all of its workers
@@ -587,8 +570,17 @@ def run_experiment(spec: SyntheticSpec, config: TrainConfig, n_seeds: int,
             per_seed = list(pool.map(run_seed, *jobs))
     else:
         per_seed = list(map(run_seed, *jobs))
+    scores, visits = zip(*per_seed)
+    return np.stack(scores), np.stack(visits)
 
-    return ExperimentReport(rows=[r for pair in per_seed for r in pair],
-                            seeds=list(range(n_seeds)),
-                            wins=sum(c.macro_f1 > b.macro_f1 for c, b in per_seed),
-                            baseline_wins=sum(b.macro_f1 > c.macro_f1 for c, b in per_seed))
+
+def summarize(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (A, 3) mean over the seeds of (S, A, 3) scores, and the (A,)
+    count of seeds where an arm's macro F1 beats every other arm's. A mean
+    sums its seeds pairwise, as the mean of a list does; an axis-0 mean adds
+    them one after another, which can differ in the last bit from 8 seeds on."""
+    means = np.ascontiguousarray(scores.transpose(1, 2, 0)).mean(axis=-1)
+    macro = scores[:, :, 2]
+    best = macro == macro.max(axis=1, keepdims=True)
+    wins = (best & (best.sum(axis=1, keepdims=True) == 1)).sum(axis=0)
+    return means, wins

@@ -22,11 +22,13 @@ from climd.measurer import ModalityOutput, SampleTrace
 from climd.metrics import confusion, accuracy, macro_f1, weighted_f1
 from climd.scheduler import build_queues, build_schedule
 from climd.simlab import (
+    ARMS,
     FusionModel,
     SyntheticSpec,
     TrainConfig,
     loss_and_grads,
     run_experiment,
+    summarize,
 )
 
 
@@ -225,13 +227,13 @@ def test_criterion_6_curriculum_beats_random_baseline():
                              imbalance_exponent=1.5, seed=0)
         config = TrainConfig(learning_rate=0.01, epochs=20, warmup_epochs=3,
                              batch_size=32, hidden=16, seed=0)
-        report = run_experiment(spec, config, n_seeds=10)
-        climd_mean = report.mean("climd", "macro_f1")
-        baseline_mean = report.mean("baseline", "macro_f1")
-        print(f"  macro F1: curriculum {climd_mean:.4f} vs "
-              f"baseline {baseline_mean:.4f}; wins {report.wins}/10")
-        assert climd_mean > baseline_mean
-        assert report.wins >= 7
+        scores, _ = run_experiment(spec, config, n_seeds=10)
+        means, wins = summarize(scores)
+        climd, baseline = ARMS.index("climd"), ARMS.index("baseline")
+        print(f"  macro F1: curriculum {means[climd, 2]:.4f} vs "
+              f"baseline {means[baseline, 2]:.4f}; wins {wins[climd]}/10")
+        assert means[climd, 2] > means[baseline, 2]
+        assert wins[climd] >= 7
 
 
 def test_criterion_7_rerun_determinism(tmp_path):

@@ -208,7 +208,10 @@ class TestArrayCounts:
         ([[1, 2, 3]], r"must be square, got \(1, 3\)"),
         ([1, 2], r"must be square, got \(2,\)"),
         ([[0.0, 0.0], [0.0, 0.0]], "undefined on an empty confusion matrix"),
-    ], ids=["nan", "inf", "-inf", "negative", "bool", "1x3", "1-d", "zero"])
+        (np.array([[2**62, 2**62], [0, 2**62]]), r"total 1\.38\d*e\+19 is above 2\*\*53"),
+        ([[1e308, 1e308], [0.0, 1e308]], r"total inf is above 2\*\*53"),
+    ], ids=["nan", "inf", "-inf", "negative", "bool", "1x3", "1-d", "zero", "int64-wrap",
+            "float-overflow"])
     def test_bad_matrices_are_rejected(self, cm, message):
         for metric in (accuracy, per_class_f1, macro_f1, weighted_f1):
             with pytest.raises(ValidationError, match=message):

@@ -20,8 +20,8 @@ from climd.errors import ValidationError
 from climd.measurer import score_dataset
 from climd.scheduler import random_baseline_schedule
 from climd.simlab import (
+    ARMS,
     TEST_FRACTION,
-    ArmResult,
     FusionModel,
     SyntheticSpec,
     TrainConfig,
@@ -35,6 +35,7 @@ from climd.simlab import (
     run_seed,
     score_traces,
     split_balanced_test,
+    summarize,
     train,
     uniform_warmup_schedule,
 )
@@ -480,11 +481,16 @@ class TestScoreTraces:
         spec = SyntheticSpec(n_classes=3, dims=(4, 1), n_samples=300, seed=2)
         config = TrainConfig(epochs=4, warmup_epochs=1, hidden=5, batch_size=16)
         seen = {"blocks": 0}
+        arms = []
         real_train, real_collect, real_build = train, collect_traces, simlab.build_schedule
 
-        def spy_train(dataset, epochs, config, init_model, arm="train"):
-            model = real_train(dataset, epochs, config, init_model, arm)
-            seen.setdefault(arm, (dataset, model))
+        # The bench labels a train span by its ``arm`` keyword, so run_seed
+        # must pass it by keyword.
+        def spy_train(*args, **kwargs):
+            assert len(args) == 4 and list(kwargs) == ["arm"], (len(args), kwargs)
+            arms.append(kwargs["arm"])
+            model = real_train(*args, **kwargs)
+            seen.setdefault(kwargs["arm"], (args[0], model))
             return model
 
         def spy_collect(model, dataset):
@@ -499,6 +505,7 @@ class TestScoreTraces:
         monkeypatch.setattr(simlab, "collect_traces", spy_collect)
         monkeypatch.setattr(simlab, "build_schedule", spy_build)
         run_seed(spec, config, 0)
+        assert arms == ["warmup", "climd", "baseline"]
         trainset, warm_model = seen["warmup"]
         assert seen["blocks"] == math.ceil(trainset.n_samples / 64) > 1
         assert_tables_equal(seen["table"], score_dataset(collect_traces(warm_model, trainset)))
@@ -589,16 +596,18 @@ class TestExperiment:
 
     def test_budget_parity_and_visit_arithmetic(self):
         spec, config, _ = self.tiny()
-        results = run_seed(spec, config, 0)
-        by_arm = {r.arm: r for r in results}
-        assert by_arm["climd"].visits == by_arm["baseline"].visits
+        scores, visits = run_seed(spec, config, 0)
+        assert scores.shape == (len(ARMS), 3) and scores.dtype == np.float64
+        assert visits.shape == (len(ARMS),) and visits.dtype == np.int64
+        by_arm = dict(zip(ARMS, visits.tolist()))
+        assert by_arm["climd"] == by_arm["baseline"]
         # the curriculum budget is the sum of the per-epoch subset sizes
         dataset = generate_dataset(replace(spec, seed=spec.seed))
         train_idx, _ = split_balanced_test(dataset, TEST_FRACTION, config.seed)
         n = len(train_idx)
         t = config.epochs
         expected = sum(math.floor(e * n / t + 0.5) for e in range(1, t + 1))
-        assert by_arm["climd"].visits == expected
+        assert by_arm["climd"] == expected
 
     def test_no_seeds_rejected(self):
         spec, config, _ = self.tiny()
@@ -609,14 +618,13 @@ class TestExperiment:
         spec, config, n = self.tiny()
         a = run_experiment(spec, config, n)
         b = run_experiment(spec, config, n)
-        assert a.rows == b.rows
-        assert a.wins == b.wins
+        assert all(map(np.array_equal, a, b))
 
     def test_parallel_matches_serial(self):
         spec, config, n = self.tiny()
         serial = run_experiment(spec, config, n, max_workers=1)
         parallel = run_experiment(spec, config, n, max_workers=2)
-        assert serial.rows == parallel.rows
+        assert all(map(np.array_equal, serial, parallel))
 
     # A fake pool records its size and maps in this process, so no real
     # pool starts, whatever size the case asks for.
@@ -653,14 +661,24 @@ class TestExperiment:
 
     def test_report_shape(self):
         spec, config, n = self.tiny()
-        report = run_experiment(spec, config, n)
-        assert len(report.rows) == 2 * n
-        assert {r.arm for r in report.rows} == {"climd", "baseline"}
-        assert 0 <= report.wins <= n
-        assert 0 <= report.baseline_wins <= n - report.wins
-        for r in report.rows:
-            for value in (r.accuracy, r.weighted_f1, r.macro_f1):
-                assert 0.0 <= value <= 1.0
+        scores, visits = run_experiment(spec, config, n)
+        assert scores.shape == (n, len(ARMS), 3) and scores.dtype == np.float64
+        assert visits.shape == (n, len(ARMS)) and visits.dtype == np.int64
+        assert ((0.0 <= scores) & (scores <= 1.0)).all()
+        means, wins = summarize(scores)
+        assert means.shape == (len(ARMS), 3)
+        assert wins.shape == (len(ARMS),) and 0 <= wins.sum() <= n
+
+    def test_summary_means_sum_pairwise_and_ties_win_for_no_arm(self):
+        scores = np.random.default_rng(3).random((30, 3, 3))
+        scores[:4, :, 2] = [[0.5, 0.5, 0.1], [0.2, 0.5, 0.5], [0.5, 0.5, 0.5], [0.1, 0.2, 0.3]]
+        scores[4:, 1, 2] = scores[4:, 0, 2]
+        means, wins = summarize(scores)
+        assert [[np.mean(scores[:, a, k].tolist()) for k in range(3)]
+                for a in range(3)] == means.tolist()
+        expected = [sum(mf1[a] > max(np.delete(mf1, a)) for mf1 in scores[:, :, 2].tolist())
+                    for a in range(3)]
+        assert wins.tolist() == expected and expected[1] == 0
 
     def test_curriculum_arm_computes_the_ramp_once(self, monkeypatch):
         # The ramp apportions each epoch but the full-data last one. The
@@ -690,33 +708,42 @@ class TestExperiment:
         assert calls == list(range(1, 21))
 
     # The lab's numbers on the tiny setup, pinned so that a refactor that
-    # changes any draw, step or metric shows here and not only in reruns.
-    PINNED = [
-        ArmResult(0, "climd", 0.7555555555555555, 0.7486277163696518,
-                  0.7486277163696519, 684),
-        ArmResult(0, "baseline", 0.6888888888888889, 0.6505531505531505,
-                  0.6505531505531505, 684),
-        ArmResult(1, "climd", 0.7333333333333333, 0.695230217810863,
-                  0.695230217810863, 684),
-        ArmResult(1, "baseline", 0.7333333333333333, 0.695230217810863,
-                  0.695230217810863, 684),
-    ]
+    # changes any draw, step or metric shows here and not only in reruns:
+    # the (seed, arm) scores and visits that run_experiment returns.
+    PINNED_SCORES = np.array([
+        [[0.7555555555555555, 0.7486277163696518, 0.7486277163696519],
+         [0.6888888888888889, 0.6505531505531505, 0.6505531505531505]],
+        [[0.7333333333333333, 0.695230217810863, 0.695230217810863],
+         [0.7333333333333333, 0.695230217810863, 0.695230217810863]],
+    ])
+    PINNED_VISITS = np.array([[684, 684], [684, 684]])
 
     def test_pinned_rows(self):
         spec, config, n = self.tiny()
-        report = run_experiment(spec, config, n)
-        assert report.rows == self.PINNED
+        scores, visits = run_experiment(spec, config, n)
+        assert scores.tolist() == self.PINNED_SCORES.tolist()
+        assert visits.tolist() == self.PINNED_VISITS.tolist()
 
-    # tiny()'s setup and a two-seed criterion-6 setup as simulate flags.
-    RUNS = {"tiny": ["--classes", "3", "--dims", "4,4", "--n", "240", "--imbalance", "1.2",
-                     "--base-seed", "11", "--lr", "0.05", "--epochs", "6", "--warmup", "1",
-                     "--batch", "16", "--hidden", "8", "--seeds", "2"],
-            "criterion-6": ["--seeds", "2", "--epochs", "20", "--warmup", "3", "--lr", "0.01"]}
+    # tiny()'s setup at 2 and 10 seeds and a two-seed criterion-6 setup as
+    # simulate flags.
+    TINY = ["--classes", "3", "--dims", "4,4", "--n", "240", "--imbalance", "1.2",
+            "--base-seed", "11", "--lr", "0.05", "--epochs", "6", "--warmup", "1",
+            "--batch", "16", "--hidden", "8"]
+    RUNS = {"tiny": [*TINY, "--seeds", "2"],
+            "criterion-6": ["--seeds", "2", "--epochs", "20", "--warmup", "3", "--lr", "0.01"],
+            "tiny-10": [*TINY, "--seeds", "10"]}
+    # The 10-seed summary: a mean over 8 or more seeds can differ in its last
+    # bits when the seeds are added one after another instead of pairwise.
+    PINNED_SUMMARY = (
+        "arm,mean_accuracy,mean_weighted_f1,mean_macro_f1,macro_f1_wins\n"
+        "climd,0.7666666666666668,0.7547621094983905,0.7547621094983905,7\n"
+        "baseline,0.7333333333333333,0.7169462470471343,0.7169462470471343,2\n")
 
     def test_other_blas_kernels_give_the_same_reports(self, tmp_path):
-        """The pinned rows hold and both reports are byte-identical when a
-        child process runs OpenBLAS's Haswell or Prescott kernel instead of
-        this process's. OPENBLAS_CORETYPE acts on the child alone."""
+        """The pinned rows and 10-seed summary hold, and every report and
+        summary is byte-identical when a child process runs OpenBLAS's
+        Haswell or Prescott kernel instead of this process's.
+        OPENBLAS_CORETYPE acts on the child alone."""
         if np.lib.NumpyVersion(np.__version__) < "1.26.0":
             pytest.skip("numpy < 1.26 has no show_config(mode='dicts') to name its BLAS")
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -730,10 +757,12 @@ class TestExperiment:
 
         for argv in argvs(tmp_path / "here"):
             assert main(argv) == 0
-        rows = [line.split(",") for line in
-                (tmp_path / "here" / "tiny" / "report.csv").read_text().splitlines()[1:]]
-        assert [ArmResult(int(s), arm, float(a), float(w), float(m), int(v))
-                for s, arm, a, w, m, v in rows] == self.PINNED
+        rows = np.array([line.split(",") for line in
+                         (tmp_path / "here" / "tiny" / "report.csv").read_text().splitlines()[1:]])
+        assert rows[:, :2].tolist() == [[str(s), arm] for s in (0, 1) for arm in ARMS]
+        assert rows[:, 2:5].astype(float).tolist() == self.PINNED_SCORES.reshape(-1, 3).tolist()
+        assert rows[:, 5].astype(int).tolist() == self.PINNED_VISITS.reshape(-1).tolist()
+        assert (tmp_path / "here" / "tiny-10" / "summary.csv").read_text() == self.PINNED_SUMMARY
         path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
         for core in ("Haswell", "Prescott"):
             env = dict(os.environ, OPENBLAS_CORETYPE=core,
@@ -745,8 +774,9 @@ class TestExperiment:
                                   env=env, capture_output=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             for name in self.RUNS:
-                assert ((tmp_path / core / name / "report.csv").read_bytes()
-                        == (tmp_path / "here" / name / "report.csv").read_bytes()), (core, name)
+                for csv in ("report.csv", "summary.csv"):
+                    assert ((tmp_path / core / name / csv).read_bytes()
+                            == (tmp_path / "here" / name / csv).read_bytes()), (core, name, csv)
 
 
 class TestEvaluate:
