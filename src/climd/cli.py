@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -44,11 +45,15 @@ def _write_manifest(out: Path, command: str, config: dict, inputs: dict,
     ff.write_manifest(out / "manifest.json", manifest)
 
 
-def _schedule_digest(order: str, dist: ClassDistribution, epochs: int) -> str:
-    """The manifest's digest of the settings a curriculum schedule is built from."""
-    return ff.config_digest({"kind": "curriculum", "difficulty_order": order,
-                             "gamma": dist.gamma, "alpha_hat": dist.alpha_hat,
-                             "total_epochs": epochs})
+def _digested(config: dict) -> dict:
+    """``config`` with a ``config_digest`` of its other entries."""
+    return {**config, "config_digest": ff.config_digest(config)}
+
+
+def _schedule_config(args, dist: ClassDistribution) -> dict:
+    """The manifest config of a schedule built with ``args`` from ``dist``."""
+    return _digested({"epochs": args.epochs, "order": args.order,
+                      "gamma": dist.gamma, "alpha_hat": dist.alpha_hat})
 
 
 def cmd_fit(args) -> int:
@@ -113,10 +118,7 @@ def cmd_schedule(args) -> int:
     out = _outdir(args)
     ff.write_schedule(out / "schedule.csv", schedule, table.ids)
     ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule.counts)
-    _write_manifest(out, "schedule",
-                    {"epochs": args.epochs, "order": args.order,
-                     "gamma": dist.gamma, "alpha_hat": dist.alpha_hat,
-                     "config_digest": _schedule_digest(args.order, dist, args.epochs)},
+    _write_manifest(out, "schedule", _schedule_config(args, dist),
                     {"difficulty": args.difficulty, "distribution": args.distribution},
                     [])
     print(ff.format_epoch_rank_table(schedule.counts))
@@ -168,25 +170,9 @@ def _max_workers() -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = SyntheticSpec(
-        n_classes=args.classes,
-        dims=_parse_dims(args.dims),
-        n_samples=args.n,
-        imbalance_exponent=args.imbalance,
-        class_separation=args.separation,
-        noise_scale=args.noise,
-        redundancy=args.redundancy,
-        seed=args.base_seed,
-    )
-    config = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        warmup_epochs=args.warmup,
-        batch_size=args.batch,
-        hidden=args.hidden,
-        gamma=args.gamma,
-        seed=args.base_seed,
-    )
+    given = vars(args)
+    spec, config = (cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
+                    for cls in (SyntheticSpec, TrainConfig))
     scores, visits = run_experiment(spec, config, args.seeds, max_workers=_max_workers())
     means, wins = summarize(scores)
 
@@ -201,10 +187,8 @@ def cmd_simulate(args) -> int:
         *(f"{arm},{acc!r},{wf1!r},{mf1!r},{w}"
           for arm, (acc, wf1, mf1), w in zip(ARMS, means.tolist(), wins.tolist()))])
 
-    settings = {"spec": vars(spec), "config": vars(config), "n_seeds": args.seeds}
     _write_manifest(out, "simulate",
-                    {"spec": settings["spec"], "train": settings["config"],
-                     "n_seeds": args.seeds, "config_digest": ff.config_digest(settings)},
+                    _digested({"spec": vars(spec), "train": vars(config), "n_seeds": args.seeds}),
                     {}, list(range(args.seeds)))
 
     for arm, (acc, wf1, mf1) in zip(ARMS, means.tolist()):
@@ -224,9 +208,7 @@ def cmd_pipeline(args) -> int:
     ff.write_distribution(out / "distribution.csv", dist)
     ff.write_schedule(out / "schedule.csv", schedule, table.ids)
     ff.write_epoch_rank_table(out / "epoch_rank_counts.csv", schedule.counts)
-    _write_manifest(out, "pipeline",
-                    {"epochs": args.epochs, "gamma": args.gamma, "order": args.order,
-                     "config_digest": _schedule_digest(args.order, dist, args.epochs)},
+    _write_manifest(out, "pipeline", _schedule_config(args, dist),
                     {"traces": args.traces}, [])
     print(f"pipeline complete: {len(table)} samples, {dist.n_classes} classes, "
           f"{args.epochs} epochs -> {out}")
@@ -269,23 +251,26 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("simulate", help="end-to-end synthetic comparison")
-    p.add_argument("--classes", type=int, default=SyntheticSpec.n_classes)
-    p.add_argument("--dims", default=",".join(map(str, SyntheticSpec.dims)),
+    # Each flag fills the SyntheticSpec or TrainConfig field named by its
+    # dest, which holds the default; --base-seed fills both seeds.
+    p = sub.add_parser("simulate", help="end-to-end synthetic comparison",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--classes", type=int, dest="n_classes")
+    p.add_argument("--dims", type=_parse_dims,
                    help="one input dim per modality, comma-separated")
-    p.add_argument("--n", type=int, default=SyntheticSpec.n_samples)
-    p.add_argument("--imbalance", type=float, default=SyntheticSpec.imbalance_exponent)
-    p.add_argument("--redundancy", type=float, default=SyntheticSpec.redundancy)
-    p.add_argument("--separation", type=float, default=SyntheticSpec.class_separation)
-    p.add_argument("--noise", type=float, default=SyntheticSpec.noise_scale)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--warmup", type=int, default=TrainConfig.warmup_epochs)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    p.add_argument("--n", type=int, dest="n_samples")
+    p.add_argument("--imbalance", type=float, dest="imbalance_exponent")
+    p.add_argument("--redundancy", type=float)
+    p.add_argument("--separation", type=float, dest="class_separation")
+    p.add_argument("--noise", type=float, dest="noise_scale")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--warmup", type=int, dest="warmup_epochs")
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--batch", type=int, dest="batch_size")
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--gamma", type=float)
     p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--base-seed", type=int, default=0)
+    p.add_argument("--base-seed", type=int, dest="seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

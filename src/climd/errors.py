@@ -1,11 +1,12 @@
-"""The package's error type, the check of a configured number, and the
-guard of an allocation sized by input.
+"""The package's error type, the checks of a configured number and
+integer, and the guard of an allocation sized by input.
 
 The CLI maps errors onto its exit-code contract: 0 success, 1 invalid
 input (a :class:`ValidationError`), 3 I/O error (an ``OSError``).
 """
 
 import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -32,6 +33,13 @@ def check_number(name: str, value: float, low: float, strict: bool = False):
     if not math.isfinite(value) or value < low or (strict and value == low):
         bound = f"> {low:g}" if strict else f">= {low:g}"
         raise ValidationError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def check_int(name: str, *values):
+    """Reject each of ``values`` that is not an integer (a bool is not), naming the field."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @contextmanager

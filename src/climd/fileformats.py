@@ -31,8 +31,7 @@ whole trace arrays at once.
   mean_macro_f1,macro_f1_wins`` (``summary.csv``);
 * run manifest: a single JSON document with the resolved config, input
   digests, seeds, version and timestamp. A ``config_digest`` in the
-  config is :func:`config_digest` of the settings that determine the
-  results.
+  config is :func:`config_digest` of the config's other entries.
 
 Floats are written with ``repr`` so they round-trip exactly and reruns
 are byte-identical.

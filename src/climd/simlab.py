@@ -44,7 +44,7 @@ import numpy as np
 
 from . import fileformats as ff
 from .distribution import DEFAULT_GAMMA, ClassDistribution, rank_weights, subset_size
-from .errors import ValidationError, check_number, room_for
+from .errors import ValidationError, check_int, check_number, room_for
 from .measurer import DifficultyTable, TraceBatch, join_tables, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import (
@@ -83,6 +83,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_classes", "n_samples", "seed"):
+            check_int(name, getattr(self, name))
+        check_int("dims", *self.dims)
         check_number("seed", self.seed, 0)
         if self.n_classes < 2:
             raise ValidationError(f"need >= 2 classes, got {self.n_classes}")
@@ -112,6 +115,13 @@ class SyntheticDataset:
     @property
     def n_samples(self) -> int:
         return len(self.sample_ids)
+
+    def take(self, rows) -> "SyntheticDataset":
+        """The samples at ``rows``, a slice (whose arrays are views) or an
+        index array."""
+        ids = (self.sample_ids[rows] if isinstance(rows, slice)
+               else [self.sample_ids[i] for i in rows])
+        return replace(self, sample_ids=ids, labels=self.labels[rows], x=self.x[rows])
 
 
 def _columns(dims) -> list[slice]:
@@ -343,6 +353,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "hidden", "seed"):
+            check_int(name, getattr(self, name))
+        if self.warmup_epochs is not None:
+            check_int("warmup_epochs", self.warmup_epochs)
         check_number("seed", self.seed, 0)
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
@@ -441,9 +455,7 @@ def score_traces(model: FusionModel, dataset: SyntheticDataset) -> DifficultyTab
     size = ff.TRACE_CHUNK
     tables = []
     for lo in range(0, dataset.n_samples, size):
-        rows = slice(lo, lo + size)
-        block = replace(dataset, sample_ids=dataset.sample_ids[rows],
-                        labels=dataset.labels[rows], x=dataset.x[rows])
+        block = dataset.take(slice(lo, lo + size))
         tables.append(score_dataset(collect_traces(model, block)))
     return join_tables(tables)
 
@@ -499,11 +511,6 @@ def uniform_warmup_schedule(labels, n_epochs: int, epoch_size: int,
             for _ in range(n_epochs))
 
 
-def _train_subset_view(dataset: SyntheticDataset, train_idx: np.ndarray) -> SyntheticDataset:
-    return replace(dataset, sample_ids=[dataset.sample_ids[i] for i in train_idx],
-                   labels=dataset.labels[train_idx], x=dataset.x[train_idx])
-
-
 def run_seed(spec: SyntheticSpec, config: TrainConfig,
              offset: int) -> tuple[np.ndarray, np.ndarray]:
     """One full comparison at seed offset ``offset``: generate, warm up,
@@ -514,9 +521,8 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig,
     cfg = replace(config, seed=config.seed + offset)
     dataset = generate_dataset(dspec)
     train_idx, test_idx = split_balanced_test(dataset, TEST_FRACTION, cfg.seed)
-    trainset = _train_subset_view(dataset, train_idx)
-    test_x = dataset.x[test_idx]
-    test_y = dataset.labels[test_idx]
+    trainset = dataset.take(train_idx)
+    test = dataset.take(test_idx)
     n_train = trainset.n_samples
     init = FusionModel.init(dspec.dims, cfg.hidden, dspec.n_classes,
                             _stream(cfg.seed, "init"))
@@ -540,7 +546,7 @@ def run_seed(spec: SyntheticSpec, config: TrainConfig,
     visits = np.empty(len(ARMS), dtype=np.int64)
     for a, arm in enumerate(ARMS):
         epochs, visits[a] = arms[arm]
-        scores[a] = evaluate(train(trainset, epochs, cfg, init, arm=arm), test_x, test_y)
+        scores[a] = evaluate(train(trainset, epochs, cfg, init, arm=arm), test.x, test.labels)
     assert (visits == budget).all()
     return scores, visits
 

@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +13,12 @@ import pytest
 
 from climd import fileformats as ff
 from climd import measurer
-from climd.cli import main
+from climd.cli import build_parser, main
 from climd.distribution import ClassDistribution
 from climd.measurer import DifficultyTable, TraceBatch, score_dataset
 from climd.scheduler import build_schedule
-from climd.simlab import FusionModel, SyntheticSpec, collect_traces, generate_dataset
+from climd.simlab import (FusionModel, SyntheticSpec, TrainConfig, collect_traces,
+                          generate_dataset)
 
 ALPHA_100_50_10 = 5.889555519686648
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -748,9 +751,43 @@ def canonical_sha256(payload):
                                      separators=(",", ":")).encode()).hexdigest()
 
 
+class TestSimulateFlags:
+    """Each simulate flag fills the lab field named by its dest, whose
+    default lives only in the dataclass."""
+
+    def test_each_field_has_exactly_one_flag(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = [a.dest for a in subparsers.choices["simulate"]._actions]
+        names = {f.name for cls in (SyntheticSpec, TrainConfig) for f in fields(cls)}
+        assert {name: dests.count(name) for name in names} == dict.fromkeys(names, 1)
+
+    def test_no_lab_flags_record_the_dataclass_defaults(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["simulate", "--seeds", "1", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        expected = json.loads(json.dumps({"spec": vars(SyntheticSpec()),
+                                          "train": vars(TrainConfig())}))
+        assert {k: config[k] for k in ("spec", "train")} == expected
+
+    def test_base_seed_sets_both_seeds(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["simulate", "--seeds", "1", "--n", "200", "--epochs", "2",
+                     "--base-seed", "7", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["spec"]["seed"], config["train"]["seed"]) == (7, 7)
+
+
 class TestConfigDigest:
     """Each manifest's config_digest is the SHA-256 of the canonical JSON
-    (sorted keys, no spaces) of the settings the README documents."""
+    (sorted keys, no spaces) of the other entries of the config it sits in."""
+
+    @staticmethod
+    def config(out):
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        digest = config.pop("config_digest")
+        assert digest == canonical_sha256(config)
+        return config, digest
 
     def test_schedule_and_pipeline(self, tmp_path):
         traces = tmp_path / "traces.jsonl"
@@ -764,12 +801,8 @@ class TestConfigDigest:
             assert main(["schedule", "--difficulty", str(run / "difficulty.csv"),
                          "--distribution", str(run / "distribution.csv"),
                          "--epochs", "5", "--order", order, "--out", str(sched)]) == 0
-            expected = canonical_sha256({"kind": "curriculum", "difficulty_order": order,
-                                         "gamma": 0.4, "alpha_hat": alpha_hat,
-                                         "total_epochs": 5})
-            for out in (run, sched):
-                manifest = json.loads((out / "manifest.json").read_text())
-                assert manifest["config"]["config_digest"] == expected
+            config = {"epochs": 5, "order": order, "gamma": 0.4, "alpha_hat": alpha_hat}
+            assert self.config(run) == self.config(sched) == (config, canonical_sha256(config))
 
     def test_simulate(self, tmp_path):
         out = tmp_path / "sim"
@@ -779,10 +812,7 @@ class TestConfigDigest:
                 "redundancy": 0.3, "seed": 0}
         train = {"learning_rate": 0.05, "epochs": 6, "warmup_epochs": 1,
                  "batch_size": 16, "hidden": 8, "gamma": 0.3, "seed": 0}
-        config = json.loads((out / "manifest.json").read_text())["config"]
-        assert (config["spec"], config["train"], config["n_seeds"]) == (spec, train, 2)
-        assert config["config_digest"] == canonical_sha256(
-            {"spec": spec, "config": train, "n_seeds": 2})
+        assert self.config(out)[0] == {"spec": spec, "train": train, "n_seeds": 2}
 
 
 class TestExitCodes:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -195,6 +196,20 @@ class TestGenerateDataset:
     def test_bad_spec_rejected(self, field, value, message):
         with pytest.raises(ValidationError, match=message):
             replace(SMALL_SPEC, **{field: value})
+
+
+    def test_take_slices_as_views_and_gathers_index_arrays(self):
+        dataset = generate_dataset(SMALL_SPEC)
+        block = dataset.take(slice(10, 20))
+        assert block.sample_ids == dataset.sample_ids[10:20]
+        assert np.shares_memory(block.x, dataset.x)
+        assert np.shares_memory(block.labels, dataset.labels)
+        rows = np.array([7, 0, 5])
+        picked = dataset.take(rows)
+        assert picked.sample_ids == [dataset.sample_ids[i] for i in rows]
+        assert np.array_equal(picked.x, dataset.x[rows])
+        assert np.array_equal(picked.labels, dataset.labels[rows])
+        assert picked.spec == dataset.spec
 
 
 class TestForward:
@@ -565,6 +580,43 @@ class TestTrainConfig:
     ])
     def test_warmup_defaults_to_a_tenth_of_the_epochs(self, epochs, warmup, resolved):
         assert TrainConfig(epochs=epochs, warmup_epochs=warmup).resolved_warmup == resolved
+
+
+class TestIntegerFields:
+    """Each integer field of the lab's dataclasses refuses a float, a bool or
+    a str, naming the field, and takes a numpy integer."""
+
+    FIELDS = [*((SyntheticSpec, name) for name in ("n_classes", "n_samples", "seed", "dims")),
+              *((TrainConfig, name) for name in ("epochs", "warmup_epochs", "batch_size",
+                                                 "hidden", "seed"))]
+
+    @staticmethod
+    def make(cls, name, value):
+        # Two classes, so that 3 samples cover them; dims holds one int per modality.
+        if cls is TrainConfig:
+            return cls(**{name: value})
+        return cls(**{"n_classes": 2, name: (value, 8) if name == "dims" else value})
+
+    @pytest.mark.parametrize("cls, name", FIELDS)
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_non_integer_rejected(self, cls, name, value):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            self.make(cls, name, value)
+
+    @pytest.mark.parametrize("cls, name", FIELDS)
+    def test_numpy_integer_accepted(self, cls, name):
+        assert self.make(cls, name, np.int64(3)) == self.make(cls, name, 3)
+
+    def test_str_dims_rejected(self):
+        with pytest.raises(ValidationError, match="^dims must be an integer, got '8'$"):
+            SyntheticSpec(dims="88")
+
+    def test_numpy_integer_spec_generates_the_same_dataset(self):
+        spec = SyntheticSpec(n_classes=np.int64(3), dims=(np.int64(4), np.int64(3)),
+                             n_samples=np.int64(120), imbalance_exponent=1.0,
+                             seed=np.int64(5))
+        assert np.array_equal(generate_dataset(spec).x, generate_dataset(SMALL_SPEC).x)
 
 
 class TestWarmupSchedule:
