@@ -27,12 +27,17 @@ class DomainError(ValidationError):
     """Numeric argument outside a function's mathematical domain."""
 
 
-def check_number(name: str, value: float, low: float, strict: bool = False):
-    """Reject a non-finite ``value`` or one below ``low`` (or equal to it,
-    when ``strict``), naming the field."""
-    if not math.isfinite(value) or value < low or (strict and value == low):
-        bound = f"> {low:g}" if strict else f">= {low:g}"
-        raise ValidationError(f"{name} must be a finite number {bound}, got {value!r}")
+def check_number(name: str, value: float, low: float, strict: bool = False,
+                 high: float | None = None):
+    """Reject a ``value`` that is not a real number (a bool is not), is not
+    finite, or lies below ``low`` (or at it, when ``strict``) or above
+    ``high``, naming the field."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < low or (strict and value == low)
+            or (high is not None and value > high)):
+        bound = (f"in [{low:g}, {high:g}]" if high is not None
+                 else f"a finite number {'>' if strict else '>='} {low:g}")
+        raise ValidationError(f"{name} must be {bound}, got {value!r}")
 
 
 def check_int(name: str, *values):

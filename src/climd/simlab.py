@@ -12,20 +12,26 @@ trained jointly with equal loss weight. All gradients are closed-form.
 Features have one layout, an (n, sum of dims) float64 matrix with the
 modalities side by side; the model slices modality m from its column
 block ``FusionModel.columns[m]``. Every parameter lives in one flat
-float64 buffer, laid out in ``FusionModel.params()`` order, and the named
-weights are views into it: copying a model is one buffer copy, and an SGD
-step scales a gradient buffer of the same layout by the learning rate in
-place and subtracts it from ``flat``. ``train`` takes its schedule as any
-iterable of per-epoch row arrays, drawn one epoch at a time, and returns
-the trained model; per batch it gathers the rows once from the dataset's
-``x`` and applies that one update, starting from a required init model:
-``run_seed`` builds one, and the warm-up and each of ``ARMS`` start from it.
-After the warm-up, ``score_traces`` traces and scores the train split
-``TRACE_CHUNK`` rows at a time. The auxiliary heads run as one batched
-matmul and share one softmax with the fused head. The arithmetic
-(summation axes and order, scale factors) is that of the per-modality
-formulas, so losses and gradients are bitwise those of separate
-per-modality arrays.
+float64 buffer, and the named weights, built once per model, are views
+into it: copying a model is one buffer copy, and an SGD step scales a
+gradient buffer of the same layout by the learning rate in place and
+subtracts it from ``flat``. The biases of all heads sit together in it as
+one block, so ``flat`` is not in ``FusionModel.params()`` order.
+``train`` takes its schedule as any iterable of per-epoch row arrays,
+drawn one epoch at a time, and returns the trained model; per epoch it
+gathers the shuffled rows once from the dataset's ``x``, and per batch it
+takes a view of them and applies one update, starting from a required
+init model: ``run_seed`` builds one, and the warm-up and each of ``ARMS``
+start from it. ``loss_and_grads`` keeps a workspace of buffers and views
+for each of two batch sizes on its gradient model, so a training step
+allocates next to nothing; ``forward_batch``, whose outputs escape,
+allocates a fresh forward pass. After the warm-up, ``score_traces`` traces and scores the
+train split ``TRACE_CHUNK`` rows at a time. The auxiliary heads run as
+one batched matmul and share one softmax with the fused head; its row
+max is taken across a transposed copy, which is exact in any order. The
+arithmetic of every sum (summation axes and order, scale factors) is
+that of the per-modality formulas, so losses and gradients are bitwise
+those of separate per-modality arrays.
 
 Determinism: every random draw comes from a named generator derived from
 (seed, purpose), so runs with the same seeds are bit-identical and
@@ -85,20 +91,24 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("n_classes", "n_samples", "seed"):
             check_int(name, getattr(self, name))
-        check_int("dims", *self.dims)
+        try:
+            check_int("dims", *self.dims)
+            n_modalities = len(self.dims)
+        except TypeError:
+            raise ValidationError(
+                f"dims must be a sequence of integers, got {self.dims!r}") from None
         check_number("seed", self.seed, 0)
         if self.n_classes < 2:
             raise ValidationError(f"need >= 2 classes, got {self.n_classes}")
-        if len(self.dims) < 2:
-            raise ValidationError(f"need >= 2 modalities, got {len(self.dims)}")
+        if n_modalities < 2:
+            raise ValidationError(f"need >= 2 modalities, got {n_modalities}")
         if any(d < 1 for d in self.dims):
             raise ValidationError(f"all modality dims must be >= 1, got {self.dims}")
         if self.n_samples < self.n_classes:
             raise ValidationError(
                 f"n_samples={self.n_samples} cannot cover {self.n_classes} classes"
             )
-        if not 0.0 <= self.redundancy <= 1.0:
-            raise ValidationError(f"redundancy must be in [0, 1], got {self.redundancy}")
+        check_number("redundancy", self.redundancy, 0.0, high=1.0)
         check_number("imbalance_exponent", self.imbalance_exponent, 0.0)
         check_number("class_separation", self.class_separation, 0.0, strict=True)
         check_number("noise_scale", self.noise_scale, 0.0)
@@ -189,13 +199,6 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
 # model
 # ---------------------------------------------------------------------------
 
-def _softmax_inplace(z: np.ndarray) -> np.ndarray:
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
-    return z
-
-
 class FusionModel:
     """Early-fusion classifier with per-modality auxiliary heads.
 
@@ -203,10 +206,14 @@ class FusionModel:
     fused head: softmax(concat(z) @ head_w.T + head_b)
     aux head m: softmax(z_m @ aux_w[m].T + aux_b[m])
 
-    Every parameter lives in the one float64 buffer ``flat``, laid out in
-    ``params()`` order; the named attributes are views into it, with the
-    per-modality blocks stacked: enc_b (M, H), aux_w (M, C, H), aux_b (M, C).
-    enc_w is a list of (H, d_m) views, since the input dims may differ.
+    Every parameter lives in the one float64 buffer ``flat``; the named
+    attributes are views into it, with the per-modality blocks stacked:
+    enc_b (M, H), aux_w (M, C, H), aux_b (M, C). enc_w is a list of (H, d_m)
+    views, since the input dims may differ. ``flat`` holds enc_w, enc_b,
+    head_w, aux_w, then ``biases``, the (M+1, C) block of head_b followed by
+    aux_b, so that one op adds or sums the biases of every head. ``params()``
+    lists the views in its own order. The views, the transposes the passes
+    use and the parameter list are built once, with the model.
     """
 
     def __init__(self, dims, hidden: int, n_classes: int,
@@ -216,13 +223,23 @@ class FusionModel:
         self.n_classes = int(n_classes)
         self.columns = _columns(self.dims)
         m, h, c = len(self.dims), self.hidden, self.n_classes
-        shapes = [(h, d) for d in self.dims] + [(m, h), (c, m * h), (c,), (m, c, h), (m, c)]
+        shapes = [(h, d) for d in self.dims] + [(m, h), (c, m * h), (m, c, h), (m + 1, c)]
         # Python ints: a float64 or int64 cumsum would round or wrap huge sizes.
         ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
         with room_for(f"a model of {ends[-1]} parameters"):
             self.flat = np.zeros(ends[-1]) if flat is None else flat
-        (*self.enc_w, self.enc_b, self.head_w, self.head_b, self.aux_w, self.aux_b) = [
+        (*self.enc_w, self.enc_b, self.head_w, self.aux_w, self.biases) = [
             part.reshape(shape) for part, shape in zip(np.split(self.flat, ends[:-1]), shapes)]
+        self.head_b, self.aux_b = self.biases[0], self.biases[1:]
+        self._params = (*self.enc_w, *self.enc_b, self.head_w, self.head_b,
+                        *self.aux_w, *self.aux_b)
+        self._enc_w_t = [w.T for w in self.enc_w]
+        self._enc_b_row = self.enc_b.reshape(-1)
+        self._head_w_t = self.head_w.T
+        self._aux_w_t = self.aux_w.transpose(0, 2, 1)
+        self._bias_rows = self.biases[:, None, :]
+        # loss_and_grads' workspaces by batch size, when this model holds gradients.
+        self._steps: dict[int, _Step] = {}
 
     @classmethod
     def init(cls, dims, hidden: int, n_classes: int,
@@ -243,36 +260,46 @@ class FusionModel:
     def copy(self) -> "FusionModel":
         return FusionModel(self.dims, self.hidden, self.n_classes, self.flat.copy())
 
-    def params(self) -> list[np.ndarray]:
-        return [*self.enc_w, *self.enc_b, self.head_w, self.head_b,
-                *self.aux_w, *self.aux_b]
+    def params(self) -> tuple[np.ndarray, ...]:
+        return self._params
 
-    def _forward(self, x: np.ndarray):
+    def _forward(self, x: np.ndarray, work: _Forward | None = None):
         """(zcat, probs): the embeddings side by side as (n, M*H), and the
-        fused then the per-modality class probabilities as (M+1, n, C)."""
+        fused then the per-modality class probabilities as (M+1, n, C), in
+        the buffers of ``work``, fresh ones unless given.
+
+        The softmax takes the max of each row from a (C, rows) transposed
+        copy, as one reduction across contiguous rows: a max is exact in
+        any order. Its sum stays a reduction along each row, since the
+        order of a sum shows in its last bits."""
         width = self.columns[-1].stop
         if x.ndim != 2 or x.shape[1] != width:
             raise ValidationError(
                 f"model takes an (n, {width}) matrix of its {self.n_modalities} "
                 f"modalities side by side, got shape {x.shape}"
             )
-        m, h = self.n_modalities, self.hidden
-        n = x.shape[0]
-        zcat = np.empty((n, m * h))
-        for mi, (col, w) in enumerate(zip(self.columns, self.enc_w)):
-            np.matmul(x[:, col], w.T, out=zcat[:, mi * h:(mi + 1) * h])
-        zcat += self.enc_b.reshape(-1)
-        logits = np.empty((m + 1, n, self.n_classes))
-        np.matmul(zcat, self.head_w.T, out=logits[0])
-        logits[0] += self.head_b
-        np.matmul(_per_modality(zcat, m), self.aux_w.transpose(0, 2, 1), out=logits[1:])
-        logits[1:] += self.aux_b[:, None, :]
-        return zcat, _softmax_inplace(logits)
+        if work is None:
+            work = _Forward(self, x.shape[0])
+        for col, w_t, z in zip(self.columns, self._enc_w_t, work.zcols):
+            np.matmul(x[:, col], w_t, out=z)
+        work.zcat += self._enc_b_row
+        np.matmul(work.zcat, self._head_w_t, out=work.fused)
+        np.matmul(work.zm, self._aux_w_t, out=work.aux)
+        work.logits += self._bias_rows
+        rows = work.rows
+        np.copyto(work.by_class, rows.T)
+        np.maximum.reduce(work.by_class, axis=0, out=work.row_stat[:, 0])
+        rows -= work.row_stat
+        np.exp(rows, out=rows)
+        np.add.reduce(rows, axis=-1, keepdims=True, out=work.row_stat)
+        rows /= work.row_stat
+        return work.zcat, work.logits
 
     @np.errstate(over="ignore", invalid="ignore")
     def forward_batch(self, x: np.ndarray):
         """(fused probs, per-modality probs, per-modality embeddings) of the
-        rows of ``x``, the (n, sum of dims) matrix of the modalities."""
+        rows of ``x``, the (n, sum of dims) matrix of the modalities, in
+        buffers of their own."""
         zcat, probs = self._forward(x)
         if not (np.isfinite(probs).all() and np.isfinite(zcat).all()):
             raise ValidationError("model outputs are not finite: training diverged")
@@ -285,50 +312,98 @@ def _per_modality(zcat: np.ndarray, m: int) -> np.ndarray:
     return zcat.reshape(n, m, -1).transpose(1, 0, 2)
 
 
+class _Forward:
+    """The buffers of one forward pass over n rows, and their views."""
+
+    def __init__(self, model: FusionModel, n: int):
+        m, c = model.n_modalities, model.n_classes
+        self.zcat = np.empty((n, m * model.hidden))
+        self.zm = _per_modality(self.zcat, m)
+        self.zcols = list(self.zm)
+        self.logits = np.empty((m + 1, n, c))
+        self.fused, self.aux = self.logits[0], self.logits[1:]
+        self.rows = self.logits.reshape(-1, c)
+        self.by_class = np.empty((c, (m + 1) * n))
+        self.row_stat = np.empty(((m + 1) * n, 1))
+
+
+class _Step(_Forward):
+    """A forward pass's buffers plus those of the loss and gradients of n
+    rows: the workspace of every training step on a batch of that size."""
+
+    def __init__(self, model: FusionModel, n: int):
+        super().__init__(model, n)
+        m, c = model.n_modalities, model.n_classes
+        self.dz = np.empty_like(self.zcat)
+        self.dzm = _per_modality(self.dz, m)
+        self.aux_dz = np.empty_like(self.zm)
+        # Where each head's row starts in the flat logits; plus the labels,
+        # the flat index of its true class.
+        self.row_starts = np.arange(0, (m + 1) * n * c, c).reshape(m + 1, n)
+        self.true = np.empty((m + 1, n), dtype=np.intp)
+        self.picked = np.empty((m + 1, n))
+        self.delta = np.empty((m + 1, n))
+        self.scale = np.array([n] + [n * m] * m, dtype=float).reshape(-1, 1, 1)
+        self.flat_logits = self.logits.reshape(-1)
+        self.fused_t = self.fused.T
+        self.aux_t = self.aux.transpose(0, 2, 1)
+
+
 def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
                    out: FusionModel | None = None):
     """Batch loss and its analytic gradients, ordered like model.params(),
-    of the rows of ``x`` (column block ``model.columns[m]`` is modality m).
+    of the rows of ``x`` (column block ``model.columns[m]`` is modality m)
+    and their class ids ``y``, each in [0, C).
 
     The gradients are the parameters of ``out``, a model of the same shape
     used as a buffer (a fresh one unless given), so they are views of the
-    one flat array ``out.flat``, laid out like ``model.flat``.
+    one flat array ``out.flat``, laid out like ``model.flat``. ``out`` also
+    keeps a workspace of buffers and views for each of its last two batch
+    sizes, so a step on a kept size allocates next to nothing.
     """
     m = model.n_modalities
     h = model.hidden
     n = y.size
-    zcat, probs = model._forward(x)
+    if out is None:
+        out = FusionModel(model.dims, h, model.n_classes)
+    work = out._steps.get(n)
+    if work is None:
+        # An epoch has at most two batch sizes, but its last batch's size
+        # changes from epoch to epoch: keep the largest size and the latest.
+        if len(out._steps) == 2:
+            del out._steps[min(out._steps)]
+        work = out._steps[n] = _Step(out, n)
+    zcat, d = model._forward(x, work)
 
     # Contiguous, so each head's mean is the pairwise sum over its own row.
-    rows = np.arange(n)
-    picked = np.ascontiguousarray(probs[:, rows, y])
-    log_sums = np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=1).tolist()
+    np.add(work.row_starts, y, out=work.true)
+    picked = np.take(work.flat_logits, work.true, out=work.picked)
+    # d[0] becomes the fused head's logit gradient, d[1:] the auxiliary heads'.
+    np.put(work.flat_logits, work.true, np.subtract(picked, 1.0, out=work.delta))
+    np.maximum(picked, 1e-300, out=picked)
+    log_sums = np.add.reduce(np.log(picked, out=picked), axis=1).tolist()
     loss = -(log_sums[0] / n)
     for log_sum in log_sums[1:]:
         loss += -(log_sum / n) / m
 
-    if out is None:
-        out = FusionModel(model.dims, h, model.n_classes)
-    # d[0] is the fused head's logit gradient, d[1:] the auxiliary heads'.
-    d = probs
-    d[:, rows, y] -= 1.0
-    d[0] /= n
-    d[1:] /= n * m
-    np.matmul(d[0].T, zcat, out=out.head_w)
-    np.add.reduce(d[0], axis=0, out=out.head_b)
-    dz = d[0] @ model.head_w  # (n, M*H)
-    dzm = _per_modality(dz, m)
-    dzm += d[1:] @ model.aux_w
-    zm = _per_modality(zcat, m)
+    d /= work.scale
+    np.matmul(work.fused_t, zcat, out=out.head_w)
+    np.add.reduce(d, axis=1, out=out.biases)
+    np.matmul(work.fused, model.head_w, out=work.dz)
+    np.matmul(work.aux, model.aux_w, out=work.aux_dz)
+    work.dzm += work.aux_dz
+    zm, dzm = work.zm, work.dzm
     # A one-wide operand makes matmul a gemv and a column sum a pairwise
     # one, and those add up a strided operand in another order than a
     # contiguous one. Contiguous copies keep every gradient bitwise equal
-    # to the per-modality formulas on separate arrays.
+    # to the per-modality formulas on separate arrays. Otherwise the rows
+    # of dz add up, in order, to the enc_b of every modality at once.
     if h == 1:
         zm, dzm = np.ascontiguousarray(zm), np.ascontiguousarray(dzm)
-    np.matmul(d[1:].transpose(0, 2, 1), zm, out=out.aux_w)
-    np.add.reduce(d[1:], axis=1, out=out.aux_b)
-    np.add.reduce(dzm, axis=1, out=out.enc_b)
+        np.add.reduce(dzm, axis=1, out=out.enc_b)
+    else:
+        np.add.reduce(work.dz, axis=0, out=out._enc_b_row)
+    np.matmul(work.aux_t, zm, out=out.aux_w)
     for col, dz_m, g in zip(model.columns, dzm, out.enc_w):
         xm = x[:, col]
         if h == 1 or xm.shape[1] == 1:
@@ -391,23 +466,28 @@ def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: Train
     visits exactly the rows of its array, shuffled by a seeded generator.
     Returns the model.
 
-    Each batch is one gather from ``dataset.x``, one ``loss_and_grads``
-    call into a gradient buffer reused by every batch, and one update of
-    the flat parameters by the buffer scaled in place (none when the
-    learning rate is 0).
+    Each epoch gathers its shuffled rows and labels from the dataset once.
+    Each batch is a view of consecutive rows of that gather, one
+    ``loss_and_grads`` call into a gradient buffer reused by every batch,
+    and one update of the flat parameters by the buffer scaled in place
+    (none when the learning rate is 0).
 
-    An epoch raises before its first step if it references a row outside
-    the dataset, and after its last if a batch loss or parameter is not
-    finite.
+    It raises before any step if a label is not a class id, an epoch
+    raises before its first step if it references a row outside the
+    dataset, and after its last if a batch loss or parameter is not finite.
     """
     want = (tuple(dataset.spec.dims), dataset.spec.n_classes)
     if (init_model.dims, init_model.n_classes) != want:
         raise ValidationError(f"init model has (dims, classes) "
                               f"{(init_model.dims, init_model.n_classes)}, the dataset {want}")
-    n = dataset.n_samples
+    n, labels = dataset.n_samples, dataset.labels
+    if labels.size and not (labels.min() >= 0 and labels.max() < init_model.n_classes):
+        raise ValidationError(f"dataset labels must be class ids in "
+                              f"[0, {init_model.n_classes}), got {labels.min()}..{labels.max()}")
     model = init_model.copy()
     grad = FusionModel(model.dims, model.hidden, model.n_classes)
     rng = _stream(config.seed, f"shuffle-{arm}")
+    size, lr = config.batch_size, config.learning_rate
     for t, rows in enumerate(epochs, start=1):
         outside = rows[(rows < 0) | (rows >= n)]
         if outside.size:
@@ -416,14 +496,14 @@ def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: Train
                 f"{outside[:5].tolist()}"
             )
         idx = rows[rng.permutation(rows.size)]
+        x, y = dataset.x[idx], labels[idx]
         # Batch losses are bounded when finite, so the sum is finite iff all are.
         loss_sum = 0.0
-        for start in range(0, idx.size, config.batch_size):
-            batch = idx[start:start + config.batch_size]
-            loss_sum += loss_and_grads(model, dataset.x[batch], dataset.labels[batch],
-                                       out=grad)[0]
-            if config.learning_rate != 0.0:
-                grad.flat *= config.learning_rate
+        for start in range(0, idx.size, size):
+            stop = start + size
+            loss_sum += loss_and_grads(model, x[start:stop], y[start:stop], out=grad)[0]
+            if lr != 0.0:
+                grad.flat *= lr
                 model.flat -= grad.flat
         if not (math.isfinite(loss_sum) and np.isfinite(model.flat).all()):
             raise ValidationError(f"training diverged: arm {arm!r} at epoch {t} has a "

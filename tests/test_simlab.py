@@ -252,6 +252,15 @@ class TestForward:
             ea = np.exp(la - la.max())
             assert np.allclose(aux[mi], ea / ea.sum(), atol=1e-12)
 
+    def test_each_forward_batch_owns_its_buffers(self):
+        rng = np.random.default_rng(3)
+        model = random_model(rng)
+        x = rng.standard_normal((6, 7))
+        first, second = model.forward_batch(x), model.forward_batch(x)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+            assert not np.shares_memory(a, b)
+
     def test_dim_mismatch(self):
         model = random_model(np.random.default_rng(3))
         for x in (np.ones((2, 13)), np.ones((2, 3)), np.ones(7), np.ones((1, 2, 7))):
@@ -331,6 +340,31 @@ class TestGradients:
             assert loss == ref_loss
             for g, r in zip(grads, ref_grads):
                 assert g.shape == r.shape and np.array_equal(g, r)
+
+    @pytest.mark.parametrize("hidden", [1, 16])
+    @pytest.mark.parametrize("c", [2, 9])
+    def test_reused_workspaces_stay_bitwise(self, hidden, c):
+        """One gradient model takes batches of 32, 7, 1, again 32 and again
+        7 rows of new data. It keeps the workspaces of its largest and its
+        latest batch size and reuses them; the one of 7 rows is built again
+        after the one of 1 row replaced it. At C = 9 numpy's pairwise sum
+        along a row changes form."""
+        rng = np.random.default_rng(10)
+        dims = (3, 1, 5)
+        model = FusionModel.init(dims, hidden, c, rng)
+        out = FusionModel(dims, hidden, c)
+        ends = np.cumsum(dims).tolist()
+        for batch in (32, 7, 1, 32, 7):
+            rows = rng.standard_normal((batch, sum(dims))) * 3
+            y = rng.integers(0, c, size=batch)
+            loss, grads = loss_and_grads(model, rows, y, out=out)
+            ref_loss, ref_grads = per_modality_loss_and_grads(
+                model, [rows[:, a:b].copy() for a, b in zip([0, *ends], ends)], y)
+            assert loss == ref_loss
+            for g, r in zip(grads, ref_grads):
+                assert g.shape == r.shape and np.array_equal(g, r)
+            model.flat -= 0.1 * out.flat
+        assert sorted(out._steps) == [7, 32]
 
 
 class TestTrain:
@@ -426,6 +460,15 @@ class TestTrain:
             schedule[1][0] = ghost
             with pytest.raises(ValidationError, match=f"epoch 2 .*{ghost}"):
                 train(dataset, schedule, config, seed_init(dataset, config))
+
+    def test_labels_outside_the_classes_rejected_before_training(self):
+        dataset, schedule, config = self.small_setup()
+        init = seed_init(dataset, config)
+        for label in (3, -1):
+            bad = replace(dataset, labels=dataset.labels.copy())
+            bad.labels[5] = label
+            with pytest.raises(ValidationError, match=r"labels must be class ids in \[0, 3\)"):
+                train(bad, schedule, config, init)
 
     def test_init_model_must_match_the_dataset(self):
         dataset, schedule, config = self.small_setup()
@@ -619,6 +662,32 @@ class TestIntegerFields:
         assert np.array_equal(generate_dataset(spec).x, generate_dataset(SMALL_SPEC).x)
 
 
+class TestFloatFields:
+    """Each float field of the lab's dataclasses refuses a str, None or a
+    bool, naming the field, and takes a numpy float."""
+
+    FIELDS = [*((SyntheticSpec, name) for name in ("imbalance_exponent", "class_separation",
+                                                   "noise_scale", "redundancy")),
+              *((TrainConfig, name) for name in ("learning_rate", "gamma"))]
+
+    @pytest.mark.parametrize("cls, name", FIELDS)
+    @pytest.mark.parametrize("value", ["0.1", None, True])
+    def test_non_number_rejected(self, cls, name, value):
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("cls, name", FIELDS)
+    def test_numpy_float_accepted(self, cls, name):
+        assert cls(**{name: np.float64(0.1)}) == cls(**{name: 0.1})
+
+    @pytest.mark.parametrize("dims", [8, np.int64(8), None])
+    def test_scalar_dims_rejected(self, dims):
+        message = f"dims must be a sequence of integers, got {dims!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SyntheticSpec(dims=dims)
+
+
 class TestWarmupSchedule:
     def test_uniform_counts(self):
         labels = np.arange(80) % 4
@@ -783,18 +852,28 @@ class TestExperiment:
             "--batch", "16", "--hidden", "8"]
     RUNS = {"tiny": [*TINY, "--seeds", "2"],
             "criterion-6": ["--seeds", "2", "--epochs", "20", "--warmup", "3", "--lr", "0.01"],
-            "tiny-10": [*TINY, "--seeds", "10"]}
+            "tiny-10": [*TINY, "--seeds", "10"],
+            "one-wide": ["--seeds", "2", "--dims", "3,5,1", "--hidden", "1", "--epochs", "8",
+                         "--warmup", "2", "--n", "300", "--lr", "0.05"]}
     # The 10-seed summary: a mean over 8 or more seeds can differ in its last
     # bits when the seeds are added one after another instead of pairwise.
     PINNED_SUMMARY = (
         "arm,mean_accuracy,mean_weighted_f1,mean_macro_f1,macro_f1_wins\n"
         "climd,0.7666666666666668,0.7547621094983905,0.7547621094983905,7\n"
         "baseline,0.7333333333333333,0.7169462470471343,0.7169462470471343,2\n")
+    # The report of a run through the step's special cases: hidden 1 and a
+    # one-wide modality.
+    PINNED_ONE_WIDE = (
+        "seed,arm,accuracy,weighted_f1,macro_f1,visits\n"
+        "0,climd,0.3333333333333333,0.20666666666666667,0.20666666666666664,1216\n"
+        "0,baseline,0.3,0.18434782608695655,0.18434782608695652,1216\n"
+        "1,climd,0.3,0.2354066985645933,0.2354066985645933,1216\n"
+        "1,baseline,0.36666666666666664,0.24242424242424243,0.24242424242424243,1216\n")
 
     def test_other_blas_kernels_give_the_same_reports(self, tmp_path):
-        """The pinned rows and 10-seed summary hold, and every report and
-        summary is byte-identical when a child process runs OpenBLAS's
-        Haswell or Prescott kernel instead of this process's.
+        """The pinned rows, 10-seed summary and one-wide report hold, and
+        every report and summary is byte-identical when a child process runs
+        OpenBLAS's Haswell or Prescott kernel instead of this process's.
         OPENBLAS_CORETYPE acts on the child alone."""
         if np.lib.NumpyVersion(np.__version__) < "1.26.0":
             pytest.skip("numpy < 1.26 has no show_config(mode='dicts') to name its BLAS")
@@ -815,6 +894,7 @@ class TestExperiment:
         assert rows[:, 2:5].astype(float).tolist() == self.PINNED_SCORES.reshape(-1, 3).tolist()
         assert rows[:, 5].astype(int).tolist() == self.PINNED_VISITS.reshape(-1).tolist()
         assert (tmp_path / "here" / "tiny-10" / "summary.csv").read_text() == self.PINNED_SUMMARY
+        assert (tmp_path / "here" / "one-wide" / "report.csv").read_text() == self.PINNED_ONE_WIDE
         path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
         for core in ("Haswell", "Prescott"):
             env = dict(os.environ, OPENBLAS_CORETYPE=core,
