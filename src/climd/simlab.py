@@ -337,10 +337,9 @@ class _Step(_Forward):
         self.dz = np.empty_like(self.zcat)
         self.dzm = _per_modality(self.dz, m)
         self.aux_dz = np.empty_like(self.zm)
-        # Where each head's row starts in the flat logits; plus the labels,
-        # the flat index of its true class.
-        self.row_starts = np.arange(0, (m + 1) * n * c, c).reshape(m + 1, n)
-        self.true = np.empty((m + 1, n), dtype=np.intp)
+        # Each head's row of each sample in ``rows``; with the labels, the
+        # flat index of its true class.
+        self.row_ids = np.arange((m + 1) * n).reshape(m + 1, n)
         self.picked = np.empty((m + 1, n))
         self.delta = np.empty((m + 1, n))
         self.scale = np.array([n] + [n * m] * m, dtype=float).reshape(-1, 1, 1)
@@ -353,7 +352,8 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
                    out: FusionModel | None = None):
     """Batch loss and its analytic gradients, ordered like model.params(),
     of the rows of ``x`` (column block ``model.columns[m]`` is modality m)
-    and their class ids ``y``, each in [0, C).
+    and their class ids ``y``, each in [0, C); any other label raises a
+    ``ValidationError``.
 
     The gradients are the parameters of ``out``, a model of the same shape
     used as a buffer (a fresh one unless given), so they are views of the
@@ -375,11 +375,15 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
         work = out._steps[n] = _Step(out, n)
     zcat, d = model._forward(x, work)
 
+    try:
+        true = np.ravel_multi_index((work.row_ids, y), work.rows.shape)
+    except ValueError:
+        raise ValidationError(f"labels must be class ids in [0, {model.n_classes}), "
+                              f"got {np.min(y)}..{np.max(y)}") from None
     # Contiguous, so each head's mean is the pairwise sum over its own row.
-    np.add(work.row_starts, y, out=work.true)
-    picked = np.take(work.flat_logits, work.true, out=work.picked)
+    picked = np.take(work.flat_logits, true, out=work.picked)
     # d[0] becomes the fused head's logit gradient, d[1:] the auxiliary heads'.
-    np.put(work.flat_logits, work.true, np.subtract(picked, 1.0, out=work.delta))
+    np.put(work.flat_logits, true, np.subtract(picked, 1.0, out=work.delta))
     np.maximum(picked, 1e-300, out=picked)
     log_sums = np.add.reduce(np.log(picked, out=picked), axis=1).tolist()
     loss = -(log_sums[0] / n)
@@ -396,13 +400,10 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
     # A one-wide operand makes matmul a gemv and a column sum a pairwise
     # one, and those add up a strided operand in another order than a
     # contiguous one. Contiguous copies keep every gradient bitwise equal
-    # to the per-modality formulas on separate arrays. Otherwise the rows
-    # of dz add up, in order, to the enc_b of every modality at once.
+    # to the per-modality formulas on separate arrays.
     if h == 1:
         zm, dzm = np.ascontiguousarray(zm), np.ascontiguousarray(dzm)
-        np.add.reduce(dzm, axis=1, out=out.enc_b)
-    else:
-        np.add.reduce(work.dz, axis=0, out=out._enc_b_row)
+    np.add.reduce(dzm, axis=1, out=out.enc_b)
     np.matmul(work.aux_t, zm, out=out.aux_w)
     for col, dz_m, g in zip(model.columns, dzm, out.enc_w):
         xm = x[:, col]

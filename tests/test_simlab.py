@@ -366,6 +366,18 @@ class TestGradients:
             model.flat -= 0.1 * out.flat
         assert sorted(out._steps) == [7, 32]
 
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_labels_outside_the_classes_rejected(self, bad):
+        """A label outside [0, C) would index a logit of another row."""
+        rng = np.random.default_rng(11)
+        model = FusionModel.init((2, 3), 4, 3, rng)
+        out = FusionModel((2, 3), 4, 3)
+        x = rng.standard_normal((5, 5))
+        y = np.array([0, 1, 2, bad, 0])
+        for _ in range(2):  # with a fresh workspace, then a kept one
+            with pytest.raises(ValidationError, match=r"class ids in \[0, 3\)"):
+                loss_and_grads(model, x, y, out=out)
+
 
 class TestTrain:
     def small_setup(self, epochs=4, lr=0.1, seed=3):
