@@ -473,18 +473,15 @@ def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: Train
     and one update of the flat parameters by the buffer scaled in place
     (none when the learning rate is 0).
 
-    It raises before any step if a label is not a class id, an epoch
-    raises before its first step if it references a row outside the
-    dataset, and after its last if a batch loss or parameter is not finite.
+    An epoch raises before its first step if it references a row outside
+    the dataset, and after its last if a batch loss or parameter is not
+    finite; a batch raises if a label is not a class id.
     """
     want = (tuple(dataset.spec.dims), dataset.spec.n_classes)
     if (init_model.dims, init_model.n_classes) != want:
         raise ValidationError(f"init model has (dims, classes) "
                               f"{(init_model.dims, init_model.n_classes)}, the dataset {want}")
     n, labels = dataset.n_samples, dataset.labels
-    if labels.size and not (labels.min() >= 0 and labels.max() < init_model.n_classes):
-        raise ValidationError(f"dataset labels must be class ids in "
-                              f"[0, {init_model.n_classes}), got {labels.min()}..{labels.max()}")
     model = init_model.copy()
     grad = FusionModel(model.dims, model.hidden, model.n_classes)
     rng = _stream(config.seed, f"shuffle-{arm}")
