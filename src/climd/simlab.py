@@ -333,7 +333,7 @@ class _Step(_Forward):
 
     def __init__(self, model: FusionModel, n: int):
         super().__init__(model, n)
-        m, c = model.n_modalities, model.n_classes
+        m = model.n_modalities
         self.dz = np.empty_like(self.zcat)
         self.dzm = _per_modality(self.dz, m)
         self.aux_dz = np.empty_like(self.zm)
