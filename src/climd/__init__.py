@@ -36,13 +36,15 @@ from .scheduler import (
     reference_ramp,
     truncate_schedule,
 )
-from .simlab import (
-    FusionModel,
-    SyntheticDataset,
-    SyntheticSpec,
-    TrainConfig,
-    collect_traces,
-    generate_dataset,
-    run_experiment,
-    train,
-)
+
+# The lab's names are looked up on first use, so that importing the package,
+# or running any command but ``simulate``, never imports climd.simlab.
+_SIMLAB = frozenset({"FusionModel", "SyntheticDataset", "SyntheticSpec", "TrainConfig",
+                     "collect_traces", "generate_dataset", "run_experiment", "train"})
+
+
+def __getattr__(name):
+    if name in _SIMLAB:
+        from . import simlab
+        return getattr(simlab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

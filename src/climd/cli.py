@@ -23,7 +23,6 @@ from .errors import ValidationError, check_number
 from .measurer import DifficultyTable, join_tables, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import EASY_HIGH_R, EASY_LOW_R, FIGURE2, build_schedule, reference_ramp
-from .simlab import ARMS, SyntheticSpec, TrainConfig, run_experiment, summarize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,6 +169,9 @@ def _max_workers() -> int:
 
 
 def cmd_simulate(args) -> int:
+    # Imported here, so that the other commands never import the lab.
+    from .simlab import ARMS, SyntheticSpec, TrainConfig, run_experiment, summarize
+
     given = vars(args)
     spec, config = (cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
                     for cls in (SyntheticSpec, TrainConfig))

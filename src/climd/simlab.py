@@ -28,7 +28,10 @@ allocates next to nothing; ``forward_batch``, whose outputs escape,
 allocates a fresh forward pass. After the warm-up, ``score_traces`` traces and scores the
 train split ``TRACE_CHUNK`` rows at a time. The auxiliary heads run as
 one batched matmul and share one softmax with the fused head; its row
-max is taken across a transposed copy, which is exact in any order. The
+max is taken across a transposed copy, which is exact in any order. When
+every modality has the same width, as the default dims do, the encoder
+pass and the encoder-weight gradient are one stacked matmul each over an
+(M, n, D) view of the batch; mixed widths loop over the modalities. The
 arithmetic of every sum (summation axes and order, scale factors) is
 that of the per-modality formulas, so losses and gradients are bitwise
 those of separate per-modality arrays.
@@ -214,6 +217,14 @@ class FusionModel:
     aux_b, so that one op adds or sums the biases of every head. ``params()``
     lists the views in its own order. The views, the transposes the passes
     use and the parameter list are built once, with the model.
+
+    When every modality has the same width D, the enc_w block is also the
+    (M, H, D) view ``_enc_w_stack`` and a batch is the (M, n, D) view of
+    ``_modalities``, so the encoder pass and the enc_w gradient are one
+    stacked matmul each. It is bitwise the per-modality loop: item m of
+    each stacked operand has the shape and strides of modality m's own
+    operand, and numpy makes the same BLAS call for each item that the
+    loop makes. Mixed widths keep the loop.
     """
 
     def __init__(self, dims, hidden: int, n_classes: int,
@@ -233,7 +244,11 @@ class FusionModel:
         self.head_b, self.aux_b = self.biases[0], self.biases[1:]
         self._params = (*self.enc_w, *self.enc_b, self.head_w, self.head_b,
                         *self.aux_w, *self.aux_b)
-        self._enc_w_t = [w.T for w in self.enc_w]
+        d = self.dims[0]
+        self._enc_w_stack = (self.flat[:m * h * d].reshape(m, h, d)
+                             if self.dims == (d,) * m else None)
+        self._enc_w_t = ([w.T for w in self.enc_w] if self._enc_w_stack is None
+                         else self._enc_w_stack.transpose(0, 2, 1))
         self._enc_b_row = self.enc_b.reshape(-1)
         self._head_w_t = self.head_w.T
         self._aux_w_t = self.aux_w.transpose(0, 2, 1)
@@ -263,10 +278,17 @@ class FusionModel:
     def params(self) -> tuple[np.ndarray, ...]:
         return self._params
 
+    def _modalities(self, x: np.ndarray):
+        """Modality m's columns of ``x`` as item m: one (M, n, D) view when
+        the widths are equal, else a list of (n, d_m) views."""
+        if self._enc_w_stack is None:
+            return [x[:, col] for col in self.columns]
+        return x.reshape(x.shape[0], self.n_modalities, self.dims[0]).transpose(1, 0, 2)
+
     def _forward(self, x: np.ndarray, work: _Forward | None = None):
-        """(zcat, probs): the embeddings side by side as (n, M*H), and the
-        fused then the per-modality class probabilities as (M+1, n, C), in
-        the buffers of ``work``, fresh ones unless given.
+        """(xm, zcat, probs): ``_modalities(x)``, the embeddings side by side
+        as (n, M*H), and the fused then the per-modality class probabilities
+        as (M+1, n, C), in the buffers of ``work``, fresh ones unless given.
 
         The softmax takes the max of each row from a (C, rows) transposed
         copy, as one reduction across contiguous rows: a max is exact in
@@ -280,10 +302,15 @@ class FusionModel:
             )
         if work is None:
             work = _Forward(self, x.shape[0])
-        for col, w_t, z in zip(self.columns, self._enc_w_t, work.zcols):
-            np.matmul(x[:, col], w_t, out=z)
+        xm = self._modalities(x)
+        if self._enc_w_stack is None:
+            for x_m, w_t, z in zip(xm, self._enc_w_t, work.zcols):
+                np.matmul(x_m, w_t, out=z)
+        else:
+            np.matmul(xm, self._enc_w_t, out=work.zm)
         work.zcat += self._enc_b_row
-        np.matmul(work.zcat, self._head_w_t, out=work.fused)
+        # np.dot costs less per call than matmul; it needs a contiguous out.
+        np.dot(work.zcat, self._head_w_t, out=work.fused)
         np.matmul(work.zm, self._aux_w_t, out=work.aux)
         work.logits += self._bias_rows
         rows = work.rows
@@ -293,14 +320,14 @@ class FusionModel:
         np.exp(rows, out=rows)
         np.add.reduce(rows, axis=-1, keepdims=True, out=work.row_stat)
         rows /= work.row_stat
-        return work.zcat, work.logits
+        return xm, work.zcat, work.logits
 
     @np.errstate(over="ignore", invalid="ignore")
     def forward_batch(self, x: np.ndarray):
         """(fused probs, per-modality probs, per-modality embeddings) of the
         rows of ``x``, the (n, sum of dims) matrix of the modalities, in
         buffers of their own."""
-        zcat, probs = self._forward(x)
+        _, zcat, probs = self._forward(x)
         if not (np.isfinite(probs).all() and np.isfinite(zcat).all()):
             raise ValidationError("model outputs are not finite: training diverged")
         return probs[0], probs[1:], _per_modality(zcat, self.n_modalities)
@@ -373,7 +400,7 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
         if len(out._steps) == 2:
             del out._steps[min(out._steps)]
         work = out._steps[n] = _Step(out, n)
-    zcat, d = model._forward(x, work)
+    xm, zcat, d = model._forward(x, work)
 
     try:
         true = np.ravel_multi_index((work.row_ids, y), work.rows.shape)
@@ -381,9 +408,9 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
         raise ValidationError(f"labels must be class ids in [0, {model.n_classes}), "
                               f"got {np.min(y)}..{np.max(y)}") from None
     # Contiguous, so each head's mean is the pairwise sum over its own row.
-    picked = np.take(work.flat_logits, true, out=work.picked)
+    picked = work.flat_logits.take(true, out=work.picked)
     # d[0] becomes the fused head's logit gradient, d[1:] the auxiliary heads'.
-    np.put(work.flat_logits, true, np.subtract(picked, 1.0, out=work.delta))
+    work.flat_logits.put(true, np.subtract(picked, 1.0, out=work.delta))
     np.maximum(picked, 1e-300, out=picked)
     log_sums = np.add.reduce(np.log(picked, out=picked), axis=1).tolist()
     loss = -(log_sums[0] / n)
@@ -391,9 +418,9 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
         loss += -(log_sum / n) / m
 
     d /= work.scale
-    np.matmul(work.fused_t, zcat, out=out.head_w)
+    np.dot(work.fused_t, zcat, out=out.head_w)
     np.add.reduce(d, axis=1, out=out.biases)
-    np.matmul(work.fused, model.head_w, out=work.dz)
+    np.dot(work.fused, model.head_w, out=work.dz)
     np.matmul(work.aux, model.aux_w, out=work.aux_dz)
     work.dzm += work.aux_dz
     zm, dzm = work.zm, work.dzm
@@ -405,11 +432,16 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
         zm, dzm = np.ascontiguousarray(zm), np.ascontiguousarray(dzm)
     np.add.reduce(dzm, axis=1, out=out.enc_b)
     np.matmul(work.aux_t, zm, out=out.aux_w)
-    for col, dz_m, g in zip(model.columns, dzm, out.enc_w):
-        xm = x[:, col]
-        if h == 1 or xm.shape[1] == 1:
-            xm, dz_m = np.ascontiguousarray(xm), np.ascontiguousarray(dz_m)
-        np.matmul(dz_m.T, xm, out=g)
+    if out._enc_w_stack is None:
+        for x_m, dz_m, g in zip(xm, dzm, out.enc_w):
+            if h == 1 or x_m.shape[1] == 1:
+                x_m, dz_m = np.ascontiguousarray(x_m), np.ascontiguousarray(dz_m)
+            np.matmul(dz_m.T, x_m, out=g)
+    else:
+        # Item m of the stacked copies is modality m's contiguous copy.
+        if h == 1 or model.dims[0] == 1:
+            xm, dzm = np.ascontiguousarray(xm), np.ascontiguousarray(dzm)
+        np.matmul(dzm.transpose(0, 2, 1), xm, out=out._enc_w_stack)
 
     return loss, out.params()
 

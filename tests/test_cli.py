@@ -182,6 +182,20 @@ class TestFigure2:
         assert (out / "figure2.csv").exists()
         assert (out / "manifest.json").exists()
 
+    def test_leaves_the_lab_unimported(self, tmp_path):
+        """Only simulate imports climd.simlab; the package still exports the
+        lab's names, looked up on first use. A fresh process, since this
+        one has imported the lab."""
+        code = ("import sys, climd.cli\n"
+                "assert climd.cli.main(['figure2', '--out', sys.argv[1]]) == 0\n"
+                "assert 'climd.simlab' not in sys.modules, 'figure2 imported the lab'\n"
+                "from climd import FusionModel\n"
+                "assert FusionModel.__module__ == 'climd.simlab'\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "fig")],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestEval:
     def test_hand_example(self, tmp_path, capsys):

@@ -74,18 +74,30 @@ def finite_difference_grads(model, x, y, step=1e-5):
     return grads
 
 
-def per_modality_loss_and_grads(model, xs, y):
-    """Reference: each head and modality on its own arrays, one at a time."""
-    m, h, n = model.n_modalities, model.hidden, y.size
+def split_modalities(rows, dims):
+    """Each modality's columns of ``rows`` as an array of its own."""
+    ends = np.cumsum(dims).tolist()
+    return [rows[:, a:b].copy() for a, b in zip([0, *ends], ends)]
 
+
+def per_modality_forward(model, xs):
+    """Reference forward pass: (fused probs, per-modality probs, per-modality
+    embeddings), each head and modality on its own arrays, one at a time."""
     def softmax(z):
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
 
     z = [x @ w.T + b for x, w, b in zip(xs, model.enc_w, model.enc_b)]
-    zcat = np.concatenate(z, axis=-1)
-    fused = softmax(zcat @ model.head_w.T + model.head_b)
+    fused = softmax(np.concatenate(z, axis=-1) @ model.head_w.T + model.head_b)
     aux = [softmax(zi @ w.T + b) for zi, w, b in zip(z, model.aux_w, model.aux_b)]
+    return fused, aux, z
+
+
+def per_modality_loss_and_grads(model, xs, y):
+    """Reference: each head and modality on its own arrays, one at a time."""
+    m, h, n = model.n_modalities, model.hidden, y.size
+    fused, aux, z = per_modality_forward(model, xs)
+    zcat = np.concatenate(z, axis=-1)
     rows = np.arange(n)
     onehot = np.zeros_like(fused)
     onehot[rows, y] = 1.0
@@ -290,6 +302,18 @@ class TestParameterBuffer:
                        for a, b in zip(before, after))
         assert sum(p.size for p in model.params()) == model.flat.size
 
+    def test_equal_widths_stack_the_encoder_weights(self):
+        """With equal widths, item m of the (M, H, D) stack is enc_w[m]
+        itself: the same memory, shape and strides. Mixed widths have no
+        stack."""
+        model = random_model(np.random.default_rng(9), dims=(4, 4, 4), hidden=5)
+        assert model._enc_w_stack.shape == (3, 5, 4)
+        for w, item in zip(model.enc_w, model._enc_w_stack, strict=True):
+            assert np.shares_memory(w, item)
+            assert (item.__array_interface__["data"], item.shape, item.strides) == (
+                w.__array_interface__["data"], w.shape, w.strides)
+        assert FusionModel((3, 5, 1), 2, 3)._enc_w_stack is None
+
     def test_gradients_survive_the_next_call(self):
         rng = np.random.default_rng(6)
         model = random_model(rng)
@@ -334,9 +358,8 @@ class TestGradients:
             rows = rng.standard_normal((batch, sum(dims))) * 3
             y = rng.integers(0, c, size=batch)
             loss, grads = loss_and_grads(model, rows, y)
-            ends = np.cumsum(dims).tolist()
             ref_loss, ref_grads = per_modality_loss_and_grads(
-                model, [rows[:, a:b].copy() for a, b in zip([0, *ends], ends)], y)
+                model, split_modalities(rows, dims), y)
             assert loss == ref_loss
             for g, r in zip(grads, ref_grads):
                 assert g.shape == r.shape and np.array_equal(g, r)
@@ -353,18 +376,46 @@ class TestGradients:
         dims = (3, 1, 5)
         model = FusionModel.init(dims, hidden, c, rng)
         out = FusionModel(dims, hidden, c)
-        ends = np.cumsum(dims).tolist()
         for batch in (32, 7, 1, 32, 7):
             rows = rng.standard_normal((batch, sum(dims))) * 3
             y = rng.integers(0, c, size=batch)
             loss, grads = loss_and_grads(model, rows, y, out=out)
             ref_loss, ref_grads = per_modality_loss_and_grads(
-                model, [rows[:, a:b].copy() for a, b in zip([0, *ends], ends)], y)
+                model, split_modalities(rows, dims), y)
             assert loss == ref_loss
             for g, r in zip(grads, ref_grads):
                 assert g.shape == r.shape and np.array_equal(g, r)
             model.flat -= 0.1 * out.flat
         assert sorted(out._steps) == [7, 32]
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (1, 1)])
+    @pytest.mark.parametrize("hidden", [1, 16])
+    @pytest.mark.parametrize("c", [2, 9])
+    def test_stacked_path_equals_per_modality_reference(self, dims, hidden, c):
+        """Equal widths run the encoder pass and the enc_w gradient as one
+        stacked matmul each. Through one kept gradient model, on batches of
+        32, 7 and 1 rows, the loss, every gradient and every forward_batch
+        output are bitwise the per-modality reference's, also at hidden 1
+        and width 1, where the gradient takes contiguous copies."""
+        rng = np.random.default_rng(12)
+        model = FusionModel.init(dims, hidden, c, rng)
+        out = FusionModel(dims, hidden, c)
+        assert model._enc_w_stack is not None and out._enc_w_stack is not None
+        for batch in (32, 7, 1):
+            rows = rng.standard_normal((batch, sum(dims))) * 3
+            y = rng.integers(0, c, size=batch)
+            xs = split_modalities(rows, dims)
+            loss, grads = loss_and_grads(model, rows, y, out=out)
+            ref_loss, ref_grads = per_modality_loss_and_grads(model, xs, y)
+            assert loss == ref_loss
+            for g, r in zip(grads, ref_grads):
+                assert g.shape == r.shape and np.array_equal(g, r)
+            fused, aux, z = model.forward_batch(rows)
+            ref_fused, ref_aux, ref_z = per_modality_forward(model, xs)
+            assert np.array_equal(fused, ref_fused)
+            for got, ref in [*zip(aux, ref_aux), *zip(z, ref_z)]:
+                assert got.shape == ref.shape and np.array_equal(got, ref)
+            model.flat -= 0.1 * out.flat
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_labels_outside_the_classes_rejected(self, bad):
@@ -857,7 +908,9 @@ class TestExperiment:
             "criterion-6": ["--seeds", "2", "--epochs", "20", "--warmup", "3", "--lr", "0.01"],
             "tiny-10": [*TINY, "--seeds", "10"],
             "one-wide": ["--seeds", "2", "--dims", "3,5,1", "--hidden", "1", "--epochs", "8",
-                         "--warmup", "2", "--n", "300", "--lr", "0.05"]}
+                         "--warmup", "2", "--n", "300", "--lr", "0.05"],
+            "equal-hidden-1": ["--seeds", "2", "--dims", "4,4", "--hidden", "1", "--epochs", "8",
+                               "--warmup", "2", "--n", "300", "--lr", "0.05"]}
     # The 10-seed summary: a mean over 8 or more seeds can differ in its last
     # bits when the seeds are added one after another instead of pairwise.
     PINNED_SUMMARY = (
@@ -872,9 +925,16 @@ class TestExperiment:
         "0,baseline,0.3,0.18434782608695655,0.18434782608695652,1216\n"
         "1,climd,0.3,0.2354066985645933,0.2354066985645933,1216\n"
         "1,baseline,0.36666666666666664,0.24242424242424243,0.24242424242424243,1216\n")
+    # The same special case, hidden 1, on the stacked path of equal widths.
+    PINNED_EQUAL_HIDDEN_1 = (
+        "seed,arm,accuracy,weighted_f1,macro_f1,visits\n"
+        "0,climd,0.23333333333333334,0.12987012987012986,0.12987012987012986,1216\n"
+        "0,baseline,0.2,0.07058823529411766,0.07058823529411765,1216\n"
+        "1,climd,0.4666666666666667,0.3352046783625731,0.33520467836257306,1216\n"
+        "1,baseline,0.43333333333333335,0.29254955570745045,0.29254955570745045,1216\n")
 
     def test_other_blas_kernels_give_the_same_reports(self, tmp_path):
-        """The pinned rows, 10-seed summary and one-wide report hold, and
+        """The pinned rows, 10-seed summary and one-wide reports hold, and
         every report and summary is byte-identical when a child process runs
         OpenBLAS's Haswell or Prescott kernel instead of this process's.
         OPENBLAS_CORETYPE acts on the child alone."""
@@ -898,6 +958,8 @@ class TestExperiment:
         assert rows[:, 5].astype(int).tolist() == self.PINNED_VISITS.reshape(-1).tolist()
         assert (tmp_path / "here" / "tiny-10" / "summary.csv").read_text() == self.PINNED_SUMMARY
         assert (tmp_path / "here" / "one-wide" / "report.csv").read_text() == self.PINNED_ONE_WIDE
+        assert ((tmp_path / "here" / "equal-hidden-1" / "report.csv").read_text()
+                == self.PINNED_EQUAL_HIDDEN_1)
         path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
         for core in ("Haswell", "Prescott"):
             env = dict(os.environ, OPENBLAS_CORETYPE=core,
