@@ -150,7 +150,8 @@ def _put_values(out: np.ndarray, key: str, rows: list):
             out[...] = rows
             return
         except OverflowError:  # an integer beyond the float range
-            pass
+            raise ValidationError(
+                f"{key} values must be JSON numbers within the float64 range") from None
     raise ValidationError(f"expected numbers in shape {shape} (modalities, values), "
                           "as on the first line")
 

@@ -71,8 +71,8 @@ def check_ids(ids: list[str]):
     ``,``, newline, carriage return or lone surrogate. A rejected id's
     error has the ``row`` of the first offender (for a repeat, its second
     occurrence). Readers strip every line, so a padded id would not read
-    back as written. Repeats are found by sorting the ids, which makes no
-    per-id object. An id that is not a ``str`` is rejected like a bad one."""
+    back as written. An id that is not a ``str`` is rejected like a bad
+    one. Repeats are found by :func:`check_unique`, which it calls."""
     try:
         joined = "".join(ids)
     except TypeError:
@@ -83,6 +83,12 @@ def check_ids(ids: list[str]):
                       for sid in ids],
                 "sample id contains ',', a line break or a lone surrogate (not UTF-8), "
                 "or is empty or padded with whitespace")
+    check_unique(ids)
+
+
+def check_unique(ids: list[str]):
+    """Reject a repeated id, with the ``row`` of its second occurrence.
+    Repeats are found by sorting the ids, which makes no per-id object."""
     ranked = sorted(ids)
     repeat = np.fromiter(map(eq, islice(ranked, 1, None), ranked), bool)
     if repeat.any():
@@ -135,7 +141,7 @@ class DifficultyRecord:
 class TraceBatch:
     """Model outputs for N samples with M modalities and C classes.
 
-    ``ids`` (N sample ids), ``labels`` (N,), ``probs`` (N, M, C) class
+    ``ids`` (N sample ids), ``labels`` (N,) int64, ``probs`` (N, M, C) class
     probabilities and ``emb`` (N, M, D) embeddings. The whole batch is
     validated once, when it is built; a rejected batch names up to five
     offending sample ids. Ids follow :func:`check_ids`.
@@ -157,9 +163,9 @@ class TraceBatch:
                 f"inconsistent batch: {n} ids, labels {self.labels.shape}, "
                 f"probs {self.probs.shape}, embeddings {self.emb.shape}"
             )
+        self.labels = check_int64("labels", self.labels)
         if n == 0:
             return
-        check_int64("labels", self.labels)
         _, m, c = self.probs.shape
         if m < 2 or c < 2:
             raise ValidationError(f"need >= 2 modalities and >= 2 classes, got {m} and {c}")
@@ -210,12 +216,11 @@ class DifficultyTable:
         check_ids(self.ids)
 
     @classmethod
-    def _of_batch(cls, batch: TraceBatch, psi, phi, r) -> "DifficultyTable":
-        """The table of a batch's score columns, built without checking the
-        ids again: the batch checked them when it was built."""
+    def _of_checked(cls, ids, labels, psi, phi, r) -> "DifficultyTable":
+        """The table of columns whose rows were checked where they were made
+        (a batch's when it was built), built without checking them again."""
         table = cls.__new__(cls)
-        table.ids, table.labels, table.psi, table.phi, table.r = (
-            batch.ids, batch.labels, psi, phi, r)
+        table.ids, table.labels, table.psi, table.phi, table.r = ids, labels, psi, phi, r
         return table
 
     def __len__(self) -> int:
@@ -223,14 +228,14 @@ class DifficultyTable:
 
 
 def join_tables(tables: list[DifficultyTable]) -> DifficultyTable:
-    """The rows of ``tables`` in order as one table, whose ids are checked
-    across the tables once: a repeat's ``row`` counts from the first
-    table's first row."""
-    return DifficultyTable(ids=[sid for table in tables for sid in table.ids],
-                           labels=np.concatenate([t.labels for t in tables]),
-                           psi=np.concatenate([t.psi for t in tables]),
-                           phi=np.concatenate([t.phi for t in tables]),
-                           r=np.concatenate([t.r for t in tables]))
+    """The rows of one or more ``tables`` in order as one table. Each table
+    has checked its own rows, so only repeats across the tables are checked
+    here: a repeat's ``row`` counts from the first table's first row."""
+    ids = [sid for table in tables for sid in table.ids]
+    check_unique(ids)
+    return DifficultyTable._of_checked(
+        ids, *(np.concatenate([getattr(t, col) for t in tables])
+               for col in ("labels", "psi", "phi", "r")))
 
 
 def intra_modal_confidence(probs, label: int, n_classes: int | None = None) -> float:
@@ -312,7 +317,8 @@ def score_dataset(batch: TraceBatch) -> DifficultyTable:
     """
     n, m, c = batch.probs.shape
     if n == 0:
-        return DifficultyTable._of_batch(batch, np.zeros((0, m)), np.zeros(0), np.zeros(0))
+        return DifficultyTable._of_checked(batch.ids, batch.labels, np.zeros((0, m)),
+                                           np.zeros(0), np.zeros(0))
     p_true = np.take_along_axis(batch.probs, batch.labels.reshape(n, 1, 1), axis=2)[..., 0]
     e = np.exp(np.log(np.maximum(p_true, PROB_EPS)) / c)
     psi = e / (1.0 + e)
@@ -320,4 +326,5 @@ def score_dataset(batch: TraceBatch) -> DifficultyTable:
     total = sum(np.clip((unit[:, i] * unit[:, j]).sum(axis=1), -1.0, 1.0)
                 for i, j in combinations(range(m), 2))
     phi = 1.0 - 2.0 * total / (m * (m - 1))
-    return DifficultyTable._of_batch(batch, psi, phi, phi + psi.sum(axis=1) / m)
+    return DifficultyTable._of_checked(batch.ids, batch.labels, psi, phi,
+                                       phi + psi.sum(axis=1) / m)

@@ -24,17 +24,19 @@ takes a view of them and applies one update, starting from a required
 init model: ``run_seed`` builds one, and the warm-up and each of ``ARMS``
 start from it. ``loss_and_grads`` keeps a workspace of buffers and views
 for each of two batch sizes on its gradient model, so a training step
-allocates next to nothing; ``forward_batch``, whose outputs escape,
-allocates a fresh forward pass. After the warm-up, ``score_traces`` traces and scores the
-train split ``TRACE_CHUNK`` rows at a time. The auxiliary heads run as
-one batched matmul and share one softmax with the fused head; its row
-max is taken across a transposed copy, which is exact in any order. When
-every modality has the same width, as the default dims do, the encoder
-pass and the encoder-weight gradient are one stacked matmul each over an
-(M, n, D) view of the batch; mixed widths loop over the modalities. The
-arithmetic of every sum (summation axes and order, scale factors) is
-that of the per-modality formulas, so losses and gradients are bitwise
-those of separate per-modality arrays.
+allocates next to nothing. ``forward_batch``, whose outputs escape, runs
+each pass in fresh buffers and returns views of them, which
+``collect_traces`` hands on as the traces without a copy; both take any
+number of rows, 0 too. After the warm-up, ``score_traces`` traces and
+scores the train split ``TRACE_CHUNK`` rows at a time. The auxiliary
+heads run as one batched matmul and share one softmax with the fused
+head; its row max is taken across a transposed copy, which is exact in
+any order. When every modality has the same width, as the default dims
+do, the encoder pass and the encoder-weight gradient are one stacked
+matmul each over an (M, n, D) view of the batch; mixed widths loop over
+the modalities. The arithmetic of every sum (summation axes and order,
+scale factors) is that of the per-modality formulas, so losses and
+gradients are bitwise those of separate per-modality arrays.
 
 Determinism: every random draw comes from a named generator derived from
 (seed, purpose), so runs with the same seeds are bit-identical and
@@ -285,10 +287,11 @@ class FusionModel:
             return [x[:, col] for col in self.columns]
         return x.reshape(x.shape[0], self.n_modalities, self.dims[0]).transpose(1, 0, 2)
 
-    def _forward(self, x: np.ndarray, work: _Forward | None = None):
-        """(xm, zcat, probs): ``_modalities(x)``, the embeddings side by side
-        as (n, M*H), and the fused then the per-modality class probabilities
-        as (M+1, n, C), in the buffers of ``work``, fresh ones unless given.
+    def _forward(self, x: np.ndarray, work: _Forward | None = None) -> _Forward:
+        """The pass over the rows of ``x``, any number of them, run in the
+        buffers of ``work`` (fresh ones unless given), which it returns:
+        ``xm`` is ``_modalities(x)``, ``zcat`` the side-by-side embeddings
+        and ``logits`` the fused then the per-modality probabilities.
 
         The softmax takes the max of each row from a (C, rows) transposed
         copy, as one reduction across contiguous rows: a max is exact in
@@ -302,9 +305,9 @@ class FusionModel:
             )
         if work is None:
             work = _Forward(self, x.shape[0])
-        xm = self._modalities(x)
+        work.xm = xm = self._modalities(x)
         if self._enc_w_stack is None:
-            for x_m, w_t, z in zip(xm, self._enc_w_t, work.zcols):
+            for x_m, w_t, z in zip(xm, self._enc_w_t, work.zm):
                 np.matmul(x_m, w_t, out=z)
         else:
             np.matmul(xm, self._enc_w_t, out=work.zm)
@@ -320,33 +323,32 @@ class FusionModel:
         np.exp(rows, out=rows)
         np.add.reduce(rows, axis=-1, keepdims=True, out=work.row_stat)
         rows /= work.row_stat
-        return xm, work.zcat, work.logits
+        return work
 
     @np.errstate(over="ignore", invalid="ignore")
     def forward_batch(self, x: np.ndarray):
         """(fused probs, per-modality probs, per-modality embeddings) of the
-        rows of ``x``, the (n, sum of dims) matrix of the modalities, in
-        buffers of their own."""
-        _, zcat, probs = self._forward(x)
-        if not (np.isfinite(probs).all() and np.isfinite(zcat).all()):
+        rows of ``x``, the (n, sum of dims) matrix of the modalities, as
+        (n, C), (M, n, C) and (M, n, H) views of a fresh pass's own
+        buffers. Any row count works, 0 too."""
+        work = self._forward(x)
+        if not (np.isfinite(work.logits).all() and np.isfinite(work.zcat).all()):
             raise ValidationError("model outputs are not finite: training diverged")
-        return probs[0], probs[1:], _per_modality(zcat, self.n_modalities)
+        return work.fused, work.aux, work.zm
 
 
-def _per_modality(zcat: np.ndarray, m: int) -> np.ndarray:
+def _per_modality(zcat: np.ndarray, m: int, h: int) -> np.ndarray:
     """(n, M*H) side-by-side embeddings as an (M, n, H) view."""
-    n = zcat.shape[0]
-    return zcat.reshape(n, m, -1).transpose(1, 0, 2)
+    return zcat.reshape(zcat.shape[0], m, h).transpose(1, 0, 2)
 
 
 class _Forward:
-    """The buffers of one forward pass over n rows, and their views."""
+    """The buffers of one forward pass over n rows and their views, and the pass's ``xm``."""
 
     def __init__(self, model: FusionModel, n: int):
         m, c = model.n_modalities, model.n_classes
         self.zcat = np.empty((n, m * model.hidden))
-        self.zm = _per_modality(self.zcat, m)
-        self.zcols = list(self.zm)
+        self.zm = _per_modality(self.zcat, m, model.hidden)
         self.logits = np.empty((m + 1, n, c))
         self.fused, self.aux = self.logits[0], self.logits[1:]
         self.rows = self.logits.reshape(-1, c)
@@ -362,7 +364,7 @@ class _Step(_Forward):
         super().__init__(model, n)
         m = model.n_modalities
         self.dz = np.empty_like(self.zcat)
-        self.dzm = _per_modality(self.dz, m)
+        self.dzm = _per_modality(self.dz, m, model.hidden)
         self.aux_dz = np.empty_like(self.zm)
         # Each head's row of each sample in ``rows``; with the labels, the
         # flat index of its true class.
@@ -380,7 +382,7 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
     """Batch loss and its analytic gradients, ordered like model.params(),
     of the rows of ``x`` (column block ``model.columns[m]`` is modality m)
     and their class ids ``y``, each in [0, C); any other label raises a
-    ``ValidationError``.
+    ``ValidationError``, as does a batch of no rows, which has no mean loss.
 
     The gradients are the parameters of ``out``, a model of the same shape
     used as a buffer (a fresh one unless given), so they are views of the
@@ -391,6 +393,8 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
     m = model.n_modalities
     h = model.hidden
     n = y.size
+    if n == 0:
+        raise ValidationError("loss_and_grads needs a batch of at least one row")
     if out is None:
         out = FusionModel(model.dims, h, model.n_classes)
     work = out._steps.get(n)
@@ -400,7 +404,7 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
         if len(out._steps) == 2:
             del out._steps[min(out._steps)]
         work = out._steps[n] = _Step(out, n)
-    xm, zcat, d = model._forward(x, work)
+    model._forward(x, work)
 
     try:
         true = np.ravel_multi_index((work.row_ids, y), work.rows.shape)
@@ -409,7 +413,7 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
                               f"got {np.min(y)}..{np.max(y)}") from None
     # Contiguous, so each head's mean is the pairwise sum over its own row.
     picked = work.flat_logits.take(true, out=work.picked)
-    # d[0] becomes the fused head's logit gradient, d[1:] the auxiliary heads'.
+    # logits[0] becomes the fused head's logit gradient, logits[1:] the aux heads'.
     work.flat_logits.put(true, np.subtract(picked, 1.0, out=work.delta))
     np.maximum(picked, 1e-300, out=picked)
     log_sums = np.add.reduce(np.log(picked, out=picked), axis=1).tolist()
@@ -417,13 +421,13 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
     for log_sum in log_sums[1:]:
         loss += -(log_sum / n) / m
 
-    d /= work.scale
-    np.dot(work.fused_t, zcat, out=out.head_w)
-    np.add.reduce(d, axis=1, out=out.biases)
+    work.logits /= work.scale
+    np.dot(work.fused_t, work.zcat, out=out.head_w)
+    np.add.reduce(work.logits, axis=1, out=out.biases)
     np.dot(work.fused, model.head_w, out=work.dz)
     np.matmul(work.aux, model.aux_w, out=work.aux_dz)
     work.dzm += work.aux_dz
-    zm, dzm = work.zm, work.dzm
+    xm, zm, dzm = work.xm, work.zm, work.dzm
     # A one-wide operand makes matmul a gemv and a column sum a pairwise
     # one, and those add up a strided operand in another order than a
     # contiguous one. Contiguous copies keep every gradient bitwise equal
@@ -542,12 +546,13 @@ def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: Train
 
 
 def collect_traces(model: FusionModel, dataset: SyntheticDataset) -> TraceBatch:
-    """Traces of every sample: auxiliary-head probabilities plus the
-    encoder activations as embeddings, the (n, M, H) view of the
-    side-by-side activations rather than a copy. Deterministic."""
+    """Traces of every sample, of any number: the auxiliary-head
+    probabilities (n, M, C) and the encoder activations (n, M, H) as
+    embeddings, both views of the forward pass's own buffers rather than
+    copies. Deterministic."""
     _, aux, z = model.forward_batch(dataset.x)
     return TraceBatch(ids=dataset.sample_ids, labels=dataset.labels,
-                      probs=np.stack(aux, axis=1), emb=z.transpose(1, 0, 2))
+                      probs=aux.transpose(1, 0, 2), emb=z.transpose(1, 0, 2))
 
 
 def score_traces(model: FusionModel, dataset: SyntheticDataset) -> DifficultyTable:
@@ -560,11 +565,12 @@ def score_traces(model: FusionModel, dataset: SyntheticDataset) -> DifficultyTab
     power-of-two number of rows, and a row's activations can depend on
     its place in that block; every block here starts at a multiple of
     ``TRACE_CHUNK``, a power of two, so each row keeps its place. The ids
-    are checked once per block and once across blocks.
+    are checked once per block, and only for repeats across blocks. A
+    dataset of no rows is one empty block, as an empty trace file is.
     """
     size = ff.TRACE_CHUNK
     tables = []
-    for lo in range(0, dataset.n_samples, size):
+    for lo in range(0, max(dataset.n_samples, 1), size):
         block = dataset.take(slice(lo, lo + size))
         tables.append(score_dataset(collect_traces(model, block)))
     return join_tables(tables)

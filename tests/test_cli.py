@@ -321,6 +321,7 @@ class TestPipeline:
         ("probs", [True, False], "true"), ("probs", [0.0, True], "true"),
         ("probs", ["0.25", "0.75"], '"0.25"'), ("probs", [None, 1.0], "null"),
         ("probs", [[0.25], 0.75], "[0.25]"), ("embedding", [0.5, False, 1.0], "false"),
+        ("embedding", [1.0, 10**400, 1.0], None),  # a JSON integer beyond the float range
     ])
     def test_non_number_trace_values_exit_1(self, tmp_path, capsys, command, field,
                                             values, shown):
@@ -333,9 +334,10 @@ class TestPipeline:
         traces.write_text("\n".join(lines) + "\n")
         argv = [command, "--traces", str(traces), "--out", str(tmp_path / "out")]
         assert main(argv + (["--epochs", "3"] if command == "pipeline" else [])) == 1
+        why = f", got {shown}" if shown else " within the float64 range"
         assert capsys.readouterr().err == (
-            f"error: stage 'read-traces': {traces}: line 7: "
-            f"{field} values must be JSON numbers, got {shown}\n")
+            f"error: stage 'read-traces': {traces}: line 7: {field} values must be JSON numbers"
+            f"{why}\n")
         assert not (tmp_path / "out").exists()
 
     def test_json_integer_trace_values_are_numbers(self, tmp_path):
@@ -557,17 +559,33 @@ class TestStreaming:
         monkeypatch.setattr(ff, "TRACE_CHUNK", 32)
         traces = tmp_path / "traces.jsonl"
         write_random_traces(traces, 2 * 32 + 5)
-        checked = []
-        check_ids = measurer.check_ids
-
-        def counting(ids):
-            checked.append(len(ids))
-            return check_ids(ids)
-
-        monkeypatch.setattr(measurer, "check_ids", counting)
+        checked, unique = [], []
+        for name, sizes in (("check_ids", checked), ("check_unique", unique)):
+            def counting(ids, real=getattr(measurer, name), sizes=sizes):
+                sizes.append(len(ids))
+                return real(ids)
+            monkeypatch.setattr(measurer, name, counting)
         assert main(["pipeline", "--traces", str(traces), "--epochs", "3",
                      "--out", str(tmp_path / "out")]) == 0
-        assert checked == [32, 32, 5, 69]
+        # Every rule per chunk; across the chunks, only the repeats.
+        assert checked == [32, 32, 5]
+        assert unique == [32, 32, 5, 69]
+
+    def test_a_chunked_score_scans_each_id_once(self, tmp_path, monkeypatch):
+        # The character rule is one regex scan of a chunk's joined ids.
+        monkeypatch.setattr(ff, "TRACE_CHUNK", 32)
+        traces = tmp_path / "traces.jsonl"
+        write_random_traces(traces, 2 * 32 + 5)
+        scanned, breaks = [], measurer._ID_BREAKS
+
+        class Counting:
+            def search(self, text):
+                scanned.append(len(text))
+                return breaks.search(text)
+
+        monkeypatch.setattr(measurer, "_ID_BREAKS", Counting())
+        assert main(["score", "--traces", str(traces), "--out", str(tmp_path / "out")]) == 0
+        assert len(scanned) == 3
 
     def test_bad_value_in_a_later_chunk_names_its_line(self, tmp_path, capsys):
         traces = tmp_path / "traces.jsonl"

@@ -320,6 +320,15 @@ class TestJoinTables:
         assert str(info.value) == "duplicate sample ids: ['s001']"
         assert info.value.row == 5
 
+    def test_labels_are_int64_whatever_the_batch_was_given(self):
+        batch = random_batch(6)
+        parts = [score_dataset(TraceBatch(batch.ids[a:b], batch.labels[a:b].astype(dtype),
+                                          batch.probs[a:b], batch.emb[a:b]))
+                 for (a, b), dtype in (((0, 3), np.int32), ((3, 6), np.uint8))]
+        joined = join_tables(parts)
+        assert [t.labels.dtype for t in (*parts, joined)] == [np.int64] * 3
+        assert np.array_equal(joined.labels, batch.labels)
+
 
 class TestScoreDataset:
     def test_empty(self):

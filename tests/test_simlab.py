@@ -279,6 +279,26 @@ class TestForward:
             with pytest.raises(ValidationError, match=r"\(n, 7\) matrix"):
                 model.forward_batch(x)
 
+    @pytest.mark.parametrize("hidden", [1, 16])
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (3, 5, 1)])
+    def test_a_batch_of_no_rows(self, dims, hidden):
+        # The stacked and the looped encoder, with one-wide operands too.
+        m, c = len(dims), 4
+        model = FusionModel.init(dims, hidden, c, np.random.default_rng(4))
+        dataset = generate_dataset(SyntheticSpec(n_classes=c, dims=dims, n_samples=40, seed=4))
+        empty = dataset.take(slice(0, 0))
+        fused, aux, z = model.forward_batch(empty.x)
+        assert (fused.shape, aux.shape, z.shape) == ((0, c), (m, 0, c), (m, 0, hidden))
+        traces = collect_traces(model, empty)
+        assert (len(traces), traces.probs.shape, traces.emb.shape) == (0, (0, m, c),
+                                                                       (0, m, hidden))
+        table = score_traces(model, empty)
+        assert (len(table), table.psi.shape, table.r.shape) == (0, (0, m), (0,))
+        with pytest.raises(ValidationError, match="at least one row"):
+            loss_and_grads(model, empty.x, empty.labels)
+        with pytest.raises(ValidationError, match="empty confusion matrix"):
+            evaluate(model, empty.x, empty.labels)
+
 
 class TestParameterBuffer:
     def test_copy_shares_no_memory(self):
@@ -562,6 +582,18 @@ def assert_tables_equal(a, b):
         assert getattr(a, col).tobytes() == getattr(b, col).tobytes(), col
 
 
+def count_calls(monkeypatch, module, name):
+    """The sizes of the first argument of each later call of ``module.name``."""
+    sizes, real = [], getattr(module, name)
+
+    def counting(arg):
+        sizes.append(len(arg))
+        return real(arg)
+
+    monkeypatch.setattr(module, name, counting)
+    return sizes
+
+
 class TestScoreTraces:
     """The lab scores its traces in TRACE_CHUNK blocks. Tests set the chunk
     to 64 rows, a multiple of a BLAS kernel's row block, as the default is."""
@@ -576,16 +608,12 @@ class TestScoreTraces:
         dataset = generate_dataset(SyntheticSpec(n_classes=4, dims=dims, n_samples=n, seed=3))
         model = FusionModel.init(dims, hidden, 4, np.random.default_rng(1))
         whole = score_dataset(collect_traces(model, dataset))
-        checked = []
-        check_ids = measurer.check_ids
-
-        def counting(ids):
-            checked.append(len(ids))
-            return check_ids(ids)
-
-        monkeypatch.setattr(measurer, "check_ids", counting)
+        checked = count_calls(monkeypatch, measurer, "check_ids")
+        unique = count_calls(monkeypatch, measurer, "check_unique")
         table = score_traces(model, dataset)
-        assert checked == [64] * (n // 64) + [n % 64, n]
+        # Every rule per block; across the blocks, only the repeats.
+        assert checked == [64] * (n // 64) + [n % 64]
+        assert unique == checked + [n]
         assert_tables_equal(table, whole)
 
     def test_run_seed_schedules_the_blockwise_table(self, monkeypatch):
