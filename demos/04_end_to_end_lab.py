@@ -26,7 +26,7 @@ spec = SyntheticSpec(n_classes=5, dims=(8, 8, 8), n_samples=2000,
                      imbalance_exponent=1.5, class_separation=2.0,
                      noise_scale=1.0, redundancy=0.3, seed=0)
 config = TrainConfig(learning_rate=0.01, epochs=20, warmup_epochs=3,
-                     batch_size=32, hidden=16, seed=0)
+                     batch_size=32, hidden=16)
 
 print(f"dataset: N={spec.n_samples}, C={spec.n_classes}, "
       f"imbalance exponent {spec.imbalance_exponent}")

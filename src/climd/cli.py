@@ -189,9 +189,10 @@ def cmd_simulate(args) -> int:
         *(f"{arm},{acc!r},{wf1!r},{mf1!r},{w}"
           for arm, (acc, wf1, mf1), w in zip(ARMS, means.tolist(), wins.tolist()))])
 
+    train = {**vars(config), "warmup_epochs": config.resolved_warmup}
     _write_manifest(out, "simulate",
-                    _digested({"spec": vars(spec), "train": vars(config), "n_seeds": args.seeds}),
-                    {}, list(range(args.seeds)))
+                    _digested({"spec": vars(spec), "train": train, "n_seeds": args.seeds}),
+                    {}, list(range(spec.seed, spec.seed + args.seeds)))
 
     for arm, (acc, wf1, mf1) in zip(ARMS, means.tolist()):
         print(f"{arm:>9}: acc {acc:.4f}  wF1 {wf1:.4f}  mF1 {mf1:.4f}")
@@ -254,7 +255,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     # Each flag fills the SyntheticSpec or TrainConfig field named by its
-    # dest, which holds the default; --base-seed fills both seeds.
+    # dest, which holds the default; --base-seed fills the lab's one seed.
     p = sub.add_parser("simulate", help="end-to-end synthetic comparison",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--classes", type=int, dest="n_classes")

@@ -231,6 +231,8 @@ def join_tables(tables: list[DifficultyTable]) -> DifficultyTable:
     """The rows of one or more ``tables`` in order as one table. Each table
     has checked its own rows, so only repeats across the tables are checked
     here: a repeat's ``row`` counts from the first table's first row."""
+    if not tables:
+        raise ValidationError("join_tables needs at least one table")
     ids = [sid for table in tables for sid in table.ids]
     check_unique(ids)
     return DifficultyTable._of_checked(

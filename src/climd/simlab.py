@@ -38,9 +38,10 @@ the modalities. The arithmetic of every sum (summation axes and order,
 scale factors) is that of the per-modality formulas, so losses and
 gradients are bitwise those of separate per-modality arrays.
 
-Determinism: every random draw comes from a named generator derived from
-(seed, purpose), so runs with the same seeds are bit-identical and
-independent seeds can execute in parallel without affecting results.
+Determinism: a lab run has one seed, ``SyntheticSpec.seed``, and every
+random draw comes from a named generator derived from (seed, purpose), so
+runs with the same seed are bit-identical and independent seeds can
+execute in parallel without affecting results.
 """
 
 from __future__ import annotations
@@ -462,14 +463,12 @@ class TrainConfig:
     batch_size: int = 32
     hidden: int = 16
     gamma: float = DEFAULT_GAMMA
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "hidden", "seed"):
+        for name in ("epochs", "batch_size", "hidden"):
             check_int(name, getattr(self, name))
         if self.warmup_epochs is not None:
             check_int("warmup_epochs", self.warmup_epochs)
-        check_number("seed", self.seed, 0)
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.warmup_epochs is not None and self.warmup_epochs < 0:
@@ -500,8 +499,8 @@ def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: Train
     """SGD from a copy of ``init_model``, which must have the dataset's dims
     and classes, over ``epochs``, any iterable of per-epoch row arrays
     (drawn one at a time, so a generator is never held whole): each epoch
-    visits exactly the rows of its array, shuffled by a seeded generator.
-    Returns the model.
+    visits exactly the rows of its array, shuffled by the generator of the
+    dataset's seed and ``arm``. Returns the model.
 
     Each epoch gathers its shuffled rows and labels from the dataset once.
     Each batch is a view of consecutive rows of that gather, one
@@ -520,7 +519,7 @@ def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: Train
     n, labels = dataset.n_samples, dataset.labels
     model = init_model.copy()
     grad = FusionModel(model.dims, model.hidden, model.n_classes)
-    rng = _stream(config.seed, f"shuffle-{arm}")
+    rng = _stream(dataset.spec.seed, f"shuffle-{arm}")
     size, lr = config.batch_size, config.learning_rate
     for t, rows in enumerate(epochs, start=1):
         outside = rows[(rows < 0) | (rows >= n)]
@@ -629,40 +628,40 @@ def uniform_warmup_schedule(labels, n_epochs: int, epoch_size: int,
 
 def run_seed(spec: SyntheticSpec, config: TrainConfig,
              offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """One full comparison at seed offset ``offset``: generate, warm up,
-    score, schedule, then train and evaluate each of ``ARMS``, all from the
-    warm-up's one init model. Returns the arms' (A, 3) test scores and
-    (A,) visits, each counted from the arm's own epochs."""
+    """One full comparison at seed ``spec.seed + offset``, from which
+    every draw comes: generate, split, init, warm up, score, schedule, then
+    train and evaluate each of ``ARMS``, all from the warm-up's one init
+    model. Returns the arms' (A, 3) test scores and (A,) visits, each
+    counted from the arm's own epochs."""
     dspec = replace(spec, seed=spec.seed + offset)
-    cfg = replace(config, seed=config.seed + offset)
+    seed = dspec.seed
     dataset = generate_dataset(dspec)
-    train_idx, test_idx = split_balanced_test(dataset, TEST_FRACTION, cfg.seed)
+    train_idx, test_idx = split_balanced_test(dataset, TEST_FRACTION, seed)
     trainset = dataset.take(train_idx)
     test = dataset.take(test_idx)
     n_train = trainset.n_samples
-    init = FusionModel.init(dspec.dims, cfg.hidden, dspec.n_classes,
-                            _stream(cfg.seed, "init"))
+    init = FusionModel.init(dspec.dims, config.hidden, dspec.n_classes, _stream(seed, "init"))
 
     # Warm-up pass: trains a throwaway model just to produce traces.
-    warm_epoch_size = subset_size(1, cfg.epochs, n_train)
-    warm_schedule = uniform_warmup_schedule(trainset.labels, cfg.resolved_warmup,
-                                            warm_epoch_size, cfg.seed)
-    warm_model = train(trainset, warm_schedule, cfg, init, arm="warmup")
+    warm_epoch_size = subset_size(1, config.epochs, n_train)
+    warm_schedule = uniform_warmup_schedule(trainset.labels, config.resolved_warmup,
+                                            warm_epoch_size, seed)
+    warm_model = train(trainset, warm_schedule, config, init, arm="warmup")
     table = score_traces(warm_model, trainset)
-    dist = ClassDistribution.from_labels(trainset.labels, cfg.gamma)
+    dist = ClassDistribution.from_labels(trainset.labels, config.gamma)
 
-    schedule = build_schedule(table, dist, cfg.epochs)
+    schedule = build_schedule(table, dist, config.epochs)
     budget = int(schedule.counts.sum())
     baseline = truncate_schedule(
-        random_baseline_schedule(n_train, math.ceil(budget / n_train), cfg.seed), budget)
-    arms = {"climd": (map(schedule.epoch, range(1, cfg.epochs + 1)), budget),
+        random_baseline_schedule(n_train, math.ceil(budget / n_train), seed), budget)
+    arms = {"climd": (map(schedule.epoch, range(1, config.epochs + 1)), budget),
             "baseline": (baseline, sum(rows.size for rows in baseline))}
 
     scores = np.empty((len(ARMS), 3))
     visits = np.empty(len(ARMS), dtype=np.int64)
     for a, arm in enumerate(ARMS):
         epochs, visits[a] = arms[arm]
-        scores[a] = evaluate(train(trainset, epochs, cfg, init, arm=arm), test.x, test.labels)
+        scores[a] = evaluate(train(trainset, epochs, config, init, arm=arm), test.x, test.labels)
     assert (visits == budget).all()
     return scores, visits
 

@@ -226,7 +226,7 @@ def test_criterion_6_curriculum_beats_random_baseline():
         spec = SyntheticSpec(n_classes=5, dims=(8, 8, 8), n_samples=2000,
                              imbalance_exponent=1.5, seed=0)
         config = TrainConfig(learning_rate=0.01, epochs=20, warmup_epochs=3,
-                             batch_size=32, hidden=16, seed=0)
+                             batch_size=32, hidden=16)
         scores, _ = run_experiment(spec, config, n_seeds=10)
         means, wins = summarize(scores)
         climd, baseline = ARMS.index("climd"), ARMS.index("baseline")

@@ -669,13 +669,15 @@ class TestSimulate:
             assert a.read_bytes() == b.read_bytes()
 
     def test_parallel_workers_do_not_change_outputs(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "serial"
-        out2 = tmp_path / "parallel"
-        monkeypatch.setenv("CLIMD_THREADS", "1")
-        assert main(self.ARGS + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("CLIMD_THREADS", "2")
-        assert main(self.ARGS + ["--out", str(out2)]) == 0
-        assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+        for base_seed in ("0", "11"):
+            outs = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("CLIMD_THREADS", threads)
+                outs.append(tmp_path / base_seed / threads)
+                assert main(self.ARGS + ["--base-seed", base_seed, "--out", str(outs[-1])]) == 0
+            for csv in ("report.csv", "summary.csv"):
+                serial, parallel = ((out / csv).read_bytes() for out in outs)
+                assert serial == parallel, (base_seed, csv)
 
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     def test_non_integer_threads_exit_1(self, tmp_path, monkeypatch, capsys, value):
@@ -791,23 +793,29 @@ class TestSimulateFlags:
         subparsers = next(a for a in build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
         dests = [a.dest for a in subparsers.choices["simulate"]._actions]
-        names = {f.name for cls in (SyntheticSpec, TrainConfig) for f in fields(cls)}
+        names = [f.name for cls in (SyntheticSpec, TrainConfig) for f in fields(cls)]
+        # A name in both dataclasses would be one flag filling two fields.
+        assert len(set(names)) == len(names)
         assert {name: dests.count(name) for name in names} == dict.fromkeys(names, 1)
 
     def test_no_lab_flags_record_the_dataclass_defaults(self, tmp_path):
         out = tmp_path / "x"
         assert main(["simulate", "--seeds", "1", "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
+        # warmup_epochs is recorded as the warm-up that ran, 20 epochs // 10.
         expected = json.loads(json.dumps({"spec": vars(SyntheticSpec()),
-                                          "train": vars(TrainConfig())}))
+                                          "train": {**vars(TrainConfig()), "warmup_epochs": 2}}))
         assert {k: config[k] for k in ("spec", "train")} == expected
 
     def test_base_seed_sets_both_seeds(self, tmp_path):
+        # The spec's seed, the lab's one seed, and the seeds that ran.
         out = tmp_path / "x"
-        assert main(["simulate", "--seeds", "1", "--n", "200", "--epochs", "2",
+        assert main(["simulate", "--seeds", "2", "--n", "200", "--epochs", "2",
                      "--base-seed", "7", "--out", str(out)]) == 0
-        config = json.loads((out / "manifest.json").read_text())["config"]
-        assert (config["spec"]["seed"], config["train"]["seed"]) == (7, 7)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["spec"]["seed"] == 7
+        assert "seed" not in manifest["config"]["train"]
+        assert manifest["seeds"] == [7, 8]
 
 
 class TestConfigDigest:
@@ -843,7 +851,7 @@ class TestConfigDigest:
                 "imbalance_exponent": 1.2, "class_separation": 2.0, "noise_scale": 1.0,
                 "redundancy": 0.3, "seed": 0}
         train = {"learning_rate": 0.05, "epochs": 6, "warmup_epochs": 1,
-                 "batch_size": 16, "hidden": 8, "gamma": 0.3, "seed": 0}
+                 "batch_size": 16, "hidden": 8, "gamma": 0.3}
         assert self.config(out)[0] == {"spec": spec, "train": train, "n_seeds": 2}
 
 

@@ -320,6 +320,10 @@ class TestJoinTables:
         assert str(info.value) == "duplicate sample ids: ['s001']"
         assert info.value.row == 5
 
+    def test_no_tables_rejected(self):
+        with pytest.raises(ValidationError, match="^join_tables needs at least one table$"):
+            join_tables([])
+
     def test_labels_are_int64_whatever_the_batch_was_given(self):
         batch = random_batch(6)
         parts = [score_dataset(TraceBatch(batch.ids[a:b], batch.labels[a:b].astype(dtype),

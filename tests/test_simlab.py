@@ -52,7 +52,7 @@ def random_model(rng, dims=(3, 4), hidden=3, n_classes=3):
 def seed_init(dataset, config):
     """The init model run_seed builds for a dataset and config."""
     return FusionModel.init(dataset.spec.dims, config.hidden, dataset.spec.n_classes,
-                            _stream(config.seed, "init"))
+                            _stream(dataset.spec.seed, "init"))
 
 
 def finite_difference_grads(model, x, y, step=1e-5):
@@ -457,7 +457,7 @@ class TestTrain:
         dataset = generate_dataset(spec)
         schedule = random_baseline_schedule(dataset.n_samples, epochs, seed=seed)
         config = TrainConfig(learning_rate=lr, epochs=epochs, warmup_epochs=0,
-                             batch_size=16, hidden=4, seed=seed)
+                             batch_size=16, hidden=4)
         return dataset, schedule, config
 
     def test_zero_learning_rate_keeps_parameters(self):
@@ -474,14 +474,14 @@ class TestTrain:
         dataset = generate_dataset(spec)
         schedule = random_baseline_schedule(dataset.n_samples, 3, seed=4)
         config = TrainConfig(learning_rate=0.1, epochs=3, warmup_epochs=0,
-                             batch_size=16, hidden=hidden, seed=4)
+                             batch_size=16, hidden=hidden)
         assert all(rows.size % config.batch_size for rows in schedule)
         init = seed_init(dataset, config)
         model = train(dataset, schedule, config, init, arm="loop")
 
         # Plain loop: one update per parameter.
         ref = init.copy()
-        rng = _stream(config.seed, "shuffle-loop")
+        rng = _stream(dataset.spec.seed, "shuffle-loop")
         for rows in schedule:
             idx = rows[rng.permutation(rows.size)]
             for start in range(0, idx.size, config.batch_size):
@@ -498,7 +498,7 @@ class TestTrain:
         dataset = generate_dataset(spec)
         schedule = random_baseline_schedule(1, 200, seed=0)
         config = TrainConfig(learning_rate=0.5, epochs=200, warmup_epochs=0,
-                             batch_size=1, hidden=4, seed=0)
+                             batch_size=1, hidden=4)
         init = seed_init(dataset, config)
         model = train(dataset, schedule, config, init)
         x, y = dataset.x[:1], dataset.labels[:1]
@@ -713,7 +713,7 @@ class TestIntegerFields:
 
     FIELDS = [*((SyntheticSpec, name) for name in ("n_classes", "n_samples", "seed", "dims")),
               *((TrainConfig, name) for name in ("epochs", "warmup_epochs", "batch_size",
-                                                 "hidden", "seed"))]
+                                                 "hidden"))]
 
     @staticmethod
     def make(cls, name, value):
@@ -794,7 +794,7 @@ class TestExperiment:
         spec = SyntheticSpec(n_classes=3, dims=(4, 4), n_samples=240,
                              imbalance_exponent=1.2, seed=11)
         config = TrainConfig(learning_rate=0.05, epochs=6, warmup_epochs=1,
-                             batch_size=16, hidden=8, seed=11)
+                             batch_size=16, hidden=8)
         return spec, config, n_seeds
 
     def test_budget_parity_and_visit_arithmetic(self):
@@ -806,11 +806,18 @@ class TestExperiment:
         assert by_arm["climd"] == by_arm["baseline"]
         # the curriculum budget is the sum of the per-epoch subset sizes
         dataset = generate_dataset(replace(spec, seed=spec.seed))
-        train_idx, _ = split_balanced_test(dataset, TEST_FRACTION, config.seed)
+        train_idx, _ = split_balanced_test(dataset, TEST_FRACTION, spec.seed)
         n = len(train_idx)
         t = config.epochs
         expected = sum(math.floor(e * n / t + 0.5) for e in range(1, t + 1))
         assert by_arm["climd"] == expected
+
+    def test_offset_adds_to_the_spec_seed_alone(self):
+        # Every draw comes from the spec's seed, so only the sum counts.
+        spec, config, _ = self.tiny()
+        a = run_seed(replace(spec, seed=11), config, 1)
+        b = run_seed(replace(spec, seed=12), config, 0)
+        assert all(map(np.array_equal, a, b))
 
     def test_no_seeds_rejected(self):
         spec, config, _ = self.tiny()
@@ -1013,7 +1020,7 @@ class TestEvaluate:
         dataset = generate_dataset(spec)
         schedule = random_baseline_schedule(dataset.n_samples, 80, seed=0)
         config = TrainConfig(learning_rate=0.02, epochs=80, warmup_epochs=0,
-                             batch_size=8, hidden=6, seed=0)
+                             batch_size=8, hidden=6)
         model = train(dataset, schedule, config, seed_init(dataset, config))
         acc, wf1, mf1 = evaluate(model, dataset.x, dataset.labels)
         assert acc == 1.0 and wf1 == 1.0 and mf1 == 1.0
