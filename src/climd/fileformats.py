@@ -2,12 +2,12 @@
 
 Every artifact is line-delimited UTF-8 text so pipeline stages stay
 diffable and independently inspectable. Readers take their lines from
-:func:`_numbered_lines` (decoded as UTF-8, stripped, blank lines
-skipped) and name a rejected row one way, ``<path>: line <n>: <reason>``
-(:func:`checked` for a check of all the rows read). Writers hand theirs
-to :func:`write_lines`, which writes them through the open file as they
-are made, so a table is formatted a block of rows (a schedule: one
-epoch) at a time. Each reader writes its lines into arrays as it parses
+:func:`_numbered_lines` (decoded as UTF-8 less a leading BOM, stripped,
+blank lines skipped) and name a rejected row one way,
+``<path>: line <n>: <reason>`` (:func:`checked` for a check of all the
+rows read). Writers hand theirs to :func:`write_lines`, which writes
+them through the open file as they are made, so a table is formatted a
+block of rows (a schedule: one epoch) at a time. Each reader writes its lines into arrays as it parses
 them, the id-keyed CSV tables through one row loop, so besides the ids
 it holds one line's Python objects, not a chunk's; one row writer takes
 those arrays back once they pass their reader's checks. :func:`iter_traces`
@@ -67,9 +67,10 @@ def write_lines(path, lines: Iterable[str]):
 
 
 def _numbered_lines(path) -> Iterator[tuple[int, str]]:
-    """The stripped non-blank lines of a UTF-8 text file, with their numbers."""
+    """The stripped non-blank lines of a UTF-8 text file, with their
+    numbers; a leading byte order mark is dropped, not read as text."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for n, line in enumerate(fh, start=1):
                 if line := line.strip():
                     yield n, line
@@ -251,12 +252,14 @@ def _rows(path, lines, header: str, n_ints: int):
     """The ids, the (N, ``n_ints``) int64 columns, the (N, rest) finite
     float columns and the line numbers of the CSV rows in ``lines``, whose
     fields ``header`` names; each line is packed into arrays as it is read.
-    A first line equal to ``header`` is skipped."""
+    The first of ``lines``, an iterator, is skipped if it equals ``header``;
+    a later one equal to it is a row, so it is rejected."""
     width = header.count(",") + 1
     ids, ints, floats, linenos = [], array("q"), array("d"), array("q")
+    first = next(lines, None)
+    if first is not None and first[1] != header:
+        lines = chain([first], lines)
     for lineno, line in lines:
-        if lineno == 1 and line == header:
-            continue
         parts = _fields(path, lineno, line, width)
         ints.extend(_numbers(path, lineno, parts[1:1 + n_ints]))
         row = _numbers(path, lineno, parts[1 + n_ints:], float)
@@ -272,11 +275,12 @@ def _rows(path, lines, header: str, n_ints: int):
 
 def read_difficulty(path) -> DifficultyTable:
     lines = _numbered_lines(path)
-    _, header = next(lines, (1, ""))
+    _, header = first = next(lines, (1, ""))
     cols = header.split(",")
     if cols[:3] != ["sample_id", "label", "phi"] or cols[-1] != "r":
         raise ValidationError(f"{path}: unrecognized difficulty header {header!r}")
-    ids, labels, scores, linenos = _rows(path, lines, header, 1)
+    # _rows skips the header as the first of its lines and rejects a repeat.
+    ids, labels, scores, linenos = _rows(path, chain([first], lines), header, 1)
     return checked(path, lambda: DifficultyTable(
         ids=ids, labels=labels[:, 0], psi=scores[:, 1:-1], phi=scores[:, 0], r=scores[:, -1]),
         linenos)

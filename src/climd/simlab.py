@@ -16,7 +16,7 @@ float64 buffer, and the named weights, built once per model, are views
 into it: copying a model is one buffer copy, and an SGD step scales a
 gradient buffer of the same layout by the learning rate in place and
 subtracts it from ``flat``. The biases of all heads sit together in it as
-one block, so ``flat`` is not in ``FusionModel.params()`` order.
+one block.
 ``train`` takes its schedule as any iterable of per-epoch row arrays,
 drawn one epoch at a time, and returns the trained model; per epoch it
 gathers the shuffled rows once from the dataset's ``x``, and per batch it
@@ -217,9 +217,8 @@ class FusionModel:
     enc_b (M, H), aux_w (M, C, H), aux_b (M, C). enc_w is a list of (H, d_m)
     views, since the input dims may differ. ``flat`` holds enc_w, enc_b,
     head_w, aux_w, then ``biases``, the (M+1, C) block of head_b followed by
-    aux_b, so that one op adds or sums the biases of every head. ``params()``
-    lists the views in its own order. The views, the transposes the passes
-    use and the parameter list are built once, with the model.
+    aux_b, so that one op adds or sums the biases of every head. The views
+    and the transposes the passes use are built once, with the model.
 
     When every modality has the same width D, the enc_w block is also the
     (M, H, D) view ``_enc_w_stack`` and a batch is the (M, n, D) view of
@@ -245,8 +244,6 @@ class FusionModel:
         (*self.enc_w, self.enc_b, self.head_w, self.aux_w, self.biases) = [
             part.reshape(shape) for part, shape in zip(np.split(self.flat, ends[:-1]), shapes)]
         self.head_b, self.aux_b = self.biases[0], self.biases[1:]
-        self._params = (*self.enc_w, *self.enc_b, self.head_w, self.head_b,
-                        *self.aux_w, *self.aux_b)
         d = self.dims[0]
         self._enc_w_stack = (self.flat[:m * h * d].reshape(m, h, d)
                              if self.dims == (d,) * m else None)
@@ -277,9 +274,6 @@ class FusionModel:
 
     def copy(self) -> "FusionModel":
         return FusionModel(self.dims, self.hidden, self.n_classes, self.flat.copy())
-
-    def params(self) -> tuple[np.ndarray, ...]:
-        return self._params
 
     def _modalities(self, x: np.ndarray):
         """Modality m's columns of ``x`` as item m: one (M, n, D) view when
@@ -379,25 +373,23 @@ class _Step(_Forward):
 
 
 def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
-                   out: FusionModel | None = None):
-    """Batch loss and its analytic gradients, ordered like model.params(),
-    of the rows of ``x`` (column block ``model.columns[m]`` is modality m)
-    and their class ids ``y``, each in [0, C); any other label raises a
-    ``ValidationError``, as does a batch of no rows, which has no mean loss.
+                   out: FusionModel) -> float:
+    """Batch loss of the rows of ``x`` (column block ``model.columns[m]`` is
+    modality m) and their class ids ``y``, each in [0, C); any other label
+    raises a ``ValidationError``, as does a batch of no rows, which has no
+    mean loss.
 
-    The gradients are the parameters of ``out``, a model of the same shape
-    used as a buffer (a fresh one unless given), so they are views of the
-    one flat array ``out.flat``, laid out like ``model.flat``. ``out`` also
-    keeps a workspace of buffers and views for each of its last two batch
-    sizes, so a step on a kept size allocates next to nothing.
+    The analytic gradient is written into ``out``, a model of the same
+    shape used as a buffer: ``out.flat`` is laid out like ``model.flat``
+    and each named view of ``out`` is its parameter's gradient. ``out``
+    also keeps a workspace of buffers and views for each of its last two
+    batch sizes, so a step on a kept size allocates next to nothing.
     """
     m = model.n_modalities
     h = model.hidden
     n = y.size
     if n == 0:
         raise ValidationError("loss_and_grads needs a batch of at least one row")
-    if out is None:
-        out = FusionModel(model.dims, h, model.n_classes)
     work = out._steps.get(n)
     if work is None:
         # An epoch has at most two batch sizes, but its last batch's size
@@ -448,7 +440,7 @@ def loss_and_grads(model: FusionModel, x: np.ndarray, y: np.ndarray,
             xm, dzm = np.ascontiguousarray(xm), np.ascontiguousarray(dzm)
         np.matmul(dzm.transpose(0, 2, 1), xm, out=out._enc_w_stack)
 
-    return loss, out.params()
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +526,7 @@ def train(dataset: SyntheticDataset, epochs: Iterable[np.ndarray], config: Train
         loss_sum = 0.0
         for start in range(0, idx.size, size):
             stop = start + size
-            loss_sum += loss_and_grads(model, x[start:stop], y[start:stop], out=grad)[0]
+            loss_sum += loss_and_grads(model, x[start:stop], y[start:stop], grad)
             if lr != 0.0:
                 grad.flat *= lr
                 model.flat -= grad.flat

@@ -203,20 +203,24 @@ def test_criterion_5_gradient_correctness():
             model = FusionModel.init(dims, hidden, c, rng)
             x = np.hstack([rng.standard_normal((batch, d)) for d in dims])
             y = rng.integers(0, c, size=batch)
-            _, analytic = loss_and_grads(model, x, y)
+            analytic, numeric, scratch = (FusionModel(dims, hidden, c) for _ in range(3))
+            loss_and_grads(model, x, y, analytic)
 
-            step = 1e-5
-            for p, ga in zip(model.params(), analytic):
-                gn = np.zeros_like(p)
-                flat, nflat = p.reshape(-1), gn.reshape(-1)
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + step
-                    hi = loss_and_grads(model, x, y)[0]
-                    flat[i] = orig - step
-                    lo = loss_and_grads(model, x, y)[0]
-                    flat[i] = orig
-                    nflat[i] = (hi - lo) / (2.0 * step)
+            step, flat = 1e-5, model.flat
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                hi = loss_and_grads(model, x, y, scratch)
+                flat[i] = orig - step
+                lo = loss_and_grads(model, x, y, scratch)
+                flat[i] = orig
+                numeric.flat[i] = (hi - lo) / (2.0 * step)
+            # Each tensor's own relative error, read from the named views.
+            pairs = [*zip(analytic.enc_w, numeric.enc_w), *zip(analytic.enc_b, numeric.enc_b),
+                     (analytic.head_w, numeric.head_w), (analytic.head_b, numeric.head_b),
+                     *zip(analytic.aux_w, numeric.aux_w), *zip(analytic.aux_b, numeric.aux_b)]
+            assert len(pairs) == 4 * m + 2
+            for ga, gn in pairs:
                 denom = max(np.linalg.norm(ga), np.linalg.norm(gn), 1e-8)
                 assert np.linalg.norm(ga - gn) / denom < 1e-4
 

@@ -388,6 +388,16 @@ class TestPipeline:
         assert err.startswith("error: stage 'fit': alpha_hat must be a finite number >= 1")
         assert not out.exists()
 
+    def test_zero_epochs_fail_at_the_schedule_stage(self, tmp_path, capsys):
+        traces = tmp_path / "traces.jsonl"
+        make_traces_file(traces)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--traces", str(traces), "--epochs", "0",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: stage 'schedule': total_epochs must be >= 1, got 0\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pipeline", "score"])
     @pytest.mark.parametrize("content", ["", "\n  \n\r\n"])
     def test_trace_file_without_traces_exits_1(self, tmp_path, capsys, command, content):

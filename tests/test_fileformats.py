@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -422,10 +423,14 @@ CSV_PAIRS = {
     "distribution": (lambda path, ids: ff.write_distribution(
         path, ClassDistribution.from_labels(np.arange(len(ids)) % 3)), ff.read_distribution),
 }
+# Every writer/reader pair, the JSONL traces too.
+TEXT_PAIRS = {**CSV_PAIRS, "traces": (lambda path, ids: ff.write_traces(path, random_batch(ids)),
+                                      ff.read_traces)}
 
 
 class TestTextLines:
-    """Every reader takes the same lines: UTF-8, stripped, blank ones skipped."""
+    """Every reader takes the same lines: UTF-8 less a leading BOM,
+    stripped, blank ones skipped."""
 
     @pytest.mark.parametrize("name", sorted(CSV_PAIRS))
     def test_crlf_and_blank_lines_read_the_same(self, tmp_path, name):
@@ -434,8 +439,20 @@ class TestTextLines:
         write(path, [f"s{i}" for i in range(7)])
         expected = plain(read(path))
         header, *rows = path.read_text(encoding="utf-8").splitlines()
-        spaced = [header] + [line for row in rows for line in ("", " \t", row)] + ["", "  "]
+        spaced = (["", " \t", header] + [line for row in rows for line in ("", " \t", row)]
+                  + ["", "  "])
         path.write_bytes("\r\n".join(spaced).encode("utf-8") + b"\r\n")
+        assert plain(read(path)) == expected
+
+    @pytest.mark.parametrize("name", sorted(TEXT_PAIRS))
+    def test_a_leading_bom_reads_the_same(self, tmp_path, name):
+        """A UTF-8 byte order mark is not part of the first line's text,
+        so it neither joins the first id nor hides the header."""
+        write, read = TEXT_PAIRS[name]
+        path = tmp_path / f"{name}.txt"
+        write(path, [f"s{i}" for i in range(7)])
+        expected = plain(read(path))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert plain(read(path)) == expected
 
     @pytest.mark.parametrize("name", ["labels", "predictions"])
@@ -446,6 +463,25 @@ class TestTextLines:
         expected = read(path)
         path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
         assert plain(read(path)) == plain(expected) and len(expected[0]) == 7
+
+    @pytest.mark.parametrize("name", ["labels", "predictions"])
+    def test_a_leading_bom_is_not_part_of_a_headerless_first_id(self, tmp_path, name):
+        write, read = CSV_PAIRS[name]
+        path = tmp_path / f"{name}.csv"
+        write(path, ["a", "b"])
+        path.write_bytes(b"\xef\xbb\xbf" + b"".join(path.read_bytes().splitlines(True)[1:]))
+        assert read(path)[0] == ["a", "b"]
+
+    @pytest.mark.parametrize("name", ["difficulty", "labels", "predictions"])
+    def test_a_repeated_header_is_rejected(self, tmp_path, name):
+        """Only the first non-blank line may be the header; a second is a bad row."""
+        write, read = CSV_PAIRS[name]
+        path = tmp_path / f"{name}.csv"
+        write(path, [f"s{i}" for i in range(3)])
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", header, *rows]) + "\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 3: "):
+            read(path)
 
     @pytest.mark.parametrize("name", sorted(set(CSV_PAIRS) - {"distribution"}))
     def test_non_ascii_ids_round_trip(self, tmp_path, name):

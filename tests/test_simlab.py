@@ -55,23 +55,34 @@ def seed_init(dataset, config):
                             _stream(dataset.spec.seed, "init"))
 
 
+def grad_buffer(model):
+    """A model of ``model``'s shape for loss_and_grads to write a gradient into."""
+    return FusionModel(model.dims, model.hidden, model.n_classes)
+
+
+def tensors(model):
+    """The named parameter views of ``model``, one per tensor."""
+    return [*model.enc_w, *model.enc_b, model.head_w, model.head_b,
+            *model.aux_w, *model.aux_b]
+
+
+def loss_of(model, x, y):
+    return loss_and_grads(model, x, y, grad_buffer(model))
+
+
 def finite_difference_grads(model, x, y, step=1e-5):
-    """Central-difference oracle over every parameter entry."""
-    grads = []
-    for p in model.params():
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = loss_and_grads(model, x, y)[0]
-            flat[i] = orig - step
-            lo = loss_and_grads(model, x, y)[0]
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2 * step)
-        grads.append(g)
-    return grads
+    """Central-difference oracle over every entry of ``model.flat``, as a
+    gradient model laid out like it."""
+    numeric, flat = grad_buffer(model), model.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = loss_of(model, x, y)
+        flat[i] = orig - step
+        lo = loss_of(model, x, y)
+        flat[i] = orig
+        numeric.flat[i] = (hi - lo) / (2 * step)
+    return numeric
 
 
 def split_modalities(rows, dims):
@@ -94,7 +105,8 @@ def per_modality_forward(model, xs):
 
 
 def per_modality_loss_and_grads(model, xs, y):
-    """Reference: each head and modality on its own arrays, one at a time."""
+    """Reference: each head and modality on its own arrays, one at a time.
+    Returns the loss and a gradient model holding the gradients."""
     m, h, n = model.n_modalities, model.hidden, y.size
     fused, aux, z = per_modality_forward(model, xs)
     zcat = np.concatenate(z, axis=-1)
@@ -114,8 +126,12 @@ def per_modality_loss_and_grads(model, xs, y):
         dz_m = dz[:, mi * h:(mi + 1) * h] + d_aux @ model.aux_w[mi]
         g_enc_w.append(dz_m.T @ xs[mi])
         g_enc_b.append(dz_m.sum(axis=0))
-    return loss, [*g_enc_w, *g_enc_b, d_fused.T @ zcat, d_fused.sum(axis=0),
-                  *g_aux_w, *g_aux_b]
+    ref = grad_buffer(model)
+    for view, g in zip(tensors(ref), [*g_enc_w, *g_enc_b, d_fused.T @ zcat,
+                                      d_fused.sum(axis=0), *g_aux_w, *g_aux_b], strict=True):
+        assert view.shape == g.shape
+        view[...] = g
+    return loss, ref
 
 
 class TestClassSizes:
@@ -295,7 +311,7 @@ class TestForward:
         table = score_traces(model, empty)
         assert (len(table), table.psi.shape, table.r.shape) == (0, (0, m), (0,))
         with pytest.raises(ValidationError, match="at least one row"):
-            loss_and_grads(model, empty.x, empty.labels)
+            loss_of(model, empty.x, empty.labels)
         with pytest.raises(ValidationError, match="empty confusion matrix"):
             evaluate(model, empty.x, empty.labels)
 
@@ -305,22 +321,29 @@ class TestParameterBuffer:
         model = random_model(np.random.default_rng(4))
         clone = model.copy()
         assert not np.shares_memory(model.flat, clone.flat)
-        for p, q in zip(model.params(), clone.params()):
+        for p, q in zip(tensors(model), tensors(clone), strict=True):
             assert np.array_equal(p, q)
             assert not np.shares_memory(p, q)
 
-    def test_params_alias_the_model(self):
+    def test_named_views_alias_the_model(self):
+        """Each named view is a part of ``flat`` that the forward pass reads,
+        and together they tile ``flat`` exactly once."""
         rng = np.random.default_rng(5)
         model = random_model(rng)
         x = np.hstack([rng.standard_normal((4, 3)), rng.standard_normal((4, 4))])
         before = model.forward_batch(x)
-        for p in model.params():
+        for p in tensors(model):
+            assert np.shares_memory(p, model.flat)
             p += 0.5
             after = model.forward_batch(x)
             p -= 0.5
             assert any(not np.array_equal(np.asarray(a), np.asarray(b))
                        for a, b in zip(before, after))
-        assert sum(p.size for p in model.params()) == model.flat.size
+        kept = model.flat.copy()
+        model.flat[:] = np.arange(model.flat.size)
+        entries = np.concatenate([p.reshape(-1) for p in tensors(model)])
+        assert np.array_equal(np.sort(entries), np.arange(model.flat.size))
+        model.flat[:] = kept
 
     def test_equal_widths_stack_the_encoder_weights(self):
         """With equal widths, item m of the (M, H, D) stack is enc_w[m]
@@ -334,16 +357,16 @@ class TestParameterBuffer:
                 w.__array_interface__["data"], w.shape, w.strides)
         assert FusionModel((3, 5, 1), 2, 3)._enc_w_stack is None
 
-    def test_gradients_survive_the_next_call(self):
+    def test_gradients_survive_a_call_into_another_out(self):
         rng = np.random.default_rng(6)
         model = random_model(rng)
         x = np.hstack([rng.standard_normal((5, 3)), rng.standard_normal((5, 4))])
-        _, first = loss_and_grads(model, x, np.array([0, 1, 2, 0, 1]))
-        kept = [g.copy() for g in first]
-        _, second = loss_and_grads(model, x[::-1] + 1.0, np.array([2, 2, 1, 1, 0]))
-        assert any(not np.array_equal(a, b) for a, b in zip(kept, second))
-        for g, k in zip(first, kept):
-            assert np.array_equal(g, k)
+        first, second = grad_buffer(model), grad_buffer(model)
+        loss_and_grads(model, x, np.array([0, 1, 2, 0, 1]), first)
+        kept = first.flat.copy()
+        loss_and_grads(model, x[::-1] + 1.0, np.array([2, 2, 1, 1, 0]), second)
+        assert not np.array_equal(kept, second.flat)
+        assert np.array_equal(first.flat, kept)
 
 
 class TestGradients:
@@ -358,9 +381,10 @@ class TestGradients:
             model = FusionModel.init(dims, hidden, c, rng)
             x = np.hstack([rng.standard_normal((batch, d)) for d in dims])
             y = rng.integers(0, c, size=batch)
-            _, analytic = loss_and_grads(model, x, y)
+            analytic = grad_buffer(model)
+            loss_and_grads(model, x, y, analytic)
             numeric = finite_difference_grads(model, x, y)
-            for ga, gn in zip(analytic, numeric):
+            for ga, gn in zip(tensors(analytic), tensors(numeric), strict=True):
                 denom = max(np.linalg.norm(ga), np.linalg.norm(gn), 1e-8)
                 assert np.linalg.norm(ga - gn) / denom < 1e-4
 
@@ -377,12 +401,12 @@ class TestGradients:
             model = FusionModel.init(dims, hidden, c, rng)
             rows = rng.standard_normal((batch, sum(dims))) * 3
             y = rng.integers(0, c, size=batch)
-            loss, grads = loss_and_grads(model, rows, y)
-            ref_loss, ref_grads = per_modality_loss_and_grads(
+            out = grad_buffer(model)
+            loss = loss_and_grads(model, rows, y, out)
+            ref_loss, ref = per_modality_loss_and_grads(
                 model, split_modalities(rows, dims), y)
             assert loss == ref_loss
-            for g, r in zip(grads, ref_grads):
-                assert g.shape == r.shape and np.array_equal(g, r)
+            assert np.array_equal(out.flat, ref.flat)
 
     @pytest.mark.parametrize("hidden", [1, 16])
     @pytest.mark.parametrize("c", [2, 9])
@@ -399,12 +423,11 @@ class TestGradients:
         for batch in (32, 7, 1, 32, 7):
             rows = rng.standard_normal((batch, sum(dims))) * 3
             y = rng.integers(0, c, size=batch)
-            loss, grads = loss_and_grads(model, rows, y, out=out)
-            ref_loss, ref_grads = per_modality_loss_and_grads(
+            loss = loss_and_grads(model, rows, y, out)
+            ref_loss, ref = per_modality_loss_and_grads(
                 model, split_modalities(rows, dims), y)
             assert loss == ref_loss
-            for g, r in zip(grads, ref_grads):
-                assert g.shape == r.shape and np.array_equal(g, r)
+            assert np.array_equal(out.flat, ref.flat)
             model.flat -= 0.1 * out.flat
         assert sorted(out._steps) == [7, 32]
 
@@ -425,17 +448,36 @@ class TestGradients:
             rows = rng.standard_normal((batch, sum(dims))) * 3
             y = rng.integers(0, c, size=batch)
             xs = split_modalities(rows, dims)
-            loss, grads = loss_and_grads(model, rows, y, out=out)
-            ref_loss, ref_grads = per_modality_loss_and_grads(model, xs, y)
+            loss = loss_and_grads(model, rows, y, out)
+            ref_loss, ref = per_modality_loss_and_grads(model, xs, y)
             assert loss == ref_loss
-            for g, r in zip(grads, ref_grads):
-                assert g.shape == r.shape and np.array_equal(g, r)
+            assert np.array_equal(out.flat, ref.flat)
             fused, aux, z = model.forward_batch(rows)
             ref_fused, ref_aux, ref_z = per_modality_forward(model, xs)
             assert np.array_equal(fused, ref_fused)
             for got, ref in [*zip(aux, ref_aux), *zip(z, ref_z)]:
                 assert got.shape == ref.shape and np.array_equal(got, ref)
             model.flat -= 0.1 * out.flat
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (3, 1, 5), (1, 1)])
+    @pytest.mark.parametrize("hidden", [1, 16])
+    def test_every_entry_of_out_is_written(self, dims, hidden):
+        """``train`` reads only ``out.flat``, so each call overwrites all of
+        it: a kept gradient model filled with NaN before each batch of 32, 7
+        and 1 rows ends equal to a fresh one."""
+        rng = np.random.default_rng(13)
+        c = 4
+        model = FusionModel.init(dims, hidden, c, rng)
+        out = FusionModel(dims, hidden, c)
+        for batch in (32, 7, 1):
+            rows = rng.standard_normal((batch, sum(dims))) * 3
+            y = rng.integers(0, c, size=batch)
+            out.flat[:] = np.nan
+            loss = loss_and_grads(model, rows, y, out)
+            assert np.isfinite(out.flat).all()
+            fresh = grad_buffer(model)
+            assert loss_and_grads(model, rows, y, fresh) == loss
+            assert np.array_equal(out.flat, fresh.flat)
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_labels_outside_the_classes_rejected(self, bad):
@@ -447,7 +489,7 @@ class TestGradients:
         y = np.array([0, 1, 2, bad, 0])
         for _ in range(2):  # with a fresh workspace, then a kept one
             with pytest.raises(ValidationError, match=r"class ids in \[0, 3\)"):
-                loss_and_grads(model, x, y, out=out)
+                loss_and_grads(model, x, y, out)
 
 
 class TestTrain:
@@ -464,8 +506,7 @@ class TestTrain:
         dataset, schedule, config = self.small_setup(lr=0.0)
         init = seed_init(dataset, config)
         model = train(dataset, schedule, config, init_model=init)
-        for p0, p1 in zip(init.params(), model.params()):
-            assert np.array_equal(p0, p1)
+        assert np.array_equal(init.flat, model.flat)
 
     @pytest.mark.parametrize("dims, hidden", [((3, 4), 4), ((1, 4), 4)])
     def test_fused_step_matches_per_parameter_loop(self, dims, hidden):
@@ -486,11 +527,11 @@ class TestTrain:
             idx = rows[rng.permutation(rows.size)]
             for start in range(0, idx.size, config.batch_size):
                 batch = idx[start:start + config.batch_size]
-                _, grads = loss_and_grads(ref, dataset.x[batch], dataset.labels[batch])
-                for p, g in zip(ref.params(), grads):
+                grad = grad_buffer(ref)
+                loss_and_grads(ref, dataset.x[batch], dataset.labels[batch], grad)
+                for p, g in zip(tensors(ref), tensors(grad), strict=True):
                     p -= config.learning_rate * g
-        for p, q in zip(model.params(), ref.params()):
-            assert np.array_equal(p, q)
+        assert np.array_equal(model.flat, ref.flat)
 
     def test_single_sample_converges(self):
         spec = SyntheticSpec(n_classes=2, dims=(3, 3), n_samples=2,
@@ -502,7 +543,7 @@ class TestTrain:
         init = seed_init(dataset, config)
         model = train(dataset, schedule, config, init)
         x, y = dataset.x[:1], dataset.labels[:1]
-        assert loss_and_grads(model, x, y)[0] < min(0.05, loss_and_grads(init, x, y)[0])
+        assert loss_of(model, x, y) < min(0.05, loss_of(init, x, y))
 
     def test_determinism(self):
         dataset, schedule, config = self.small_setup()
@@ -525,7 +566,7 @@ class TestTrain:
         dataset.x[:, 0] = np.arange(dataset.n_samples)
         batches, loss_and_grads = [], simlab.loss_and_grads
 
-        def recording(model, x, y, out=None):
+        def recording(model, x, y, out):
             batches.append(x[:, 0].astype(int))
             return loss_and_grads(model, x, y, out)
 
