@@ -4,14 +4,19 @@ plus a pipeline command chaining score -> fit -> schedule.
 Exit codes: 0 success, 1 invalid input, 3 I/O error. Commands read all
 inputs before writing anything, never write outside their --out
 directory, and leave exactly one manifest.json per output directory.
-``simulate --dims`` lists one input dim per modality. ``CLIMD_THREADS``
-caps seed-level parallelism for ``simulate``, up to the CPUs it may use.
+``simulate --dims`` lists one input dim per modality. ``score`` and
+``pipeline`` read and score a trace file's chunks in forked shares
+(:func:`~climd.shares.fork_shares`), one per CPU the process may use;
+``simulate`` runs its seeds serially.
+``CLIMD_THREADS`` caps either share count, up to the usable CPUs, and
+``CLIMD_THREADS=1`` forks nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -23,6 +28,7 @@ from .errors import ValidationError, check_number
 from .measurer import DifficultyTable, join_tables, score_dataset
 from .metrics import accuracy, confusion, macro_f1, weighted_f1
 from .scheduler import EASY_HIGH_R, EASY_LOW_R, FIGURE2, build_schedule, reference_ramp
+from .shares import fork_shares, usable_cpus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,23 +82,45 @@ def cmd_fit(args) -> int:
 
 def _stage(name, fn):
     """Run ``fn``, tagging a raised error with the stage name, which main()
-    puts in front of the error line."""
+    puts in front of the error line, unless an inner stage has tagged it."""
     try:
         return fn()
     except (ValidationError, OSError) as exc:
-        exc.stage = name
+        exc.stage = getattr(exc, "stage", name)
         raise
+
+
+def _score_share(path, share: int, shares: int):
+    """Read and score the trace blocks of ``share`` of ``shares`` one at a
+    time, yielding each block's table."""
+    batches = ff.iter_traces(path, share, shares)
+    while (batch := _stage("read-traces", lambda: next(batches, None))) is not None:
+        yield _stage("score", lambda: score_dataset(batch))
+
+
+def _rereadable(path) -> bool:
+    """Whether ``path`` is a regular file, which each share can read again.
+    A pipe is read once; a path that cannot be read is left to one reader,
+    which names its error."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        return False
 
 
 def _score_traces(path) -> DifficultyTable:
     """Read and score a trace file one chunk at a time, so that only the
     scores of earlier chunks stay resident, never the whole trace arrays.
-    Rows are scored independently, so the table equals the whole file's. A
-    repeated id is named by its line, and a file with no traces rejected."""
-    chunks = ff.iter_traces(path)
-    tables = []
-    while (batch := _stage("read-traces", lambda: next(chunks, None))) is not None:
-        tables.append(_stage("score", lambda: score_dataset(batch)))
+    The chunks of a regular file are dealt out to one share per usable CPU
+    (at most ``CLIMD_THREADS``): this process reads one share and a forked
+    child each other; a share past the file's last chunk yields nothing.
+    Rows are scored independently, so the table equals the whole file's,
+    and an error is the one a serial read raises first. A repeated id is named by its line,
+    and a file with no traces rejected."""
+    cpus = usable_cpus()
+    shares = min(_max_workers(cpus), cpus) if _rereadable(path) else 1
+    tables = _stage("read-traces", lambda: fork_shares(
+        lambda w: _score_share(path, w, shares), shares))
     def join() -> DifficultyTable:
         if not len(table := ff.checked(path, lambda: join_tables(tables))):
             raise ValidationError(f"{path}: no traces found")
@@ -160,8 +188,11 @@ def _parse_dims(dims: str) -> tuple[int, ...]:
         raise ValidationError(f"--dims must be integers, got {dims!r}") from None
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("CLIMD_THREADS", "1")
+def _max_workers(default: int) -> int:
+    """``CLIMD_THREADS`` as a worker count of at least 1, else ``default``."""
+    raw = os.environ.get("CLIMD_THREADS")
+    if raw is None:
+        return default
     try:
         return max(1, int(raw))
     except ValueError:
@@ -175,7 +206,7 @@ def cmd_simulate(args) -> int:
     given = vars(args)
     spec, config = (cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
                     for cls in (SyntheticSpec, TrainConfig))
-    scores, visits = run_experiment(spec, config, args.seeds, max_workers=_max_workers())
+    scores, visits = run_experiment(spec, config, args.seeds, max_workers=_max_workers(1))
     means, wins = summarize(scores)
 
     out = _outdir(args)

@@ -13,7 +13,10 @@ it holds one line's Python objects, not a chunk's; one row writer takes
 those arrays back once they pass their reader's checks. :func:`iter_traces`
 yields the traces as one batch per ``TRACE_CHUNK`` lines, so ``climd
 score`` and ``climd pipeline`` score them chunk by chunk, never the
-whole trace arrays at once.
+whole trace arrays at once. Given a share of a share count, it yields
+only that share's chunks and counts past the lines of the others, so the
+commands read a file in forked shares whose line numbers and errors are
+those of one read.
 
 * traces: one JSON object per line with a string ``sample_id``, an
   integer ``label`` and a ``modalities`` array of
@@ -44,7 +47,7 @@ import json
 import math
 from array import array
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -198,21 +201,33 @@ def read_traces(path, lines=None, shapes=None) -> TraceBatch:
         ids=ids, labels=np.frombuffer(labels, np.int64), probs=probs, emb=emb), linenos)
 
 
-def iter_traces(path) -> Iterator[TraceBatch]:
+def iter_traces(path, share: int = 0, shares: int = 1) -> Iterator[TraceBatch]:
     """Yield the traces of a JSONL file as :func:`read_traces` batches of
     up to ``TRACE_CHUNK`` lines, in file order; a file without traces
     yields one empty batch. Each batch is validated on its own, against
-    the shapes of the first; the checks that span the file (repeated ids)
-    are left to the caller, whose :func:`checked` names their line."""
+    the shapes of the first trace; the checks that span the file (repeated
+    ids) are left to the caller, whose :func:`checked` names their line.
+
+    With ``shares`` > 1 it yields only the batches of the blocks k with
+    ``k % shares == share`` (the empty batch to share 0), and counts past
+    the lines of the others, parsing only the file's first trace for its
+    shapes. A line's number and a batch's errors are then those of the
+    whole-file read.
+    """
     numbered = _numbered_lines(path)
     shapes = None
-    while True:
-        batch = read_traces(path, islice(numbered, TRACE_CHUNK), shapes)
-        if len(batch) or shapes is None:
-            yield batch
-        if len(batch) < TRACE_CHUNK:
+    for k in count():
+        block = islice(numbered, TRACE_CHUNK)
+        if k % shares == share:
+            batch = read_traces(path, block, shapes)
+            if len(batch) or not k:
+                yield batch
+        else:
+            batch = read_traces(path, islice(block, 1)) if shapes is None else ()
+        if len(batch) + sum(1 for _ in block) < TRACE_CHUNK:
             return
-        shapes = batch.probs.shape[1:], batch.emb.shape[1:]
+        shapes = shapes or (batch.probs.shape[1:], batch.emb.shape[1:])
+
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +336,10 @@ def write_distribution(path, dist: ClassDistribution):
 def read_distribution(path) -> ClassDistribution:
     meta = {}  # key -> (value, line)
     rows = {}  # rank -> (class id, count, line)
+    header = "class_id,count,rank"  # skipped once, before the first row; a repeat is a row
     for lineno, line in _numbered_lines(path):
-        if line == "class_id,count,rank":
+        if line == header and not rows:
+            header = None
             continue
         if line.startswith("#"):
             key, _, value = line.lstrip("# ").partition("=")

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
@@ -67,6 +66,7 @@ from .scheduler import (
     random_baseline_schedule,
     truncate_schedule,
 )
+from .shares import fork_shares, usable_cpus
 
 
 # ---------------------------------------------------------------------------
@@ -664,27 +664,22 @@ def run_experiment(spec: SyntheticSpec, config: TrainConfig, n_seeds: int,
     scores (accuracy, weighted F1, macro F1) and the (S, A) int64 visits,
     indexed by seed offset, then arm in ``ARMS`` order.
 
-    Seeds fan out to ``max_workers`` processes, capped at one per seed and
-    per CPU this process may use, since a pool starts all of its workers
-    at once. Results are merged in seed order, so parallelism never changes
-    the report.
+    Seeds are dealt out to ``max_workers`` shares, capped at one per seed
+    and per CPU this process may use, which run on forked processes
+    (:func:`~climd.shares.fork_shares`). Results are merged in seed order,
+    so parallelism never changes the report.
     """
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
     with room_for(f"{n_seeds} seeds"):
-        jobs = ([spec] * n_seeds, [config] * n_seeds, range(n_seeds))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(max_workers, n_seeds, cpus or 1)
-    if workers > 1:
-        # Imported here: multiprocessing is costly to import, and serial
-        # runs never need it.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(run_seed, *jobs))
-    else:
-        per_seed = list(map(run_seed, *jobs))
-    scores, visits = zip(*per_seed)
-    return np.stack(scores), np.stack(visits)
+        scores = np.empty((n_seeds, len(ARMS), 3))
+        visits = np.empty((n_seeds, len(ARMS)), dtype=np.int64)
+    k = min(max_workers, n_seeds, usable_cpus())
+    per_seed = fork_shares(
+        lambda w: (run_seed(spec, config, s) for s in range(w, n_seeds, k)), k)
+    np.stack([s for s, _ in per_seed], out=scores)
+    np.stack([v for _, v in per_seed], out=visits)
+    return scores, visits
 
 
 def summarize(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -564,9 +564,12 @@ class TestStreaming:
         assert f"{traces}: line {ff.TRACE_CHUNK + 1}: duplicate sample ids: ['s00000']" in err
         assert not (tmp_path / "out").exists()
 
+    # The counting tests count the calls of this process, so one share
+    # reads every chunk here.
     def test_each_id_is_checked_once_per_chunk_and_once_across(self, tmp_path, monkeypatch):
         # A chunk's score table shares the ids its TraceBatch has checked.
         monkeypatch.setattr(ff, "TRACE_CHUNK", 32)
+        monkeypatch.setenv("CLIMD_THREADS", "1")
         traces = tmp_path / "traces.jsonl"
         write_random_traces(traces, 2 * 32 + 5)
         checked, unique = [], []
@@ -584,6 +587,7 @@ class TestStreaming:
     def test_a_chunked_score_scans_each_id_once(self, tmp_path, monkeypatch):
         # The character rule is one regex scan of a chunk's joined ids.
         monkeypatch.setattr(ff, "TRACE_CHUNK", 32)
+        monkeypatch.setenv("CLIMD_THREADS", "1")
         traces = tmp_path / "traces.jsonl"
         write_random_traces(traces, 2 * 32 + 5)
         scanned, breaks = [], measurer._ID_BREAKS
@@ -638,7 +642,9 @@ class TestStreaming:
     def test_whole_trace_arrays_never_resident(self, tmp_path, monkeypatch, command):
         # Many small chunks of wide embeddings: the whole (N, M, C) and
         # (N, M, D) arrays dwarf one chunk's parse and the score columns.
+        # tracemalloc sees this process only, so one share reads every chunk.
         monkeypatch.setattr(ff, "TRACE_CHUNK", 32)
+        monkeypatch.setenv("CLIMD_THREADS", "1")
         n, m, c, d = 1024, 2, 3, 64
         traces = tmp_path / "traces.jsonl"
         write_random_traces(traces, n, c=c, m=m, d=d)

@@ -271,6 +271,28 @@ class TestDistributionFormat:
         with pytest.raises(ValidationError, match=match):
             ff.read_distribution(path)
 
+    # The column header is read once, before the first row; a repeat, before
+    # or after a row, is a row and is named by its line.
+    @pytest.mark.parametrize("rows, lineno", [
+        ("class_id,count,rank\n0,100,1\n1,50,2\n", 6),
+        ("0,100,1\nclass_id,count,rank\n1,50,2\n", 7),
+        ("0,100,1\n1,50,2\n\nclass_id,count,rank\n", 9),
+    ])
+    def test_repeated_column_header_named(self, tmp_path, rows, lineno):
+        path = tmp_path / "distribution.csv"
+        path.write_text(self.HEADER + rows)
+        with pytest.raises(ValidationError) as info:
+            ff.read_distribution(path)
+        assert str(info.value) == f"{path}: line {lineno}: not an ASCII number: 'class_id'"
+
+    def test_column_header_is_optional_and_may_precede_the_comments(self, tmp_path):
+        body = "0,100,1\n1,50,2\n"
+        meta = "".join(line + "\n" for line in self.HEADER.splitlines()[:4])
+        for text in (meta + body, "class_id,count,rank\n" + meta + body):
+            path = tmp_path / "distribution.csv"
+            path.write_text(text)
+            assert ff.read_distribution(path).counts.tolist() == [100, 50]
+
     @pytest.mark.parametrize("old,new,match", [
         ("gamma=0.3", "gamma=nan", "gamma must be a finite number"),
         ("gamma=0.3", "gamma=abc", "line 2: could not convert string to float: 'abc'"),

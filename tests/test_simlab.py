@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import math
 import os
@@ -877,38 +876,30 @@ class TestExperiment:
         parallel = run_experiment(spec, config, n, max_workers=2)
         assert all(map(np.array_equal, serial, parallel))
 
-    # A fake pool records its size and maps in this process, so no real
-    # pool starts, whatever size the case asks for.
+    # A fake fork_shares records the share count and runs every share in
+    # this process, so nothing is forked, whatever count the case asks for.
+    # A count of 1 (None here) forks nothing.
     @pytest.mark.parametrize("max_workers, n_seeds, cpus, pool_size", [
         (8, 3, 2, 2),  # capped at the CPUs this process may use
         (2, 3, 4, 2),  # capped at max_workers
         (8, 2, 4, 2),  # capped at the seeds
-        (8, 3, 1, None),  # one CPU: serial, no pool
-        (2, 1, 4, None),  # one seed: serial, no pool
+        (8, 3, 1, None),  # one CPU: serial
+        (2, 1, 4, None),  # one seed: serial
     ])
     def test_pool_size_is_capped(self, monkeypatch, max_workers, n_seeds, cpus, pool_size):
         sizes = []
 
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def fake_fork_shares(share, n):
+            sizes.append(n)
+            return [result for w in range(n) for result in share(w)]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(simlab, "fork_shares", fake_fork_shares)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         spec, config, _ = self.tiny()
         run_experiment(spec, config, n_seeds, max_workers=max_workers)
-        assert sizes == ([] if pool_size is None else [pool_size])
+        assert sizes == [pool_size or 1]
 
     def test_report_shape(self):
         spec, config, n = self.tiny()
